@@ -6,7 +6,6 @@ tractable scheduling cases, and the Gaussian irregular-traffic extension.
 """
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "TpPolicy",
     "TaskProfile",
     "CecConfig",
     "RbAllocation",
@@ -38,13 +36,6 @@ __all__ = [
     "expected_times_gaussian",
     "allocate_rbs_equal",
 ]
-
-
-class TpPolicy(enum.Enum):
-    """Slot-length policy: adaptive slot (case II) or padded constant slot (case III)."""
-
-    CASE2_ADAPTIVE = "case2_adaptive"
-    CASE3_PADDED = "case3_padded"
 
 
 class DegenerateScheduleWarning(UserWarning):
@@ -86,7 +77,6 @@ class CecConfig:
     c: float = 1.5
     c0: float = 1.5
     epsilon: float = 1.0
-    tp_policy: TpPolicy = TpPolicy.CASE3_PADDED
 
     def __post_init__(self) -> None:
         if self.n_tasks < 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FIGURE_TAGS, ConfigError, validate_config
+from .config import FIGURE_TAGS, ConfigError, apply_override, validate_config
 from .figures import run_experiment, summarize
 
 __all__ = ["main"]
@@ -24,8 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the experiment described by a config file")
     run.add_argument("config", help="path to the INI experiment config")
     run.add_argument("--out", help="output directory (overrides the config)")
-    run.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    run.add_argument("--trials", type=int, help="Monte-Carlo trial count (overrides the config)")
+    run.add_argument("--seed", help="master seed (overrides the config)")
+    run.add_argument("--trials", help="Monte-Carlo trial count (overrides the config)")
     run.add_argument(
         "--figure",
         choices=FIGURE_TAGS,
@@ -38,19 +38,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = validate_config(args.config)
+        if args.seed is not None:
+            apply_override(cfg, "experiment", "seed", args.seed)
+        if args.trials is not None:
+            apply_override(cfg, "experiment", "trials", args.trials)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            print("error: --trials must be >= 1", file=sys.stderr)
-            return 1
-        cfg.trials = args.trials
     if args.figure is not None:
         cfg.figures = (args.figure,)
 

@@ -11,16 +11,18 @@ parameter set (20 MHz bandwidth, 200 kbps rate, 22-byte packets, SNR sweep
 from __future__ import annotations
 
 import configparser
+import math
 import warnings
 from dataclasses import dataclass, field
 
-from .protocols import Protocol
+from .protocols import _MIN_TRIALS, Protocol
 
 __all__ = [
     "FIGURE_TAGS",
     "ConfigError",
     "ExperimentConfig",
     "validate_config",
+    "apply_override",
     "default_config",
 ]
 
@@ -99,6 +101,8 @@ class ExperimentConfig:
 def _float(positive=False):
     def parse(text: str) -> float:
         value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
         if positive and not value > 0:
             raise ValueError("expected a number > 0")
         return value
@@ -120,6 +124,8 @@ def _float_list(text: str) -> tuple[float, ...]:
     items = tuple(float(t) for t in text.replace(",", " ").split())
     if not items:
         raise ValueError("expected a non-empty list of numbers")
+    if not all(math.isfinite(v) for v in items):
+        raise ValueError("expected finite numbers")
     return items
 
 
@@ -159,8 +165,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "scenario": ("scenario", str),
         "figures": ("figures", _figures),
         "protocols": ("protocols", _protocols),
-        "seed": ("seed", _int()),
-        "trials": ("trials", _int(minimum=1)),
+        "seed": ("seed", _int(minimum=0)),
+        "trials": ("trials", _int(minimum=_MIN_TRIALS)),
         "out_dir": ("out_dir", str),
     },
     "channel": {
@@ -269,6 +275,21 @@ def validate_config(path) -> ExperimentConfig:
         )
     cfg.applied_defaults = _all_default_keys(cfg, provided)
     return cfg
+
+
+def apply_override(cfg: ExperimentConfig, section: str, key: str, raw: str) -> None:
+    """Set one key from outside the config file, through the file's own check.
+
+    Raises ConfigError located by the key path, as validate_config does. The
+    key no longer counts as defaulted.
+    """
+    attr, parse = _SCHEMA[section][key]
+    try:
+        setattr(cfg, attr, parse(raw))
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc} (got {raw!r})") from exc
+    echoed = f"{section}.{key} = "
+    cfg.applied_defaults = [line for line in cfg.applied_defaults if not line.startswith(echoed)]
 
 
 def _cross_checks(cfg: ExperimentConfig) -> list[str]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtri, ndtri
 
 __all__ = [
     "ProcessSample",
@@ -177,7 +177,7 @@ def fit_pca(
 
     k = n_components
     t2_limit = (
-        k * (n**2 - 1) / (n * (n - k)) * float(stats.f.ppf(1.0 - alpha, k, n - k))
+        k * (n**2 - 1) / (n * (n - k)) * float(fdtri(k, n - k, 1.0 - alpha))
     )
 
     theta1 = float(residual.sum())
@@ -195,7 +195,7 @@ def fit_pca(
         h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
         if h0 <= 0:
             h0 = 1e-6  # standard guard for pathological residual spectra
-        c_alpha = float(stats.norm.ppf(1.0 - alpha))
+        c_alpha = float(ndtri(1.0 - alpha))
         spe_limit = theta1 * (
             c_alpha * math.sqrt(2.0 * theta2 * h0**2) / theta1
             + 1.0

@@ -12,13 +12,14 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .cec import CecConfig, optimal_tcm_case3, ucc_case3, ucc_case3_at_optimum
 from .channel import ChannelParams
 from .config import FIGURE_TAGS, ExperimentConfig
 from .protocols import (
     HarqParams,
+    MonteCarloEstimate,
     Protocol,
     harq_expected_rounds,
     harq_latency,
@@ -32,7 +33,7 @@ from .protocols import (
 
 __all__ = ["FigureDataset", "build_figure", "run_experiment", "write_dataset", "summarize"]
 
-_Z99 = float(stats.norm.ppf(0.995))
+_Z99 = float(ndtri(0.995))
 
 
 @dataclass
@@ -91,20 +92,41 @@ def _oc_windows(cfg: ExperimentConfig, n_sensors: int) -> tuple[float, float]:
     return cfg.oc_t1_scale * base, cfg.oc_t2_scale * base
 
 
+def _harq_rounds(cfg: ExperimentConfig, tag: str) -> MonteCarloEstimate | None:
+    """HARQ's expected-round estimate d_hat for one figure; None without HARQ.
+
+    d_hat depends on the channel, Q and L, never on the network size, so one
+    estimate, drawn with the seed of the figure's first sweep point, serves
+    every point of the n_g sweep.
+    """
+    if Protocol.HARQ not in cfg.protocols:
+        return None
+    return harq_expected_rounds(
+        _chan(cfg),
+        HarqParams(cfg.harq_max_rounds, cfg.harq_diversity),
+        cfg.trials,
+        _point_seed(cfg.seed, tag, 0),
+    )
+
+
 def protocol_latency(
-    cfg: ExperimentConfig, protocol: Protocol, n_g: int, t_cp: float, seed: int
+    cfg: ExperimentConfig,
+    protocol: Protocol,
+    n_g: int,
+    t_cp: float,
+    rounds: MonteCarloEstimate | None,
 ) -> tuple[float, float]:
-    """(t_cm, ci99) of one protocol at one network size."""
+    """(t_cm, ci99) of one protocol at one network size.
+
+    `rounds` is the figure's HARQ estimate from _harq_rounds; only HARQ reads it.
+    """
     shape = split_nodes(n_g, cfg.relay_sensor_ratio, cfg.packet_bits)
     chan = _chan(cfg)
     if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
         return srarq_latency(shape, chan), 0.0
     if protocol == Protocol.HARQ:
-        est = harq_expected_rounds(
-            chan, HarqParams(cfg.harq_max_rounds, cfg.harq_diversity), cfg.trials, seed
-        )
         scale = shape.n_total * shape.packet_bits / chan.rate_bps
-        return harq_latency(shape, chan, est.value), _Z99 * est.stderr * scale
+        return harq_latency(shape, chan, rounds.value), _Z99 * rounds.stderr * scale
     if protocol == Protocol.OCCUPY_COW:
         t1, t2 = _oc_windows(cfg, shape.n_sensors)
         return occupycow_latency(occupycow_phase_probs(shape, chan, t1, t2)), 0.0
@@ -153,8 +175,9 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
     transfer fits inside that window (it does across the default grids).
     """
     cec = _cec(cfg)
+    rounds = _harq_rounds(cfg, tag)
     rows = []
-    for i, n_g in enumerate(sorted(cfg.n_g_grid)):
+    for n_g in sorted(cfg.n_g_grid):
         for protocol in cfg.protocols:
             if protocol == Protocol.REFLEXUP:
                 lat = reflexup_latency(
@@ -170,7 +193,7 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
                 )
                 rows.append((float(n_g), protocol.value, float(u), 0.0))
             else:
-                t_cm, _ = protocol_latency(cfg, protocol, n_g, t_cp, _point_seed(cfg.seed, tag, i))
+                t_cm, _ = protocol_latency(cfg, protocol, n_g, t_cp, rounds)
                 rows.append((float(n_g), protocol.value, float(ucc_case3(t_cm, t_cp, cec)), 0.0))
     ds = FigureDataset(tag, "n_g", "u_cc", rows)
     _check_reflexup_dominates(ds)
@@ -192,12 +215,11 @@ def _check_reflexup_dominates(ds: FigureDataset) -> None:
 
 def build_fig11(cfg: ExperimentConfig) -> FigureDataset:
     """Uplink latency vs network size, one series per protocol."""
+    rounds = _harq_rounds(cfg, "fig11_tcm")
     rows = []
-    for i, n_g in enumerate(sorted(cfg.n_g_grid)):
+    for n_g in sorted(cfg.n_g_grid):
         for protocol in cfg.protocols:
-            t_cm, ci = protocol_latency(
-                cfg, protocol, n_g, cfg.t_cp_fig11, _point_seed(cfg.seed, "fig11_tcm", i)
-            )
+            t_cm, ci = protocol_latency(cfg, protocol, n_g, cfg.t_cp_fig11, rounds)
             rows.append((float(n_g), protocol.value, float(t_cm), float(ci)))
     ds = FigureDataset("fig11_tcm", "n_g", "t_cm_s", rows)
     for name in ds.series_names():

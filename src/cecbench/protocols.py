@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln
 
 from .cec import CecConfig, optimal_tcm_case3
 from .channel import ChannelParams, outage_probability, spawn_stream
@@ -209,8 +209,11 @@ def _harq_round_totals(
     fades = rng.exponential(
         1.0, size=(trials, params.max_rounds, params.diversity_order)
     )
-    per_round = np.log2(1.0 + snr * fades).mean(axis=2)
-    return np.cumsum(per_round, axis=1)
+    # In place on the draws: log2(1 + snr * fades) without three temporaries.
+    fades *= snr
+    fades += 1.0
+    np.log2(fades, out=fades)
+    return np.cumsum(fades.mean(axis=2), axis=1)
 
 
 def harq_pfail(
@@ -310,12 +313,19 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
 
     The all-fail stratum (a = 0) carries no relays and contributes no failure
     mass under this form; the simulator and the enumeration oracle share that
-    convention. Binomial masses come from scipy's log-domain pmf.
+    convention. Binomial masses are computed in the log domain.
     """
     if n < 2:
         raise ValueError("need n >= 2 nodes")
+    if params.p1 in (0.0, 1.0):
+        # All nodes fail phase 1 (the void stratum a = 0) or all succeed
+        # (a = n, no stragglers): no stratum in the sum carries mass.
+        return 0.0
     a = np.arange(1, n)
-    mass = stats.binom.pmf(a, n, 1.0 - params.p1)
+    mass = np.exp(
+        gammaln(n + 1) - gammaln(a + 1) - gammaln(n - a + 1)
+        + a * math.log1p(-params.p1) + (n - a) * math.log(params.p1)
+    )
     rescue_fail = 1.0 - (1.0 - params.p12) ** (n - a)
     total = float(np.dot(mass, rescue_fail))
     return min(max(total, 0.0), 1.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .cec import (
     CecConfig,
@@ -725,6 +725,6 @@ def estimate_pfail(
         if trace.any_communication_failure:
             failures += 1
     p = failures / runs
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     halfwidth = z * math.sqrt(max(p * (1.0 - p), 0.0) / runs)
     return p, halfwidth

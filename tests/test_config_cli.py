@@ -1,6 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
+
+import cecbench
 
 from cecbench.cli import main
 from cecbench.config import ConfigError, FIGURE_TAGS, default_config, validate_config
@@ -156,8 +160,41 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_cli_seed_and_trials_override(tmp_path):
+def test_cli_seed_and_trials_override(tmp_path, capsys):
     config = _write(tmp_path, MINIMAL)
     out_dir = str(tmp_path / "s")
     assert main(["run", config, "--seed", "99", "--trials", "15000", "--out", out_dir]) == 0
+    echoed = capsys.readouterr().out
+    assert "experiment.seed" not in echoed and "experiment.trials" not in echoed
     assert main(["run", config, "--trials", "0", "--out", out_dir]) == 1
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, key",
+    [
+        ("[experiment]\nfigures = fig13_pfail\ntrials = 500\n", [], "trials"),
+        (MINIMAL + "[cec]\nc0 = nan\n", [], "c0"),
+        ("[experiment]\nfigures = fig13_pfail\nseed = -3\n", [], "seed"),
+        (MINIMAL + "[channel]\nsnr_db = inf\n", [], "snr_db"),
+        (MINIMAL + "[sweep]\nsnr_grid_db = 10 nan 30\n", [], "snr_grid_db"),
+        (MINIMAL, ["--trials", "500"], "trials"),
+        (MINIMAL, ["--seed", "-3"], "seed"),
+        (MINIMAL, ["--seed", "x"], "seed"),
+    ],
+)
+def test_cli_rejects_unrunnable_config(tmp_path, capsys, config_text, flags, key):
+    config = _write(tmp_path, config_text)
+    out_dir = tmp_path / "out"
+    assert main(["run", config, "--out", str(out_dir), *flags]) == 1
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(cecbench.__file__))
+    code = "import sys, cecbench; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from cecbench.cec import CecConfig
 from cecbench.channel import ChannelParams, outage_probability
@@ -26,6 +26,7 @@ from cecbench.protocols import (
     srarq_latency,
     srarq_pfail,
 )
+from cecbench.protocols import _harq_round_totals
 
 TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
 M_BITS = 176
@@ -129,6 +130,16 @@ def test_harq_pfail_rejects_small_trials():
         harq_pfail(STRESSED, HarqParams(2, 1), 100)
     with pytest.raises(ValueError):
         harq_expected_rounds(STRESSED, HarqParams(2, 1), 100)
+
+
+@pytest.mark.parametrize("snr_db", [3.0, 40.0])
+def test_harq_round_totals_match_reference_expression(snr_db):
+    chan = STRESSED.with_snr(snr_db)
+    params = HarqParams(7, 2)
+    fades = np.random.default_rng(11).exponential(1.0, size=(5000, 7, 2))
+    expected = np.cumsum(np.log2(1.0 + chan.snr_linear * fades).mean(axis=2), axis=1)
+    got = _harq_round_totals(chan, params, 5000, np.random.default_rng(11))
+    assert np.array_equal(got, expected)
 
 
 def test_harq_single_round_matches_outage_closed_form():
@@ -256,6 +267,26 @@ def test_occupycow_pfail_matches_enumeration(n):
         closed = occupycow_pfail(n, _oc_params(p1, p12))
         oracle = _oc_enumeration_oracle(n, p1, p12)
         assert closed == pytest.approx(oracle, rel=1e-11, abs=1e-14)
+
+
+def _oc_scipy_reference(n, p1, p12):
+    a = np.arange(1, n)
+    return float(np.dot(stats.binom.pmf(a, n, 1.0 - p1), 1.0 - (1.0 - p12) ** (n - a)))
+
+
+def test_occupycow_pfail_log_domain_pmf():
+    for n in (10, 100, 400):
+        for p1 in (0.01, 0.3, 0.5, 0.9):
+            for p12 in (0.0, 0.2, 1.0):
+                assert occupycow_pfail(n, _oc_params(p1, p12)) == pytest.approx(
+                    _oc_scipy_reference(n, p1, p12), rel=1e-11
+                )
+    # Rare phase-1 loss: the log-domain masses keep full precision.
+    for n in (2, 4, 6):
+        got = occupycow_pfail(n, _oc_params(1e-9, 0.5))
+        assert got == pytest.approx(_oc_enumeration_oracle(n, 1e-9, 0.5), rel=1e-11)
+    for p1 in (0.0, 1.0):
+        assert occupycow_pfail(50, _oc_params(p1, 0.5)) == 0.0
 
 
 def test_occupycow_pfail_large_n_stays_bounded():
