@@ -10,7 +10,7 @@ Subpackages:
     figures   - sweep datasets reproducing the reference curves.
     cli       - the cec-bench command-line entry point.
 """
-from .channel import ChannelParams, LinkSample, outage_probability, sample_fade, spawn_stream
+from .channel import ChannelParams, outage_probability, spawn_stream
 from .cec import (
     CecConfig,
     RbAllocation,
@@ -34,7 +34,6 @@ from .protocols import (
     NetworkShape,
     OccupyCowParams,
     Protocol,
-    ProtocolOutcome,
     harq_expected_rounds,
     harq_latency,
     harq_pfail,

@@ -13,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "ChannelParams",
-    "LinkSample",
     "db_to_linear",
     "outage_probability",
     "spawn_stream",
-    "sample_fade",
     "sample_fades",
     "link_capacity_bps",
 ]
@@ -79,22 +77,6 @@ def outage_probability(params: ChannelParams) -> float:
     return -math.expm1(-threshold / params.snr_linear)
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One channel realization.
-
-    fade_power is the squared envelope |h|^2, unit-mean exponential.
-    seed_path tags the RNG stream the sample came from, for replay audits.
-    """
-
-    fade_power: float
-    seed_path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.fade_power < 0:
-            raise ValueError("fade_power must be >= 0")
-
-
 def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent, reproducible generator for one (run, link, ...) coordinate.
 
@@ -102,11 +84,6 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     streams, so parallel runs and per-link draws never share state.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
-
-
-def sample_fade(rng: np.random.Generator, seed_path: str = "") -> LinkSample:
-    """Draw one unit-mean exponential fade from the given stream."""
-    return LinkSample(fade_power=float(rng.exponential(1.0)), seed_path=seed_path)
 
 
 def sample_fades(rng: np.random.Generator, size) -> np.ndarray:

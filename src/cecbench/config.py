@@ -15,7 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .protocols import _MIN_TRIALS, Protocol
+from .cec import CecConfig
+from .protocols import _MIN_TRIALS, NetworkShape, Protocol, split_nodes
 
 __all__ = [
     "FIGURE_TAGS",
@@ -304,8 +305,31 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
         errors.append(f"[cec] epsilon: must lie in (0, 1], got {cfg.epsilon}")
     if cfg.c0 < 0:
         errors.append(f"[cec] c0: must be >= 0, got {cfg.c0}")
-    if any(n < 2 for n in cfg.n_g_grid):
-        errors.append("[sweep] n_g_grid: every network size must be >= 2")
-    if any(n < 1 for n in cfg.task_grid):
-        errors.append("[sweep] task_grid: every task count must be >= 1")
+
+    # Build every model object the sweeps build, so that an inadmissible
+    # combination (c against n_tasks and k_rbs, a network too small to split)
+    # is a config error, not a figure failure at run time.
+    def cec(n_tasks: int) -> CecConfig:
+        return CecConfig(n_tasks, cfg.k_rbs, cfg.c, cfg.c0, cfg.epsilon)
+
+    def shape(n_g: int) -> NetworkShape:
+        return split_nodes(n_g, cfg.relay_sensor_ratio, cfg.packet_bits)
+
+    if 0.0 < cfg.epsilon <= 1.0 and cfg.c0 >= 0:  # else CecConfig repeats those errors
+        errors += _rejected("[cec] n_tasks", (cfg.n_tasks,), cec)
+        errors += _rejected("[sweep] task_grid", cfg.task_grid, cec)
+    errors += _rejected("[sweep] n_g_grid", cfg.n_g_grid, shape)
+    errors += _rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), shape)
+    errors += _rejected("[sweep] fig13_n_g", cfg.fig13_n_g, shape)
+    return errors
+
+
+def _rejected(key: str, values, build) -> list[str]:
+    """One error, located by key path and value, per value that `build` rejects."""
+    errors = []
+    for value in values:
+        try:
+            build(value)
+        except ValueError as exc:
+            errors.append(f"{key}: {value}: {exc}")
     return errors

@@ -216,30 +216,50 @@ def fit_pca(
     )
 
 
+# Rows scored per matrix. Scoring a whole stream as one matrix costs memory in
+# proportion to its length; 512 rows already amortize the per-call overhead.
+_BLOCK_ROWS = 512
+
+
+def _project(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """Standardize x in place and leave its residual there; return its scores.
+
+    x is a fresh (rows, n_vars) float matrix owned by the caller.
+    """
+    if x.shape[1] != model.n_vars:
+        raise ValueError(f"sample dimension {x.shape[1]} != model dimension {model.n_vars}")
+    x -= model.mean
+    x /= model.scale
+    scores = x @ model.loadings
+    x -= scores @ model.loadings.T
+    return scores
+
+
+def _score_block(model: PcaModel, samples: Sequence[ProcessSample]) -> list[DetectionResult]:
+    """Score up to _BLOCK_ROWS samples as one matrix."""
+    x = _as_matrix(samples)
+    scores = _project(model, x)
+    spe = np.einsum("ij,ij->i", x, x)
+    scores *= scores
+    t2 = (scores / model.eigenvalues).sum(axis=1)
+    flags = (spe > model.spe_limit) | (t2 > model.t2_limit)
+    return [
+        DetectionResult(s.timestamp, q, t, model.spe_limit, model.t2_limit, f)
+        for s, q, t, f in zip(samples, spe.tolist(), t2.tolist(), flags.tolist())
+    ]
+
+
 def score(model: PcaModel, sample: ProcessSample) -> DetectionResult:
     """Online step: SPE and T-squared of one sample against the fitted model."""
-    if sample.values.shape[0] != model.n_vars:
-        raise ValueError(
-            f"sample dimension {sample.values.shape[0]} != model dimension {model.n_vars}"
-        )
-    z = (sample.values - model.mean) / model.scale
-    scores = model.loadings.T @ z
-    t2 = float(np.sum(scores**2 / model.eigenvalues))
-    residual = z - model.loadings @ scores
-    spe = float(residual @ residual)
-    flag = spe > model.spe_limit or t2 > model.t2_limit
-    return DetectionResult(
-        timestamp=sample.timestamp,
-        spe=spe,
-        t2=t2,
-        spe_limit=model.spe_limit,
-        t2_limit=model.t2_limit,
-        fault_flag=flag,
-    )
+    return _score_block(model, [sample])[0]
 
 
 def score_stream(model: PcaModel, samples: Sequence[ProcessSample]) -> list[DetectionResult]:
-    return [score(model, s) for s in samples]
+    """Score samples in order, _BLOCK_ROWS rows per matrix; score() is the one-row case."""
+    results: list[DetectionResult] = []
+    for start in range(0, len(samples), _BLOCK_ROWS):
+        results.extend(_score_block(model, samples[start : start + _BLOCK_ROWS]))
+    return results
 
 
 def residual_contributions(model: PcaModel, sample: ProcessSample) -> list[tuple[int, float]]:
@@ -248,11 +268,11 @@ def residual_contributions(model: PcaModel, sample: ProcessSample) -> list[tuple
     A lightweight stand-in for knowledge-base diagnosis: the top entries point
     at the sensors most responsible for an SPE excursion.
     """
-    z = (sample.values - model.mean) / model.scale
-    residual = z - model.loadings @ (model.loadings.T @ z)
-    contrib = residual**2
+    x = sample.values[np.newaxis].copy()
+    _project(model, x)
+    contrib = x[0] ** 2
     order = np.argsort(contrib)[::-1]
-    return [(int(i), float(contrib[i])) for i in order]
+    return list(zip(order.tolist(), contrib[order].tolist()))
 
 
 def _random_correlation(rng: np.random.Generator, d: int, condition_number: float) -> np.ndarray:

@@ -21,9 +21,7 @@ from .channel import ChannelParams, outage_probability, spawn_stream
 
 __all__ = [
     "Protocol",
-    "Method",
     "NetworkShape",
-    "ProtocolOutcome",
     "HarqParams",
     "OccupyCowParams",
     "MonteCarloEstimate",
@@ -49,11 +47,6 @@ class Protocol(enum.Enum):
     HARQ = "harq"
     OCCUPY_COW = "occupy_cow"
     REFLEXUP = "reflexup"
-
-
-class Method(enum.Enum):
-    ANALYTIC = "analytic"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -101,22 +94,6 @@ def split_nodes(n_total: int, relay_sensor_ratio: float, packet_bits: int) -> Ne
         relay_fanout=n_sensors / n_relays,
         packet_bits=packet_bits,
     )
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """A (latency, failure probability) pair for one protocol at one operating point."""
-
-    t_cm: float
-    p_fail: float
-    protocol_tag: Protocol
-    method_tag: Method
-
-    def __post_init__(self) -> None:
-        if not self.t_cm > 0:
-            raise ValueError("t_cm must be > 0")
-        if not 0.0 <= self.p_fail <= 1.0:
-            raise ValueError("p_fail must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,9 @@ import pytest
 
 from cecbench.channel import (
     ChannelParams,
-    LinkSample,
     db_to_linear,
     link_capacity_bps,
     outage_probability,
-    sample_fade,
     sample_fades,
     spawn_stream,
 )
@@ -69,8 +67,6 @@ def test_invalid_params_rejected():
         ChannelParams(snr_db=10, bandwidth_hz=1e6, rate_bps=0)
     with pytest.raises(ValueError):
         ChannelParams(snr_db=math.inf, bandwidth_hz=1e6, rate_bps=1e5)
-    with pytest.raises(ValueError):
-        LinkSample(fade_power=-0.1)
 
 
 def test_fade_stream_deterministic():
@@ -79,12 +75,6 @@ def test_fade_stream_deterministic():
     assert np.array_equal(a, b)
     c = sample_fades(spawn_stream(123, 4, 6), 100)
     assert not np.array_equal(a, c)
-
-
-def test_sample_fade_tags_stream():
-    s = sample_fade(spawn_stream(0, 1), seed_path="run0/link1")
-    assert s.fade_power >= 0
-    assert s.seed_path == "run0/link1"
 
 
 def test_fade_mean_is_unit():

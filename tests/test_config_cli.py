@@ -177,6 +177,8 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         ("[experiment]\nfigures = fig13_pfail\nseed = -3\n", [], "seed"),
         (MINIMAL + "[channel]\nsnr_db = inf\n", [], "snr_db"),
         (MINIMAL + "[sweep]\nsnr_grid_db = 10 nan 30\n", [], "snr_grid_db"),
+        ("[experiment]\nfigures = fig12_ucc_snr_tasks\n[cec]\nn_tasks = 250\n", [], "n_tasks"),
+        (MINIMAL + "[sweep]\nfig13_n_g = 1\n", [], "fig13_n_g"),
         (MINIMAL, ["--trials", "500"], "trials"),
         (MINIMAL, ["--seed", "-3"], "seed"),
         (MINIMAL, ["--seed", "x"], "seed"),

@@ -154,6 +154,78 @@ def test_training_t2_exceedance_near_alpha(fitted):
     assert model.alpha / 3 <= rate <= 3 * model.alpha
 
 
+def _reference_score(model, sample):
+    """The per-row expression score_stream's matrix blocks replace."""
+    z = (sample.values - model.mean) / model.scale
+    scores = model.loadings.T @ z
+    t2 = float(np.sum(scores**2 / model.eigenvalues))
+    residual = z - model.loadings @ scores
+    spe = float(residual @ residual)
+    return spe, t2, spe > model.spe_limit or t2 > model.t2_limit
+
+
+@pytest.fixture(scope="module")
+def faulted_stream():
+    # 500 fault-free rows, then 525 faulted ones: the stream has both flags.
+    train, test = generate_synthetic_te(1000, 525, MeanShift((0, 4, 9), 3.0), seed=23, n_vars=20)
+    return fit_pca(train, n_components=8), test[500:]
+
+
+@pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 1025])
+def test_score_stream_matches_per_row_reference(faulted_stream, length):
+    model, stream = faulted_stream
+    samples = stream[:length]
+    before = [s.values.copy() for s in samples]
+    results = score_stream(model, samples)
+    assert len(results) == length
+    for sample, res in zip(samples, results):
+        spe, t2, flag = _reference_score(model, sample)
+        assert res.timestamp == sample.timestamp
+        assert res.spe == pytest.approx(spe, rel=1e-12)
+        assert res.t2 == pytest.approx(t2, rel=1e-12)
+        assert res.fault_flag == flag
+        assert (res.spe_limit, res.t2_limit) == (model.spe_limit, model.t2_limit)
+    assert all(np.array_equal(s.values, v) for s, v in zip(samples, before))
+    if length == 1025:
+        assert 100 < sum(r.fault_flag for r in results) < 1000
+
+
+def test_score_is_one_row_of_score_stream(faulted_stream):
+    model, stream = faulted_stream
+    results = score_stream(model, stream[:600])
+    for i in (0, 511, 512, 599):
+        one = score(model, stream[i])
+        assert one == score_stream(model, [stream[i]])[0]
+        # BLAS takes a matrix-vector path for one row and a matrix-matrix path
+        # for a block, so the two may differ in the last bit.
+        assert one.spe == pytest.approx(results[i].spe, rel=1e-12)
+        assert one.t2 == pytest.approx(results[i].t2, rel=1e-12)
+        assert one.fault_flag == results[i].fault_flag
+
+
+def test_score_stream_rejects_mixed_dimensions(fitted):
+    model, train = fitted
+    odd = ProcessSample(0.0, np.zeros(model.n_vars + 1))
+    with pytest.raises(ValueError):
+        score_stream(model, [*train[:3], odd])
+    with pytest.raises(ValueError):
+        score_stream(model, [*train[:600], odd])
+
+
+def test_residual_contributions_match_reference_order(faulted_stream):
+    model, stream = faulted_stream
+    for sample in stream[:20]:
+        before = sample.values.copy()
+        ranked = residual_contributions(model, sample)
+        z = (sample.values - model.mean) / model.scale
+        contrib = (z - model.loadings @ (model.loadings.T @ z)) ** 2
+        order = np.argsort(contrib)[::-1]
+        assert [i for i, _ in ranked] == order.tolist()
+        assert all(type(i) is int and type(v) is float for i, v in ranked)
+        assert [v for _, v in ranked] == pytest.approx(contrib[order].tolist(), rel=1e-12)
+        assert np.array_equal(sample.values, before)
+
+
 def test_residual_contributions_rank_shifted_variable(fitted):
     model, _ = fitted
     sample = model.mean.copy()

@@ -9,11 +9,8 @@ from cecbench.cec import CecConfig
 from cecbench.channel import ChannelParams, outage_probability
 from cecbench.protocols import (
     HarqParams,
-    Method,
     NetworkShape,
     OccupyCowParams,
-    Protocol,
-    ProtocolOutcome,
     harq_expected_rounds,
     harq_latency,
     harq_pfail,
@@ -64,14 +61,6 @@ def test_shape_invariants():
         NetworkShape(n_total=10, n_sensors=8, n_relays=2, relay_fanout=1.0, packet_bits=176)
     with pytest.raises(ValueError):
         NetworkShape(n_total=4, n_sensors=2, n_relays=2, relay_fanout=1.0, packet_bits=0)
-
-
-def test_protocol_outcome_invariants():
-    ProtocolOutcome(0.1, 0.5, Protocol.HARQ, Method.ANALYTIC)
-    with pytest.raises(ValueError):
-        ProtocolOutcome(0.0, 0.5, Protocol.HARQ, Method.ANALYTIC)
-    with pytest.raises(ValueError):
-        ProtocolOutcome(0.1, 1.5, Protocol.HARQ, Method.MONTE_CARLO)
 
 
 # ----------------------------------------------------------- selective repeat
