@@ -1,16 +1,20 @@
 """Time-slotted execution of the uplink protocols over sampled Rayleigh links.
 
-One run owns its event queue and RNG streams (split per link from the master
-seed), so identical seeds replay bit-identical traces. Time advances in
-packet-airtime slots per link rate; control messages on the C-M link are
-error-free and instantaneous, and relay queuing plus feedback latency default
-to zero.
+One run owns its event log and RNG streams (split per link from the master
+seed), so identical seeds replay bit-identical traces. Each link's stream is
+read in blocks sized by the packets that link carries; a block holds the same
+values, in the same order, as the same number of draws taken one at a time,
+so the block size never changes a trace. Time advances in packet-airtime
+slots per link rate; control messages on the C-M link are error-free and
+instantaneous, and relay queuing plus feedback latency default to zero.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,7 +27,7 @@ from .cec import (
     compute_ucc,
     optimal_tcm_case3,
 )
-from .channel import ChannelParams, link_capacity_bps, spawn_stream
+from .channel import ChannelParams, spawn_stream
 from .protocols import HarqParams, NetworkShape, Protocol, occupycow_phase_probs
 
 __all__ = [
@@ -179,8 +183,7 @@ class FlowOutcome:
     completion_time: float | None = None
     dispatched: bool = False
     void_round: bool = False  # excluded stratum (no relay survived phase 1)
-    communication_failure: bool = False
-    task_failure: bool = False
+    communication_failure: bool = False  # delivered share below epsilon
 
 
 @dataclass
@@ -211,12 +214,35 @@ def export_trace(trace: SimTrace, path) -> None:
             )
 
 
-class _Run:
-    """Shared bookkeeping for one simulation run."""
+def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
+    """The dispatch rule: the delivered share of a flow has reached epsilon."""
+    return delivered / required >= epsilon
 
-    def __init__(self, protocol: Protocol, flows: Iterable[FlowSpec], record: bool):
+
+# Block sources for _Run.draws. A one-draw block is a scalar draw: the same
+# value, without the cost of numpy's array path, which a run of one packet
+# per link would pay on every stream.
+def _fades(rng: np.random.Generator, n: int) -> list[float]:
+    """n unit-mean exponential fade powers (Rayleigh |h|^2)."""
+    return [rng.exponential(1.0)] if n == 1 else rng.exponential(1.0, size=n).tolist()
+
+
+def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
+    """n uniform [0, 1) draws, for timeouts and rescues."""
+    return [rng.random()] if n == 1 else rng.random(size=n).tolist()
+
+
+class _Run:
+    """Per-link draws and shared bookkeeping for one simulation run."""
+
+    def __init__(
+        self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology
+    ):
         self.protocol = protocol
         self.record = record
+        self.seed = seed
+        self.edge = topology.edge_server
+        self.c_to_m_latency = topology.c_to_m_latency
         self.events: list[TraceEvent] = []
         self.flows = {f.task_id: f for f in flows}
         self.outcomes = {
@@ -226,24 +252,57 @@ class _Run:
         self.link_stats: dict[tuple[str, str], list[int]] = {}
         self.now = 0.0
         self.slot = 0
+        self.layout = _packet_layout(flows)
+        # Packets each source sensor carries: the block size of its streams.
+        self.carried: dict[str, int] = {}
+        for _, _, sensor in self.layout:
+            self.carried[sensor] = self.carried.get(sensor, 0) + 1
 
-    def log(self, event_type: str, src: str, dst: str, task: int, packet: int, outcome: str):
-        if self.record:
-            self.events.append(TraceEvent(self.slot, event_type, src, dst, task, packet, outcome))
+    def draws(
+        self, take: Callable[[np.random.Generator, int], list[float]], n: int, *path: int
+    ) -> Iterator[float]:
+        """Draws of the stream at `path`, read n at a time through `take(rng, n)`.
 
-    def link_attempt(self, src: str, dst: str, ok: bool) -> None:
-        entry = self.link_stats.setdefault((src, dst), [0, 0])
+        A block equals n draws taken one at a time, in value and order, so
+        the block size changes no trace. The stream is set up at the first
+        draw and belongs to this run alone, so the draws left in its last
+        block are simply dropped.
+        """
+        rng = spawn_stream(self.seed, *path)
+        while True:
+            yield from take(rng, n)
+
+    def attempt(self, event: str, src: str, dst: str, task: int, packet: int, ok: bool) -> None:
+        """Count and log one transmission of (task, packet) over src -> dst."""
+        out = self.outcomes[task]
+        out.attempts += 1
+        if out.first_attempt_time is None:
+            out.first_attempt_time = self.now
+        entry = self.link_stats.get((src, dst))
+        if entry is None:
+            entry = self.link_stats[(src, dst)] = [0, 0]
         entry[0] += 1
         if not ok:
+            out.losses += 1
             entry[1] += 1
+        if self.record:
+            self.events.append(TraceEvent(self.slot, event, src, dst, task, packet, "ok" if ok else "lost"))
+
+    def dispatch(self, task: int) -> None:
+        """Hand the task to fault detection once its delivered share reaches epsilon."""
+        out = self.outcomes[task]
+        if not out.dispatched and _meets_epsilon(out.delivered, out.required, self.flows[task].epsilon):
+            out.dispatched = True
+            out.completion_time = self.now + self.c_to_m_latency
+            if self.record:
+                self.events.append(TraceEvent(self.slot, "fdd-dispatch", self.edge, self.edge, task, -1, "ok"))
 
     def finalize(self, t_p: float) -> SimTrace:
         for spec in self.flows.values():
             out = self.outcomes[spec.task_id]
-            fraction = out.delivered / out.required
-            out.communication_failure = (not out.void_round) and fraction < spec.epsilon
-            needed = math.ceil(spec.epsilon * out.required)
-            out.task_failure = (not out.void_round) and out.delivered < needed
+            out.communication_failure = not out.void_round and not _meets_epsilon(
+                out.delivered, out.required, spec.epsilon
+            )
         return SimTrace(
             protocol=self.protocol,
             events=self.events,
@@ -264,9 +323,47 @@ def _packet_layout(flows: Iterable[FlowSpec]) -> list[tuple[int, int, str]]:
     return layout
 
 
-def _fade_ok(rng: np.random.Generator, chan: ChannelParams) -> bool:
-    """One Rayleigh attempt: True when the sampled capacity carries the rate."""
-    return link_capacity_bps(chan, float(rng.exponential(1.0))) >= chan.rate_bps
+def _attempt_test(
+    chan: ChannelParams, p_timeout: float, timeouts: Iterator[float]
+) -> Callable[[Iterator[float]], bool]:
+    """Success test of one hop: no timeout fired, and the faded capacity carries the rate.
+
+    The fade is drawn only when no timeout fired. The capacity is the
+    arithmetic of `link_capacity_bps`, with W, snr and R read once.
+    """
+    w, snr, rate = chan.bandwidth_hz, chan.snr_linear, chan.rate_bps
+
+    def attempt_ok(fades: Iterator[float]) -> bool:
+        if p_timeout > 0 and next(timeouts) < p_timeout:
+            return False
+        # math.log2, not np.log2: they differ in the last bit on a few
+        # inputs, and a borderline fade would flip its outcome.
+        return w * math.log2(1.0 + snr * next(fades)) >= rate
+
+    return attempt_ok
+
+
+def _collector_paused(run: Callable[..., SimTrace]) -> Callable[..., SimTrace]:
+    """Hold the cyclic garbage collector for the length of one run.
+
+    A run makes no reference cycles, but every recorded event is a tracked
+    TraceEvent, and each full collection rescans all events recorded so far,
+    so run time grew faster than the trace: doubling the nodes of the
+    criterion-8 shapes took 2.0-2.6x the time with the collector on and
+    1.7-2.1x with it off. The collector's previous state is restored.
+    """
+
+    @functools.wraps(run)
+    def paused(*args, **kwargs) -> SimTrace:
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
@@ -275,6 +372,7 @@ def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
     return target, cec.n_tasks * cec.c0 + target
 
 
+@_collector_paused
 def run_reflexup(
     topology: Topology,
     flows: list[FlowSpec],
@@ -306,10 +404,9 @@ def run_reflexup(
     if not topology.members:
         raise ValueError("the two-phase protocol needs a relay topology")
     local = chan_local if chan_local is not None else chan
-    run = _Run(Protocol.REFLEXUP, flows, record_events)
-    timeout_rng = spawn_stream(seed, 3)
-    local_rngs = {s: spawn_stream(seed, 1, i) for i, s in enumerate(topology.sensors)}
-    up_rngs = {r: spawn_stream(seed, 2, i) for i, r in enumerate(topology.relays)}
+    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
+    layout, carried = run.layout, run.carried
+    events, edge, controller = run.events, topology.edge_server, topology.controller
 
     slot_local = packet_bits / local.rate_bps
     slot_up = packet_bits / chan.rate_bps
@@ -317,34 +414,27 @@ def run_reflexup(
     # Parameter calculation at the edge: reports in, window/slot out. The
     # per-flow deadlines carry the slot budget; t_p is kept on the trace.
     _, t_p = reflexup_plan(cec, t_cp)
-    for relay in topology.relays:
-        run.log("transmit", relay, topology.edge_server, -1, -1, "report")
-    for relay in topology.relays:
-        run.log("transmit", topology.edge_server, relay, -1, -1, "inform")
+    if record_events:
+        events.extend(TraceEvent(run.slot, "transmit", r, edge, -1, -1, "report") for r in topology.relays)
+        events.extend(TraceEvent(run.slot, "transmit", edge, r, -1, -1, "inform") for r in topology.relays)
 
-    layout = _packet_layout(flows)
     specs = run.flows
     relay_of = {s: r for r, group in topology.members.items() for s in group}
+    schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
+    for entry in layout:
+        schedules[relay_of[entry[2]]].append(entry)
+    local_fades = {s: run.draws(_fades, carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)}
+    up_fades = {r: run.draws(_fades, len(schedules[r]), 2, i) for i, r in enumerate(topology.relays)}
+    timeouts = run.draws(_uniforms, 2 * len(layout), 3)
+    local_ok = _attempt_test(local, p_timeout, timeouts)
+    up_ok = _attempt_test(chan, p_timeout, timeouts)
     delivered: set[tuple[int, int]] = set()
     cached: set[tuple[int, int]] = set()
-
-    def lost(rng: np.random.Generator, link: ChannelParams) -> bool:
-        timed_out = p_timeout > 0 and timeout_rng.random() < p_timeout
-        return timed_out or not _fade_ok(rng, link)
 
     def expired(task: int, duration: float) -> bool:
         return run.now + duration > specs[task].deadline
 
-    def note_attempt(task: int) -> None:
-        out = run.outcomes[task]
-        out.attempts += 1
-        if out.first_attempt_time is None:
-            out.first_attempt_time = run.now
-
     # Phase 1: relays run parallel sessions; one wave = one local slot.
-    schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
-    for entry in layout:
-        schedules[relay_of[entry[2]]].append(entry)
     waves = max((len(s) for s in schedules.values()), default=0)
     for wave in range(waves):
         for relay in topology.relays:
@@ -355,15 +445,12 @@ def run_reflexup(
             if expired(task, slot_local):
                 run.outcomes[task].skipped += 1
                 continue
-            note_attempt(task)
-            ok = not lost(local_rngs[sensor], local)
-            run.link_attempt(sensor, relay, ok)
-            run.log("transmit", sensor, relay, task, packet, "ok" if ok else "lost")
+            ok = local_ok(local_fades[sensor])
+            run.attempt("transmit", sensor, relay, task, packet, ok)
             if ok:
                 cached.add((task, packet))
-                run.log("relay-cache", relay, relay, task, packet, "ok")
-            else:
-                run.outcomes[task].losses += 1
+                if record_events:
+                    events.append(TraceEvent(run.slot, "relay-cache", relay, relay, task, packet, "ok"))
         run.slot += 1
         run.now += slot_local
 
@@ -375,31 +462,18 @@ def run_reflexup(
             if expired(task, slot_up):
                 run.outcomes[task].skipped += 1
                 continue
-            note_attempt(task)
-            ok = not lost(up_rngs[relay], chan)
-            run.link_attempt(relay, topology.controller, ok)
-            run.log("transmit", relay, topology.controller, task, packet, "ok" if ok else "lost")
+            ok = up_ok(up_fades[relay])
+            run.attempt("transmit", relay, controller, task, packet, ok)
             run.slot += 1
             run.now += slot_up
             if ok:
                 delivered.add((task, packet))
                 run.outcomes[task].delivered += 1
-                run.log("ack", topology.controller, relay, task, packet, "ok")
-            else:
-                run.outcomes[task].losses += 1
-
-    def try_dispatch(task: int) -> bool:
-        spec = specs[task]
-        out = run.outcomes[task]
-        if not out.dispatched and out.delivered / out.required >= spec.epsilon:
-            out.dispatched = True
-            out.completion_time = run.now + topology.c_to_m_latency
-            run.log("fdd-dispatch", topology.edge_server, topology.edge_server, task, -1, "ok")
-            return True
-        return False
+                if record_events:
+                    events.append(TraceEvent(run.slot, "ack", controller, relay, task, packet, "ok"))
 
     for task in specs:
-        try_dispatch(task)
+        run.dispatch(task)
 
     # Edge-driven repair rounds: missing list goes back, relay re-sends each
     # missing packet bundled with its cached predecessor (double airtime).
@@ -418,49 +492,45 @@ def run_reflexup(
             if out.dispatched:
                 continue
             relay = relay_of[sensor]
-            run.log("nack", topology.edge_server, relay, task, packet, "missing")
+            if record_events:
+                events.append(TraceEvent(run.slot, "nack", edge, relay, task, packet, "missing"))
             if (task, packet) not in cached:
                 # The relay never got it: the sensor must re-send locally first.
                 if expired(task, slot_local):
                     out.skipped += 1
                     continue
-                note_attempt(task)
-                ok = not lost(local_rngs[sensor], local)
-                run.link_attempt(sensor, relay, ok)
-                run.log("retransmit", sensor, relay, task, packet, "ok" if ok else "lost")
+                ok = local_ok(local_fades[sensor])
+                run.attempt("retransmit", sensor, relay, task, packet, ok)
                 run.slot += 1
                 run.now += slot_local
                 progressed = True
-                if ok:
-                    cached.add((task, packet))
-                    run.log("relay-cache", relay, relay, task, packet, "ok")
-                else:
-                    out.losses += 1
+                if not ok:
                     continue
+                cached.add((task, packet))
+                if record_events:
+                    events.append(TraceEvent(run.slot, "relay-cache", relay, relay, task, packet, "ok"))
             bundle_time = 2.0 * slot_up
             if expired(task, bundle_time):
                 out.skipped += 1
                 continue
-            note_attempt(task)
-            ok = not lost(up_rngs[relay], chan)
-            run.link_attempt(relay, topology.controller, ok)
-            run.log("retransmit", relay, topology.controller, task, packet, "ok" if ok else "lost")
+            ok = up_ok(up_fades[relay])
+            run.attempt("retransmit", relay, controller, task, packet, ok)
             run.slot += 2  # missing packet plus cached predecessor
             run.now += bundle_time
             progressed = True
             if ok:
                 delivered.add((task, packet))
                 out.delivered += 1
-                run.log("ack", topology.controller, relay, task, packet, "ok")
-                try_dispatch(task)
-            else:
-                out.losses += 1
+                if record_events:
+                    events.append(TraceEvent(run.slot, "ack", controller, relay, task, packet, "ok"))
+                run.dispatch(task)
         if not progressed:
             break
 
     return run.finalize(t_p)
 
 
+@_collector_paused
 def run_baseline(
     protocol_tag: Protocol,
     topology: Topology,
@@ -492,18 +562,19 @@ def run_baseline(
 
 
 def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record):
-    run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record)
+    run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
+    events, controller = run.events, topology.controller
     slot = packet_bits / chan.rate_bps
-    rngs = {s: spawn_stream(seed, 1, i) for i, s in enumerate(topology.sensors)}
-    timeout_rng = spawn_stream(seed, 3)
-    specs = run.flows
-    layout = _packet_layout(flows)
-    pending = {(t, p): sensor for t, p, sensor in layout}
+    specs, carried = run.flows, run.carried
+    fades = {s: run.draws(_fades, carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)}
+    attempt_ok = _attempt_test(chan, p_timeout, run.draws(_uniforms, len(run.layout), 3))
+    pending = {(t, p): sensor for t, p, sensor in run.layout}
     deadline = {t: specs[t].deadline for t in specs}
 
     round_no = 0
     while pending:
         round_no += 1
+        event = "transmit" if round_no == 1 else "retransmit"
         progressed = False
         for (task, packet), sensor in sorted(pending.items()):
             out = run.outcomes[task]
@@ -512,16 +583,10 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             if run.now + slot > deadline[task]:
                 out.skipped += 1
                 continue
-            event = "transmit" if round_no == 1 else "retransmit"
-            if round_no > 1:
-                run.log("nack", topology.controller, sensor, task, packet, "missing")
-            out.attempts += 1
-            if out.first_attempt_time is None:
-                out.first_attempt_time = run.now
-            timed_out = p_timeout > 0 and timeout_rng.random() < p_timeout
-            ok = not timed_out and _fade_ok(rngs[sensor], chan)
-            run.link_attempt(sensor, topology.controller, ok)
-            run.log(event, sensor, topology.controller, task, packet, "ok" if ok else "lost")
+            if record and round_no > 1:
+                events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "missing"))
+            ok = attempt_ok(fades[sensor])
+            run.attempt(event, sensor, controller, task, packet, ok)
             # A delivered packet occupies three airtimes (data, ack, turnaround);
             # a lost one burns only its own slot before the timeout fires.
             cost = 3 if ok else 1
@@ -530,14 +595,10 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             progressed = True
             if ok:
                 out.delivered += 1
-                run.log("ack", topology.controller, sensor, task, packet, "ok")
+                if record:
+                    events.append(TraceEvent(run.slot, "ack", controller, sensor, task, packet, "ok"))
                 del pending[(task, packet)]
-                if not out.dispatched and out.delivered / out.required >= specs[task].epsilon:
-                    out.dispatched = True
-                    out.completion_time = run.now + topology.c_to_m_latency
-                    run.log("fdd-dispatch", topology.edge_server, topology.edge_server, task, -1, "ok")
-            else:
-                out.losses += 1
+                run.dispatch(task)
         live = [t for t in specs if not run.outcomes[t].dispatched and run.now + slot <= deadline[t]]
         if not progressed or not live:
             break
@@ -546,44 +607,48 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
 
 
 def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record):
-    run = _Run(Protocol.HARQ, flows, record)
+    run = _Run(Protocol.HARQ, flows, record, seed, topology)
+    events, controller = run.events, topology.controller
     slot = packet_bits / chan.rate_bps
-    rngs = {s: spawn_stream(seed, 1, i) for i, s in enumerate(topology.sensors)}
     specs = run.flows
     r_norm = chan.spectral_efficiency
     snr = chan.snr_linear
+    max_rounds, order = harq.max_rounds, harq.diversity_order
 
-    for task, packet, sensor in _packet_layout(flows):
+    def round_information(rng: np.random.Generator, n: int) -> list[float]:
+        # Mutual information of n rounds, each the mean over L branch fades
+        # (the sum over L, then / L, as ndarray.mean does). np.log2, not
+        # math.log2: they differ in the last bit on a few inputs.
+        return (np.log2(1.0 + snr * rng.exponential(1.0, size=(n, order))).sum(axis=1) / order).tolist()
+
+    # A block holds one round per packet the sensor carries; packets that
+    # need more rounds read on into the next block.
+    information = {
+        s: run.draws(round_information, run.carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)
+    }
+
+    for task, packet, sensor in run.layout:
         out = run.outcomes[task]
         if out.dispatched:
             continue
         accumulated = 0.0
-        decoded = False
-        for rnd in range(1, harq.max_rounds + 1):
+        for rnd in range(1, max_rounds + 1):
             if run.now + slot > specs[task].deadline:
                 out.skipped += 1
                 break
-            out.attempts += 1
-            if out.first_attempt_time is None:
-                out.first_attempt_time = run.now
-            fades = rngs[sensor].exponential(1.0, size=harq.diversity_order)
-            accumulated += float(np.log2(1.0 + snr * fades).mean())
+            accumulated += next(information[sensor])
             decoded = accumulated > r_norm
-            event = "transmit" if rnd == 1 else "retransmit"
-            run.link_attempt(sensor, topology.controller, decoded)
-            run.log(event, sensor, topology.controller, task, packet, "ok" if decoded else "lost")
+            run.attempt("transmit" if rnd == 1 else "retransmit", sensor, controller, task, packet, decoded)
             run.slot += 1
             run.now += slot
             if decoded:
                 out.delivered += 1
-                run.log("ack", topology.controller, sensor, task, packet, "ok")
+                if record:
+                    events.append(TraceEvent(run.slot, "ack", controller, sensor, task, packet, "ok"))
+                run.dispatch(task)
                 break
-            run.log("nack", topology.controller, sensor, task, packet, "undecoded")
-            out.losses += 1
-        if not out.dispatched and out.delivered / out.required >= specs[task].epsilon:
-            out.dispatched = True
-            out.completion_time = run.now + topology.c_to_m_latency
-            run.log("fdd-dispatch", topology.edge_server, topology.edge_server, task, -1, "ok")
+            if record:
+                events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "undecoded"))
 
     return run.finalize(max(f.deadline for f in flows))
 
@@ -605,47 +670,51 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
         raise ValueError("need n >= 2 cooperating nodes")
     t1 = t1 if t1 is not None else 2.0 * n * (packet_bits + 1) / chan.rate_bps
     t2 = t2 if t2 is not None else n * (packet_bits + 1) / chan.rate_bps
-    shape_bits = n * (packet_bits + 1)
-    params = occupycow_phase_probs(_oc_shape(n, packet_bits), chan, t1, t2)
-    phase1_chan = chan.with_rate(shape_bits / t1)
+    if not (0 < t1 < math.inf and 0 < t2 < math.inf):
+        raise ValueError("phase durations must be finite and > 0")
+    # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
+    w, snr, rate1 = chan.bandwidth_hz, chan.snr_linear, n * (packet_bits + 1) / t1
 
-    run = _Run(Protocol.OCCUPY_COW, flows, record)
-    rngs = {s.sources[0]: spawn_stream(seed, 1, i) for i, s in enumerate(flows)}
-    rescue_rng = spawn_stream(seed, 4)
+    run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
+    events, controller = run.events, topology.controller
+    fades = {s.sources[0]: run.draws(_fades, run.carried[s.sources[0]], 1, i) for i, s in enumerate(flows)}
 
     survivors: list[FlowSpec] = []
     stragglers: list[FlowSpec] = []
     for spec in flows:
-        out = run.outcomes[spec.task_id]
-        out.attempts += 1
-        out.first_attempt_time = run.now
-        ok = _fade_ok(rngs[spec.sources[0]], phase1_chan)
-        run.link_attempt(spec.sources[0], topology.controller, ok)
-        run.log("transmit", spec.sources[0], topology.controller, spec.task_id, 0, "ok" if ok else "lost")
+        sensor = spec.sources[0]
+        # math.log2, as in _attempt_test.
+        ok = w * math.log2(1.0 + snr * next(fades[sensor])) >= rate1
+        run.attempt("transmit", sensor, controller, spec.task_id, 0, ok)
         run.slot += 1
         (survivors if ok else stragglers).append(spec)
-        if not ok:
-            out.losses += 1
     run.now += t1
     for spec in survivors:
         out = run.outcomes[spec.task_id]
         out.delivered = 1
         out.dispatched = True
         out.completion_time = run.now
-        run.log("ack", topology.controller, spec.sources[0], spec.task_id, 0, "ok")
+        if record:
+            events.append(TraceEvent(run.slot, "ack", controller, spec.sources[0], spec.task_id, 0, "ok"))
 
     if survivors and stragglers:
+        p12 = occupycow_phase_probs(_oc_shape(n, packet_bits), chan, t1, t2).p12
+        rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
             out = run.outcomes[spec.task_id]
             out.attempts += 1
-            rescued = rescue_rng.random() >= params.p12
-            run.log("retransmit", "flood", topology.controller, spec.task_id, 0, "ok" if rescued else "lost")
+            rescued = next(rescues) >= p12
+            if record:
+                events.append(
+                    TraceEvent(run.slot, "retransmit", "flood", controller, spec.task_id, 0, "ok" if rescued else "lost")
+                )
             run.slot += 1
             if rescued:
                 out.delivered = 1
                 out.dispatched = True
                 out.completion_time = run.now + t2
-                run.log("ack", topology.controller, spec.sources[0], spec.task_id, 0, "ok")
+                if record:
+                    events.append(TraceEvent(run.slot, "ack", controller, spec.sources[0], spec.task_id, 0, "ok"))
             else:
                 out.losses += 1
     elif stragglers and not survivors:
