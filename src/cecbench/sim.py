@@ -27,7 +27,7 @@ from .cec import (
     compute_ucc,
     optimal_tcm_case3,
 )
-from .channel import ChannelParams, spawn_stream
+from .channel import ChannelParams, seed_plan, spawn_stream
 from .protocols import HarqParams, NetworkShape, Protocol, occupycow_phase_probs
 
 __all__ = [
@@ -780,20 +780,27 @@ def estimate_pfail(
     seed: int,
     confidence: float = 0.99,
 ) -> tuple[float, float]:
-    """Fraction of runs with a communication failure, with a binomial CI half-width.
+    """Fraction of runs with a communication failure, with a Wilson CI half-width.
 
     The scenario callable receives a per-run seed derived from the master
-    seed; runs are independent streams and may be distributed freely.
+    seed; runs are independent streams and may be distributed freely. The
+    runs' stream seeding words are derived in bulk (`seed_plan`), which
+    leaves every stream as it would be outside the plan. The half-width is
+    the larger distance from p to the ends of the Wilson score interval, so
+    it stays positive when no run fails or every run does.
     """
     if runs < 1000:
         raise ValueError("runs must be >= 1000")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     failures = 0
-    base = np.random.SeedSequence(seed).generate_state(1)[0]
-    for i in range(runs):
-        trace = scenario(int(base) + i)
-        if trace.any_communication_failure:
-            failures += 1
+    base = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    with seed_plan(range(base, base + runs)):
+        for i in range(runs):
+            if scenario(base + i).any_communication_failure:
+                failures += 1
     p = failures / runs
-    z = float(ndtri(0.5 + confidence / 2.0))
-    halfwidth = z * math.sqrt(max(p * (1.0 - p), 0.0) / runs)
-    return p, halfwidth
+    z2 = float(ndtri(0.5 + confidence / 2.0)) ** 2
+    center = (p + z2 / (2 * runs)) / (1.0 + z2 / runs)
+    spread = math.sqrt(z2 * (p * (1.0 - p) / runs + z2 / (4 * runs * runs))) / (1.0 + z2 / runs)
+    return p, max(p - (center - spread), (center + spread) - p)

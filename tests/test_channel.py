@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from cecbench.channel import (
+    _PLAN_BLOCK,
     ChannelParams,
+    _seed_words,
+    _Words,
     db_to_linear,
     link_capacity_bps,
     outage_probability,
     sample_fades,
+    seed_plan,
     spawn_stream,
 )
 
@@ -110,3 +114,58 @@ def test_link_capacity_matches_formula():
     chan = ChannelParams(snr_db=10, **TABLE)
     assert link_capacity_bps(chan, 0.0) == 0.0
     assert link_capacity_bps(chan, 1.0) == pytest.approx(20e6 * math.log2(11.0))
+
+
+# ------------------------------------------------------ bulk seed derivation
+
+_RNG = np.random.default_rng(2024)
+SEEDS = (
+    [0, 1, 2**32 - 1, 2**32, 2**32 + 998]
+    + [int(s) for s in _RNG.integers(0, 2**32, size=16)]
+    + [int(s) for s in _RNG.integers(0, 2**63, size=16)]
+)
+PATHS = [(), (3,), (1, 0), (1, 5), (0x4A, 1), (2, 7, 9)]
+
+
+def _unplanned(seed, path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_seed_words_equal_seed_sequence(path):
+    words = _seed_words(SEEDS, path)
+    assert words.dtype == np.uint64 and words.shape == (len(SEEDS), 4)
+    for seed, row in zip(SEEDS, words):
+        expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist(), seed
+
+
+def test_planned_stream_equals_unplanned_stream():
+    # The range crosses 2**32 (one-word and two-word seeds) and spans several
+    # blocks; requests go forward, backward and outside the range.
+    start = 2**32 - _PLAN_BLOCK - 300
+    seeds = range(start, start + 3 * _PLAN_BLOCK)
+    probes = list(range(start - 3, seeds.stop + 3, 97)) + [2**32 - 1, 2**32, start, seeds.stop - 1, start + 5]
+    with seed_plan(seeds):
+        for seed in probes:
+            for path in PATHS:
+                planned, plain = spawn_stream(seed, *path), _unplanned(seed, path)
+                assert planned.bit_generator.state == plain.bit_generator.state
+                assert planned.random(3).tolist() == plain.random(3).tolist()
+                assert planned.exponential(1.0) == plain.exponential(1.0)
+                assert planned.bit_generator.state == plain.bit_generator.state
+
+
+def test_seed_plan_is_scoped():
+    with seed_plan(range(10, 20)):
+        assert isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
+        with seed_plan(range(100, 200)):
+            assert not isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
+        assert isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
+        # Outside the range, and for seeds that are not plain ints, the
+        # stream is set up as without a plan.
+        assert not isinstance(spawn_stream(20, 1).bit_generator.seed_seq, _Words)
+        assert not isinstance(spawn_stream(np.int64(12), 1).bit_generator.seed_seq, _Words)
+    assert not isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
+    with pytest.raises(ValueError):
+        spawn_stream(-1, 1)

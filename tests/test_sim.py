@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from cecbench import channel
 from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
 from cecbench.channel import ChannelParams, outage_probability, spawn_stream
 from cecbench.protocols import HarqParams, Protocol, occupycow_pfail
@@ -347,6 +349,18 @@ def test_measure_cec_near_optimum_when_channel_permits_target():
 # ------------------------------------------------------------- estimate_pfail
 
 
+def _wilson_edge_halfwidth(runs, confidence=0.99):
+    # At p = 0 the Wilson interval is [0, z^2 / (n + z^2)]; at p = 1 it is
+    # its mirror image, so both half-widths are z^2 / (n + z^2).
+    z2 = float(ndtri(0.5 + confidence / 2.0)) ** 2
+    return z2 / (runs + z2)
+
+
+class _Failing:
+    def __init__(self, failed):
+        self.any_communication_failure = failed
+
+
 def test_estimate_pfail_perfect_channel():
     topo, flows = _reflexup_setup(n_sensors=4, n_relays=1, n_tasks=1)
     p, hw = estimate_pfail(
@@ -354,7 +368,8 @@ def test_estimate_pfail_perfect_channel():
         lambda s: run_reflexup(topo, flows, PERFECT, CEC_SMALL, seed=s, t_cp=0.005, record_events=False),
         seed=3,
     )
-    assert (p, hw) == (0.0, 0.0)
+    assert p == 0.0
+    assert hw == pytest.approx(_wilson_edge_halfwidth(1000), rel=1e-12)
 
 
 def test_estimate_pfail_dead_channel():
@@ -366,12 +381,105 @@ def test_estimate_pfail_dead_channel():
         seed=3,
     )
     assert p == 1.0
-    assert hw == 0.0
+    assert hw == pytest.approx(_wilson_edge_halfwidth(1000), rel=1e-12)
+
+
+@pytest.mark.parametrize("every", [2, 4, 7, 1000])
+def test_estimate_pfail_wilson_halfwidth(every):
+    # The Wilson interval's ends are the roots in pi of
+    # (p - pi)^2 = z^2 pi (1 - pi) / n.
+    runs = 1000
+    p, hw = estimate_pfail(runs, lambda s: _Failing(s % every == 0), seed=5, confidence=0.95)
+    assert p == pytest.approx(1.0 / every, abs=1.0 / runs)
+    k = float(ndtri(0.975)) ** 2 / runs
+    lo, hi = sorted(np.roots([1.0 + k, -(2.0 * p + k), p * p]).real)
+    assert hw == pytest.approx(max(p - lo, hi - p), rel=1e-9)
+    assert lo < p < hi
 
 
 def test_estimate_pfail_rejects_few_runs():
     with pytest.raises(ValueError):
         estimate_pfail(10, lambda s: None, seed=0)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
+def test_estimate_pfail_rejects_bad_confidence(confidence):
+    def scenario(seed):
+        raise AssertionError("no run may start")
+
+    with pytest.raises(ValueError, match="confidence"):
+        estimate_pfail(1000, scenario, seed=0, confidence=confidence)
+
+
+def _criterion4_shapes():
+    # The four scenario shapes of criterion 4 (tests/test_acceptance.py), on
+    # channels where a large share of runs fail, so that both outcomes and
+    # many different draws occur.
+    m_bits = 176
+    star1, star6, relay = star_topology(1), star_topology(6), relay_topology(1, 1)
+    sr_chan = ChannelParams(snr_db=-20, bandwidth_hz=20e6, rate_bps=200e3)
+    sr_flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=1.5 * m_bits / sr_chan.rate_bps)]
+    harq_chan = ChannelParams(snr_db=-9, bandwidth_hz=20e6, rate_bps=20e6)
+    harq_flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=10.0)]
+    oc_chan = ChannelParams(snr_db=35, bandwidth_hz=20e6, rate_bps=200e3)
+    oc_flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(6)]
+    session_rate = m_bits * 2 / 1e-5
+    rfu_chan = ChannelParams(snr_db=10, bandwidth_hz=20e6, rate_bps=session_rate)
+    rfu_flows = [FlowSpec(0, relay.sensors, 1, 1.0, deadline=2.4 * m_bits / session_rate)]
+    cec = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.05)
+    return {
+        "selective_repeat": lambda s: run_baseline(SR, star1, sr_flows, sr_chan, seed=s, p_timeout=1e-4),
+        "harq": lambda s: run_baseline(HQ, star1, harq_flows, harq_chan, seed=s, harq=HarqParams(7, 2)),
+        "occupy_cow": lambda s: run_baseline(OC, star6, oc_flows, oc_chan, seed=s, oc_t1=5e-6, oc_t2=2.5e-6),
+        "reflexup": lambda s: run_reflexup(
+            relay, rfu_flows, rfu_chan, cec, seed=s, t_cp=0.005, p_timeout=1e-4
+        ),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_criterion4_shapes()))
+def test_estimate_pfail_runs_equal_plain_runs(shape):
+    # estimate_pfail derives its runs' stream seeds in bulk; each run must
+    # replay, event for event, as the same scenario called outside a plan.
+    scenario = _criterion4_shapes()[shape]
+    runs, seed = 1000, 17
+    seen = []
+
+    def recorded(s):
+        trace = scenario(s)
+        seen.append((s, trace.events, trace.any_communication_failure))
+        return trace
+
+    p, _ = estimate_pfail(runs, recorded, seed=seed)
+    base = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    plain = []
+    for i in range(runs):
+        trace = scenario(base + i)
+        plain.append((base + i, trace.events, trace.any_communication_failure))
+    assert seen == plain
+    failures = sum(failed for _, _, failed in plain)
+    assert 0 < failures < runs
+    assert p == failures / runs
+
+
+def test_estimate_pfail_leaves_no_seed_plan():
+    inside = []
+
+    def scenario(s):
+        inside.append(channel._PLAN.get() is not None)
+        return _Failing(False)
+
+    estimate_pfail(1000, scenario, seed=0)
+    assert all(inside) and len(inside) == 1000
+    assert channel._PLAN.get() is None
+
+    def raising(s):
+        assert channel._PLAN.get() is not None
+        raise RuntimeError("scenario fault")
+
+    with pytest.raises(RuntimeError, match="scenario fault"):
+        estimate_pfail(1000, raising, seed=0)
+    assert channel._PLAN.get() is None
 
 
 # ------------------------------------------------------------------- exports
