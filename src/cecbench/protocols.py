@@ -98,21 +98,16 @@ def split_nodes(n_total: int, relay_sensor_ratio: float, packet_bits: int) -> Ne
 
 @dataclass(frozen=True)
 class HarqParams:
-    """HARQ knobs: round budget Q, diversity order L, optional round estimate."""
+    """HARQ knobs: round budget Q and diversity order L."""
 
     max_rounds: int
     diversity_order: int
-    rounds_estimate: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.diversity_order < 1:
             raise ValueError("diversity_order must be >= 1")
-        if self.rounds_estimate is not None and not (
-            1.0 <= self.rounds_estimate <= self.max_rounds
-        ):
-            raise ValueError("rounds_estimate must lie in [1, max_rounds]")
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,17 @@ class OccupyCowParams:
 
 
 class MonteCarloEstimate(NamedTuple):
+    """A Monte-Carlo value over `trials` trials with its standard error.
+
+    `bound` is None when the trials were drawn. A number means nothing was
+    drawn: the value is the one sampling returns unless an event of
+    probability at most `bound` occurs.
+    """
+
     value: float
     stderr: float
     trials: int
+    bound: float | None = None
 
 
 class ReflexupLatency(NamedTuple):
@@ -176,6 +179,17 @@ def srarq_pfail(p_timeout: float, p_error: float) -> float:
 # --------------------------------------------------------------------------
 
 _CHUNK = 200_000
+# An estimate is certified, and nothing drawn, when the probability that
+# sampling returns anything but the trivial value is at most this.
+_CERTIFY_TOL = 1e-6
+# Factor on the exact branch threshold, so that one fade above the slackened
+# threshold also clears R/W in the float arithmetic of _harq_round_totals:
+# with g = 2^(L*R/W) - 1, log2(1 + 2g) exceeds log2(1 + g) by a factor of at
+# least 1024/1023 whenever 2g is finite, far above the few-ulp rounding.
+_CERTIFY_SLACK = 2.0
+# Floor on snr * threshold (64 machine epsilons), where 1 + snr * h itself
+# rounds; it matters only for L*R/W below about 1e-14.
+_CERTIFY_FLOOR = 2.0**-46
 
 
 def _harq_round_totals(
@@ -193,6 +207,41 @@ def _harq_round_totals(
     return np.cumsum(fades.mean(axis=2), axis=1)
 
 
+def _harq_branch_threshold(chan: ChannelParams, diversity: int) -> float | None:
+    """Slackened fade threshold above which one branch decodes its round alone.
+
+    Every branch term (1/L) * log2(1 + snr*h) is non-negative, so a round stays
+    at or below R/W only if every branch fade is at most
+    t = (2^(L*R/W) - 1)/snr. Returns _CERTIFY_SLACK * t (at least
+    _CERTIFY_FLOOR/snr), or None when 2^(L*R/W) overflows or snr is 0.
+    """
+    try:
+        excess = math.expm1(diversity * chan.spectral_efficiency * math.log(2.0))
+    except OverflowError:
+        return None
+    slackened = _CERTIFY_SLACK * excess
+    snr = chan.snr_linear
+    if snr == 0.0 or not math.isfinite(slackened):
+        return None
+    return max(slackened, _CERTIFY_FLOOR) / snr
+
+
+def _harq_trivial_bound(
+    chan: ChannelParams, params: HarqParams, trials: int, rounds: int
+) -> float:
+    """Bound on P(some trial is undecoded after `rounds` rounds).
+
+    Such a trial has all rounds * L of its fades at or below the branch
+    threshold, each with probability p_b = 1 - exp(-threshold); the union over
+    trials gives trials * p_b^(rounds * L). inf when no threshold exists.
+    """
+    threshold = _harq_branch_threshold(chan, params.diversity_order)
+    if threshold is None:
+        return math.inf
+    p_branch = -math.expm1(-threshold)
+    return trials * p_branch ** (rounds * params.diversity_order)
+
+
 def harq_pfail(
     chan: ChannelParams,
     params: HarqParams,
@@ -202,10 +251,21 @@ def harq_pfail(
     """Monte-Carlo outage after Q mutual-information-accumulating rounds.
 
     Estimates P(sum over Q rounds of the L-branch average log2(1 + snr*|h|^2)
-    <= R/W). Returns the estimate with its binomial standard error.
+    <= R/W). Returns the estimate with its binomial standard error. When the
+    bound on any trial failing is at most _CERTIFY_TOL, returns 0 with that
+    bound and draws nothing.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
+    bound = _harq_trivial_bound(chan, params, trials, params.max_rounds)
+    if bound <= _CERTIFY_TOL:
+        return MonteCarloEstimate(0.0, 0.0, trials, bound)
+    return _sample_harq_pfail(chan, params, trials, seed)
+
+
+def _sample_harq_pfail(
+    chan: ChannelParams, params: HarqParams, trials: int, seed: int
+) -> MonteCarloEstimate:
     rng = spawn_stream(seed, 0x4A, 0)
     r_norm = chan.spectral_efficiency
     failures = 0
@@ -226,9 +286,22 @@ def harq_expected_rounds(
     trials: int,
     seed: int = 0,
 ) -> MonteCarloEstimate:
-    """Monte-Carlo mean of the first decoding round, capped at Q."""
+    """Monte-Carlo mean of the first decoding round, capped at Q.
+
+    When the bound on any trial missing round 1 is at most _CERTIFY_TOL,
+    returns 1 with that bound and draws nothing.
+    """
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
+    bound = _harq_trivial_bound(chan, params, trials, 1)
+    if bound <= _CERTIFY_TOL:
+        return MonteCarloEstimate(1.0, 0.0, trials, bound)
+    return _sample_harq_rounds(chan, params, trials, seed)
+
+
+def _sample_harq_rounds(
+    chan: ChannelParams, params: HarqParams, trials: int, seed: int
+) -> MonteCarloEstimate:
     rng = spawn_stream(seed, 0x4A, 1)
     r_norm = chan.spectral_efficiency
     total = 0.0

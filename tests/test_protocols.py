@@ -23,7 +23,14 @@ from cecbench.protocols import (
     srarq_latency,
     srarq_pfail,
 )
-from cecbench.protocols import _harq_round_totals
+from cecbench.protocols import (
+    _CERTIFY_TOL,
+    _harq_branch_threshold,
+    _harq_round_totals,
+    _harq_trivial_bound,
+    _sample_harq_pfail,
+    _sample_harq_rounds,
+)
 
 TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
 M_BITS = 176
@@ -175,6 +182,120 @@ def test_harq_expected_rounds_monotone_in_snr():
         for snr in (0, 6, 12)
     ]
     assert values[0] > values[1] > values[2]
+
+
+# ------------------------------------------------- HARQ certification
+
+DEFAULT_HARQ = HarqParams(7, 2)
+
+
+class _FixedFades:
+    """Stands in for a Generator: `exponential` returns prepared fades."""
+
+    def __init__(self, fades):
+        self.fades = fades
+
+    def exponential(self, scale, size):
+        assert scale == 1.0 and size == self.fades.shape
+        return self.fades.copy()
+
+
+def test_certified_rounds_equal_sampled_at_default_point():
+    certified = harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed=0)
+    assert certified.bound is not None and certified.bound <= _CERTIFY_TOL
+    for seed in range(20):
+        sampled = _sample_harq_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
+        assert sampled.bound is None
+        assert sampled[:3] == certified[:3] == (1.0, 0.0, 100_000)
+        assert harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed) == certified
+
+
+def test_certified_pfail_equals_sampled_at_default_point():
+    certified = harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed=0)
+    assert certified.bound is not None and certified.bound <= _CERTIFY_TOL
+    for seed in range(20):
+        sampled = _sample_harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
+        assert sampled.bound is None
+        assert sampled[:3] == certified[:3] == (0.0, 0.0, 100_000)
+
+
+@pytest.mark.parametrize("diversity", [1, 2, 3, 7])
+def test_fade_above_branch_threshold_decodes_round_one(diversity):
+    # One branch just above the slackened threshold and the others at 0 must
+    # clear R/W in the sampled arithmetic, at every branch position.
+    checked = 0
+    for snr_db, r_norm in itertools.product(
+        (-30.0, 0.0, 10.0, 40.0, 90.0), (1e-17, 1e-12, 1e-6, 0.01, 0.5, 2.0, 30.0, 300.0)
+    ):
+        chan = ChannelParams(snr_db=snr_db, bandwidth_hz=1e6, rate_bps=r_norm * 1e6)
+        threshold = _harq_branch_threshold(chan, diversity)
+        if threshold is None:
+            assert diversity * r_norm > 1000  # 2^(L*R/W) overflows
+            continue
+        fades = np.zeros((diversity, 1, diversity))
+        fades[np.arange(diversity), 0, np.arange(diversity)] = np.nextafter(threshold, np.inf)
+        totals = _harq_round_totals(chan, HarqParams(1, diversity), diversity, _FixedFades(fades))
+        assert (totals[:, 0] > chan.spectral_efficiency).all(), (snr_db, r_norm)
+        checked += 1
+    assert checked >= 30
+
+
+def test_round_one_failure_rate_within_branch_bound():
+    # R/W = 2, L = 2 at 20 dB: about 1 trial in 400 misses round 1, against
+    # p_b^L = 0.019 at the exact threshold.
+    chan = ChannelParams(snr_db=20.0, bandwidth_hz=1e6, rate_bps=2e6)
+    params = HarqParams(1, 2)
+    trials = 200_000
+    fades = np.random.default_rng(21).exponential(1.0, size=(trials, 1, 2))
+    totals = _harq_round_totals(chan, params, trials, _FixedFades(fades))
+    undecoded = totals[:, 0] <= chan.spectral_efficiency
+    exact_threshold = (2.0 ** (2 * 2.0) - 1.0) / chan.snr_linear
+    exact_branch = -math.expm1(-exact_threshold)
+    assert 0 < undecoded.mean() <= exact_branch**2
+    # Every undecoded trial has both fades at or below the exact threshold.
+    assert (fades[undecoded] <= exact_threshold).all()
+    assert _harq_trivial_bound(chan, params, 1, 1) >= exact_branch**2
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+def test_uncertifiable_points_still_sample(snr_db):
+    chan = TABLE_CHAN.with_snr(snr_db)
+    assert _harq_trivial_bound(chan, DEFAULT_HARQ, 100_000, 1) > _CERTIFY_TOL
+    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000, seed=3)
+    assert est.bound is None
+    assert est == _sample_harq_rounds(chan, DEFAULT_HARQ, 100_000, 3)
+
+
+def test_lossy_pfail_still_samples():
+    chan = TABLE_CHAN.with_snr(-27.0)
+    est = harq_pfail(chan, DEFAULT_HARQ, 20_000, seed=4)
+    assert est.bound is None and est.value > 0.0
+    assert est == _sample_harq_pfail(chan, DEFAULT_HARQ, 20_000, 4)
+
+
+@pytest.mark.parametrize(
+    "chan",
+    [
+        ChannelParams(snr_db=40.0, bandwidth_hz=1.0, rate_bps=600.0),  # 2^1200
+        ChannelParams(snr_db=40.0, bandwidth_hz=1e-300, rate_bps=1e300),  # R/W = inf
+        ChannelParams(snr_db=-4000.0, bandwidth_hz=1e6, rate_bps=1e4),  # snr = 0
+    ],
+)
+def test_unbounded_point_neither_raises_nor_certifies(chan):
+    assert _harq_branch_threshold(chan, 2) is None
+    assert _harq_trivial_bound(chan, DEFAULT_HARQ, 10_000, 1) == math.inf
+    rounds = harq_expected_rounds(chan, DEFAULT_HARQ, 10_000, seed=5)
+    assert rounds.bound is None and rounds.value == 7.0
+    pfail = harq_pfail(chan, DEFAULT_HARQ, 10_000, seed=5)
+    assert pfail.bound is None and pfail.value == 1.0
+
+
+def test_trial_check_precedes_certification():
+    assert harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 10_000).bound is not None
+    with pytest.raises(ValueError):
+        harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 9_999)
+    with pytest.raises(ValueError):
+        harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 9_999)
 
 
 def test_harq_latency_values():

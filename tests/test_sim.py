@@ -9,7 +9,14 @@ from scipy.special import ndtri
 from cecbench import channel
 from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
 from cecbench.channel import ChannelParams, outage_probability, spawn_stream
-from cecbench.protocols import HarqParams, Protocol, occupycow_pfail
+from cecbench.protocols import (
+    HarqParams,
+    NetworkShape,
+    Protocol,
+    harq_pfail,
+    occupycow_pfail,
+    occupycow_phase_probs,
+)
 from cecbench.sim import (
     FlowOutcome,
     FlowSpec,
@@ -480,6 +487,43 @@ def test_estimate_pfail_leaves_no_seed_plan():
     with pytest.raises(RuntimeError, match="scenario fault"):
         estimate_pfail(1000, raising, seed=0)
     assert channel._PLAN.get() is None
+
+
+Z99 = 2.5758293035489004
+
+
+def test_lossy_points_match_analytic():
+    # Criterion 4's HARQ and Occupy CoW shapes at points where runs do fail.
+    # Criterion 4's own HARQ points all have an analytic value of 0, and its
+    # Occupy CoW points at 10 and 20 dB 0 and 8.9e-7, so they compare nothing.
+    m_bits, runs = 176, 20_000
+    chan = ChannelParams(snr_db=-27.0, bandwidth_hz=20e6, rate_bps=200e3)
+    ref = harq_pfail(chan, HarqParams(7, 2), 200_000, seed=27)
+    assert ref.bound is None and 0.005 < ref.value < 0.02
+    star1 = star_topology(1)
+    flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=10.0)]
+    p_hat, _ = estimate_pfail(
+        runs,
+        lambda s: run_baseline(HQ, star1, flows, chan, seed=s, harq=HarqParams(7, 2), record_events=False),
+        seed=127,
+    )
+    # The reference is itself a Monte-Carlo estimate: widen by its own error.
+    band = Z99 * math.sqrt(ref.value * (1.0 - ref.value) / runs) + Z99 * ref.stderr
+    assert abs(p_hat - ref.value) <= band, (p_hat, ref)
+
+    n, t1, t2, runs = 6, 5e-6, 2.5e-6, 10_000
+    chan = chan.with_snr(25.0)
+    probs = occupycow_phase_probs(NetworkShape(n + 1, n, 1, float(n), m_bits), chan, t1, t2)
+    analytic = occupycow_pfail(n, probs)
+    assert 0.03 < analytic < 0.05 and probs.p1**n > 0.9  # most rounds are void
+    star = star_topology(n)
+    flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(n)]
+    p_hat, _ = estimate_pfail(
+        runs,
+        lambda s: run_baseline(OC, star, flows, chan, seed=s, oc_t1=t1, oc_t2=t2, record_events=False),
+        seed=225,
+    )
+    assert abs(p_hat - analytic) <= Z99 * math.sqrt(analytic * (1.0 - analytic) / runs), p_hat
 
 
 # ------------------------------------------------------------------- exports
