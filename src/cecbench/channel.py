@@ -19,6 +19,7 @@ __all__ = [
     "ChannelParams",
     "db_to_linear",
     "outage_probability",
+    "derive_seed",
     "spawn_stream",
     "seed_plan",
     "sample_fades",
@@ -80,6 +81,16 @@ def outage_probability(params: ChannelParams) -> float:
     threshold = math.pow(2.0, params.spectral_efficiency) - 1.0
     # -expm1 keeps precision for the deep-outage (tiny probability) regime.
     return -math.expm1(-threshold / params.snr_linear)
+
+
+def derive_seed(seed: int, *path: int) -> int:
+    """A 32-bit seed for the coordinate `path` under a master seed.
+
+    It is the first word `SeedSequence(seed, spawn_key=path)` generates, so
+    distinct paths (sweep points, a failure estimate's runs) get unrelated
+    seeds from one master seed.
+    """
+    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
 
 
 def spawn_stream(seed: int, *path: int) -> np.random.Generator:

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .cec import CecConfig
+from .channel import db_to_linear
 from .protocols import _MIN_TRIALS, NetworkShape, Protocol, split_nodes
 
 __all__ = [
@@ -318,10 +319,22 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     if 0.0 < cfg.epsilon <= 1.0 and cfg.c0 >= 0:  # else CecConfig repeats those errors
         errors += _rejected("[cec] n_tasks", (cfg.n_tasks,), cec)
         errors += _rejected("[sweep] task_grid", cfg.task_grid, cec)
+    errors += _rejected("[channel] snr_db", (cfg.snr_db,), _check_snr)
+    errors += _rejected("[sweep] snr_grid_db", cfg.snr_grid_db, _check_snr)
     errors += _rejected("[sweep] n_g_grid", cfg.n_g_grid, shape)
     errors += _rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), shape)
     errors += _rejected("[sweep] fig13_n_g", cfg.fig13_n_g, shape)
     return errors
+
+
+def _check_snr(snr_db: float) -> None:
+    """Reject an SNR whose linear value, which the sweeps divide by, is 0 or overflows."""
+    try:
+        linear = db_to_linear(snr_db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError("its linear SNR is not a finite number > 0")
 
 
 def _rejected(key: str, values, build) -> list[str]:

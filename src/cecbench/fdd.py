@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import fdtri, ndtri
+
+from .channel import spawn_stream
 
 __all__ = [
     "ProcessSample",
@@ -145,6 +146,10 @@ def fit_pca(
     T-squared limit from the F distribution and the SPE limit from the
     Jackson-Mudholkar approximation over the residual eigenvalue moments.
     """
+    # Imported here, not at module level: scipy.special takes longer to import
+    # than the rest of the package together, and only fitting needs it.
+    from scipy.special import fdtri, ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = _as_matrix(training)
@@ -305,7 +310,7 @@ def generate_synthetic_te(
         raise ValueError("n_fault must be >= 0")
     if n_fault > 0 and fault_spec is None:
         raise ValueError("a fault_spec is required when n_fault > 0")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xFDD,)))
+    rng = spawn_stream(seed, 0xFDD)
     corr = _random_correlation(rng, n_vars, condition_number)
     chol = np.linalg.cholesky(corr)
     base_mean = rng.uniform(-1.0, 1.0, size=n_vars) * 10.0

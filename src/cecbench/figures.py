@@ -12,10 +12,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cec import CecConfig, optimal_tcm_case3, ucc_case3, ucc_case3_at_optimum
-from .channel import ChannelParams
+from .channel import ChannelParams, derive_seed
 from .config import FIGURE_TAGS, ExperimentConfig
 from .protocols import (
     HarqParams,
@@ -33,7 +32,7 @@ from .protocols import (
 
 __all__ = ["FigureDataset", "build_figure", "run_experiment", "write_dataset", "summarize"]
 
-_Z99 = float(ndtri(0.995))
+_Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 
 
 @dataclass
@@ -65,8 +64,7 @@ class FigureDataset:
 
 def _point_seed(master_seed: int, tag: str, index: int) -> int:
     """Deterministic per-sweep-point seed derived from (master seed, point)."""
-    key = (FIGURE_TAGS.index(tag), index)
-    return int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1)[0])
+    return derive_seed(master_seed, FIGURE_TAGS.index(tag), index)
 
 
 def _chan(cfg: ExperimentConfig, snr_db: float | None = None) -> ChannelParams:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cec import CecConfig, optimal_tcm_case3
 from .channel import ChannelParams, outage_probability, spawn_stream
@@ -62,7 +61,6 @@ class NetworkShape:
     n_relays: int
     relay_fanout: float
     packet_bits: int
-    payload_bits_per_node: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_total != self.n_sensors + self.n_relays:
@@ -71,8 +69,6 @@ class NetworkShape:
             raise ValueError("relay_fanout * n_relays must cover all sensors")
         if self.packet_bits <= 0:
             raise ValueError("packet_bits must be > 0")
-        if self.payload_bits_per_node is None:
-            object.__setattr__(self, "payload_bits_per_node", self.packet_bits)
 
 
 def split_nodes(n_total: int, relay_sensor_ratio: float, packet_bits: int) -> NetworkShape:
@@ -372,8 +368,9 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
         # (a = n, no stragglers): no stratum in the sum carries mass.
         return 0.0
     a = np.arange(1, n)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
     mass = np.exp(
-        gammaln(n + 1) - gammaln(a + 1) - gammaln(n - a + 1)
+        log_fact[n] - log_fact[a] - log_fact[n - a]
         + a * math.log1p(-params.p1) + (n - a) * math.log(params.p1)
     )
     rescue_fail = 1.0 - (1.0 - params.p12) ** (n - a)

@@ -6,18 +6,18 @@ read in blocks sized by the packets that link carries; a block holds the same
 values, in the same order, as the same number of draws taken one at a time,
 so the block size never changes a trace. Time advances in packet-airtime
 slots per link rate; control messages on the C-M link are error-free and
-instantaneous, and relay queuing plus feedback latency default to zero.
+instantaneous, and relay queuing plus feedback latency are zero.
 """
 from __future__ import annotations
 
 import functools
 import gc
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cec import (
     CecConfig,
@@ -27,7 +27,7 @@ from .cec import (
     compute_ucc,
     optimal_tcm_case3,
 )
-from .channel import ChannelParams, seed_plan, spawn_stream
+from .channel import ChannelParams, derive_seed, seed_plan, spawn_stream
 from .protocols import HarqParams, NetworkShape, Protocol, occupycow_phase_probs
 
 __all__ = [
@@ -73,7 +73,6 @@ class Topology:
 
     members: Mapping[str, tuple[str, ...]]
     sensors: tuple[str, ...]
-    c_to_m_latency: float = 0.0
     controller: str = "C"
     edge_server: str = "M"
 
@@ -88,29 +87,19 @@ class Topology:
                 raise ValueError("relay member sets must partition the sensor set")
             if len(assigned) != len(set(assigned)):
                 raise ValueError("a sensor belongs to more than one relay")
-        if self.c_to_m_latency < 0:
-            raise ValueError("c_to_m_latency must be >= 0")
 
     @property
     def relays(self) -> tuple[str, ...]:
         return tuple(self.members)
 
-    def relay_of(self, sensor: str) -> str:
-        for relay, group in self.members.items():
-            if sensor in group:
-                return relay
-        raise KeyError(sensor)
 
-
-def star_topology(n_sensors: int, c_to_m_latency: float = 0.0) -> Topology:
+def star_topology(n_sensors: int) -> Topology:
     """Sensors talk to the controller directly (model II)."""
     sensors = tuple(f"v{i+1}" for i in range(n_sensors))
-    return Topology(members={}, sensors=sensors, c_to_m_latency=c_to_m_latency)
+    return Topology(members={}, sensors=sensors)
 
 
-def relay_topology(
-    n_sensors: int, n_relays: int, c_to_m_latency: float = 0.0
-) -> Topology:
+def relay_topology(n_sensors: int, n_relays: int) -> Topology:
     """Round-robin sensor membership over relays (model III); sizes differ by <= 1."""
     if n_relays < 1 or n_sensors < 1:
         raise ValueError("need at least one relay and one sensor")
@@ -118,11 +107,7 @@ def relay_topology(
     groups: dict[str, list[str]] = {f"s{i+1}": [] for i in range(n_relays)}
     for i, sensor in enumerate(sensors):
         groups[f"s{i % n_relays + 1}"].append(sensor)
-    return Topology(
-        members={r: tuple(g) for r, g in groups.items()},
-        sensors=sensors,
-        c_to_m_latency=c_to_m_latency,
-    )
+    return Topology(members={r: tuple(g) for r, g in groups.items()}, sensors=sensors)
 
 
 @dataclass(frozen=True)
@@ -140,8 +125,8 @@ class FlowSpec:
             raise ValueError("packets_required must be >= 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be > 0")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError(f"deadline must be finite and > 0, got {self.deadline!r}")
         if not self.sources:
             raise ValueError("a flow needs at least one source sensor")
 
@@ -219,9 +204,13 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
     return delivered / required >= epsilon
 
 
-# Block sources for _Run.draws. A one-draw block is a scalar draw: the same
-# value, without the cost of numpy's array path, which a run of one packet
-# per link would pay on every stream.
+# Block sources for _Run.draws: take(rng, n) returns the next n draws. A
+# one-draw block is a scalar draw: the same value, without the cost of
+# numpy's array path, which a run of one packet per link would pay on every
+# stream.
+_Take = Callable[[np.random.Generator, int], list[float]]
+
+
 def _fades(rng: np.random.Generator, n: int) -> list[float]:
     """n unit-mean exponential fade powers (Rayleigh |h|^2)."""
     return [rng.exponential(1.0)] if n == 1 else rng.exponential(1.0, size=n).tolist()
@@ -242,7 +231,7 @@ class _Run:
         self.record = record
         self.seed = seed
         self.edge = topology.edge_server
-        self.c_to_m_latency = topology.c_to_m_latency
+        self.controller = topology.controller
         self.events: list[TraceEvent] = []
         self.flows = {f.task_id: f for f in flows}
         self.outcomes = {
@@ -252,15 +241,16 @@ class _Run:
         self.link_stats: dict[tuple[str, str], list[int]] = {}
         self.now = 0.0
         self.slot = 0
-        self.layout = _packet_layout(flows)
+        # Each (task, packet) with its source sensor, round-robin over the flow's sources.
+        self.layout = [
+            (f.task_id, p, f.sources[p % len(f.sources)]) for f in flows for p in range(f.packets_required)
+        ]
         # Packets each source sensor carries: the block size of its streams.
         self.carried: dict[str, int] = {}
         for _, _, sensor in self.layout:
             self.carried[sensor] = self.carried.get(sensor, 0) + 1
 
-    def draws(
-        self, take: Callable[[np.random.Generator, int], list[float]], n: int, *path: int
-    ) -> Iterator[float]:
+    def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
         """Draws of the stream at `path`, read n at a time through `take(rng, n)`.
 
         A block equals n draws taken one at a time, in value and order, so
@@ -271,6 +261,17 @@ class _Run:
         rng = spawn_stream(self.seed, *path)
         while True:
             yield from take(rng, n)
+
+    def sensor_draws(self, take: _Take, sensors: Iterable[str]) -> dict[str, Iterator[float]]:
+        """Each sensor's draws on path (1, i), in blocks of the packets it carries."""
+        return {s: self.draws(take, self.carried.get(s, 0), 1, i) for i, s in enumerate(sensors)}
+
+    def fits(self, task: int, duration: float) -> bool:
+        """Whether `duration` more airtime ends by the task's deadline; a miss counts as a skip."""
+        if self.now + duration > self.flows[task].deadline:
+            self.outcomes[task].skipped += 1
+            return False
+        return True
 
     def attempt(self, event: str, src: str, dst: str, task: int, packet: int, ok: bool) -> None:
         """Count and log one transmission of (task, packet) over src -> dst."""
@@ -288,12 +289,18 @@ class _Run:
         if self.record:
             self.events.append(TraceEvent(self.slot, event, src, dst, task, packet, "ok" if ok else "lost"))
 
+    def deliver(self, task: int, packet: int, node: str) -> None:
+        """Count (task, packet) delivered; the controller acks it to `node`."""
+        self.outcomes[task].delivered += 1
+        if self.record:
+            self.events.append(TraceEvent(self.slot, "ack", self.controller, node, task, packet, "ok"))
+
     def dispatch(self, task: int) -> None:
         """Hand the task to fault detection once its delivered share reaches epsilon."""
         out = self.outcomes[task]
         if not out.dispatched and _meets_epsilon(out.delivered, out.required, self.flows[task].epsilon):
             out.dispatched = True
-            out.completion_time = self.now + self.c_to_m_latency
+            out.completion_time = self.now
             if self.record:
                 self.events.append(TraceEvent(self.slot, "fdd-dispatch", self.edge, self.edge, task, -1, "ok"))
 
@@ -312,15 +319,6 @@ class _Run:
             t_p=t_p,
             link_stats=self.link_stats,
         )
-
-
-def _packet_layout(flows: Iterable[FlowSpec]) -> list[tuple[int, int, str]]:
-    """Assign each (task, packet) its source sensor, round-robin over sources."""
-    layout = []
-    for spec in flows:
-        for p in range(spec.packets_required):
-            layout.append((spec.task_id, p, spec.sources[p % len(spec.sources)]))
-    return layout
 
 
 def _attempt_test(
@@ -405,8 +403,7 @@ def run_reflexup(
         raise ValueError("the two-phase protocol needs a relay topology")
     local = chan_local if chan_local is not None else chan
     run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
-    layout, carried = run.layout, run.carried
-    events, edge, controller = run.events, topology.edge_server, topology.controller
+    events, edge, controller = run.events, run.edge, run.controller
 
     slot_local = packet_bits / local.rate_bps
     slot_up = packet_bits / chan.rate_bps
@@ -418,21 +415,17 @@ def run_reflexup(
         events.extend(TraceEvent(run.slot, "transmit", r, edge, -1, -1, "report") for r in topology.relays)
         events.extend(TraceEvent(run.slot, "transmit", edge, r, -1, -1, "inform") for r in topology.relays)
 
-    specs = run.flows
     relay_of = {s: r for r, group in topology.members.items() for s in group}
     schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
-    for entry in layout:
+    for entry in run.layout:
         schedules[relay_of[entry[2]]].append(entry)
-    local_fades = {s: run.draws(_fades, carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)}
+    local_fades = run.sensor_draws(_fades, topology.sensors)
     up_fades = {r: run.draws(_fades, len(schedules[r]), 2, i) for i, r in enumerate(topology.relays)}
-    timeouts = run.draws(_uniforms, 2 * len(layout), 3)
+    timeouts = run.draws(_uniforms, 2 * len(run.layout), 3)
     local_ok = _attempt_test(local, p_timeout, timeouts)
     up_ok = _attempt_test(chan, p_timeout, timeouts)
-    delivered: set[tuple[int, int]] = set()
+    acked: set[tuple[int, int]] = set()
     cached: set[tuple[int, int]] = set()
-
-    def expired(task: int, duration: float) -> bool:
-        return run.now + duration > specs[task].deadline
 
     # Phase 1: relays run parallel sessions; one wave = one local slot.
     waves = max((len(s) for s in schedules.values()), default=0)
@@ -442,8 +435,7 @@ def run_reflexup(
             if wave >= len(sched):
                 continue
             task, packet, sensor = sched[wave]
-            if expired(task, slot_local):
-                run.outcomes[task].skipped += 1
+            if not run.fits(task, slot_local):
                 continue
             ok = local_ok(local_fades[sensor])
             run.attempt("transmit", sensor, relay, task, packet, ok)
@@ -459,45 +451,39 @@ def run_reflexup(
         for task, packet, sensor in schedules[relay]:
             if (task, packet) not in cached:
                 continue
-            if expired(task, slot_up):
-                run.outcomes[task].skipped += 1
+            if not run.fits(task, slot_up):
                 continue
             ok = up_ok(up_fades[relay])
             run.attempt("transmit", relay, controller, task, packet, ok)
             run.slot += 1
             run.now += slot_up
             if ok:
-                delivered.add((task, packet))
-                run.outcomes[task].delivered += 1
-                if record_events:
-                    events.append(TraceEvent(run.slot, "ack", controller, relay, task, packet, "ok"))
+                acked.add((task, packet))
+                run.deliver(task, packet, relay)
 
-    for task in specs:
+    for task in run.flows:
         run.dispatch(task)
 
     # Edge-driven repair rounds: missing list goes back, relay re-sends each
     # missing packet bundled with its cached predecessor (double airtime).
     rounds = 0
     while True:
-        pending = [t for t, o in run.outcomes.items() if not o.dispatched]
-        pending = [t for t in pending if not expired(t, slot_up)]
+        pending = [
+            t for t, o in run.outcomes.items() if not o.dispatched and run.now + slot_up <= run.flows[t].deadline
+        ]
         if not pending or (max_rounds is not None and rounds >= max_rounds):
             break
         rounds += 1
         progressed = False
-        for task, packet, sensor in layout:
-            if task not in pending or (task, packet) in delivered:
-                continue
-            out = run.outcomes[task]
-            if out.dispatched:
+        for task, packet, sensor in run.layout:
+            if task not in pending or (task, packet) in acked or run.outcomes[task].dispatched:
                 continue
             relay = relay_of[sensor]
             if record_events:
                 events.append(TraceEvent(run.slot, "nack", edge, relay, task, packet, "missing"))
             if (task, packet) not in cached:
                 # The relay never got it: the sensor must re-send locally first.
-                if expired(task, slot_local):
-                    out.skipped += 1
+                if not run.fits(task, slot_local):
                     continue
                 ok = local_ok(local_fades[sensor])
                 run.attempt("retransmit", sensor, relay, task, packet, ok)
@@ -510,8 +496,7 @@ def run_reflexup(
                 if record_events:
                     events.append(TraceEvent(run.slot, "relay-cache", relay, relay, task, packet, "ok"))
             bundle_time = 2.0 * slot_up
-            if expired(task, bundle_time):
-                out.skipped += 1
+            if not run.fits(task, bundle_time):
                 continue
             ok = up_ok(up_fades[relay])
             run.attempt("retransmit", relay, controller, task, packet, ok)
@@ -519,10 +504,8 @@ def run_reflexup(
             run.now += bundle_time
             progressed = True
             if ok:
-                delivered.add((task, packet))
-                out.delivered += 1
-                if record_events:
-                    events.append(TraceEvent(run.slot, "ack", controller, relay, task, packet, "ok"))
+                acked.add((task, packet))
+                run.deliver(task, packet, relay)
                 run.dispatch(task)
         if not progressed:
             break
@@ -563,13 +546,11 @@ def run_baseline(
 
 def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record):
     run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
-    events, controller = run.events, topology.controller
+    events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
-    specs, carried = run.flows, run.carried
-    fades = {s: run.draws(_fades, carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)}
+    fades = run.sensor_draws(_fades, topology.sensors)
     attempt_ok = _attempt_test(chan, p_timeout, run.draws(_uniforms, len(run.layout), 3))
     pending = {(t, p): sensor for t, p, sensor in run.layout}
-    deadline = {t: specs[t].deadline for t in specs}
 
     round_no = 0
     while pending:
@@ -577,11 +558,7 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
         event = "transmit" if round_no == 1 else "retransmit"
         progressed = False
         for (task, packet), sensor in sorted(pending.items()):
-            out = run.outcomes[task]
-            if out.dispatched:
-                continue
-            if run.now + slot > deadline[task]:
-                out.skipped += 1
+            if run.outcomes[task].dispatched or not run.fits(task, slot):
                 continue
             if record and round_no > 1:
                 events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "missing"))
@@ -594,23 +571,20 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             run.now += cost * slot
             progressed = True
             if ok:
-                out.delivered += 1
-                if record:
-                    events.append(TraceEvent(run.slot, "ack", controller, sensor, task, packet, "ok"))
+                run.deliver(task, packet, sensor)
                 del pending[(task, packet)]
                 run.dispatch(task)
-        live = [t for t in specs if not run.outcomes[t].dispatched and run.now + slot <= deadline[t]]
+        live = [t for t, o in run.outcomes.items() if not o.dispatched and run.now + slot <= run.flows[t].deadline]
         if not progressed or not live:
             break
 
-    return run.finalize(max(deadline.values()))
+    return run.finalize(max(f.deadline for f in flows))
 
 
 def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record):
     run = _Run(Protocol.HARQ, flows, record, seed, topology)
-    events, controller = run.events, topology.controller
+    events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
-    specs = run.flows
     r_norm = chan.spectral_efficiency
     snr = chan.snr_linear
     max_rounds, order = harq.max_rounds, harq.diversity_order
@@ -623,18 +597,14 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
 
     # A block holds one round per packet the sensor carries; packets that
     # need more rounds read on into the next block.
-    information = {
-        s: run.draws(round_information, run.carried.get(s, 0), 1, i) for i, s in enumerate(topology.sensors)
-    }
+    information = run.sensor_draws(round_information, topology.sensors)
 
     for task, packet, sensor in run.layout:
-        out = run.outcomes[task]
-        if out.dispatched:
+        if run.outcomes[task].dispatched:
             continue
         accumulated = 0.0
         for rnd in range(1, max_rounds + 1):
-            if run.now + slot > specs[task].deadline:
-                out.skipped += 1
+            if not run.fits(task, slot):
                 break
             accumulated += next(information[sensor])
             decoded = accumulated > r_norm
@@ -642,9 +612,7 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
             run.slot += 1
             run.now += slot
             if decoded:
-                out.delivered += 1
-                if record:
-                    events.append(TraceEvent(run.slot, "ack", controller, sensor, task, packet, "ok"))
+                run.deliver(task, packet, sensor)
                 run.dispatch(task)
                 break
             if record:
@@ -676,8 +644,8 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     w, snr, rate1 = chan.bandwidth_hz, chan.snr_linear, n * (packet_bits + 1) / t1
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    events, controller = run.events, topology.controller
-    fades = {s.sources[0]: run.draws(_fades, run.carried[s.sources[0]], 1, i) for i, s in enumerate(flows)}
+    events, controller = run.events, run.controller
+    fades = run.sensor_draws(_fades, [s.sources[0] for s in flows])
 
     survivors: list[FlowSpec] = []
     stragglers: list[FlowSpec] = []
@@ -690,15 +658,14 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
         (survivors if ok else stragglers).append(spec)
     run.now += t1
     for spec in survivors:
+        run.deliver(spec.task_id, 0, spec.sources[0])
         out = run.outcomes[spec.task_id]
-        out.delivered = 1
         out.dispatched = True
         out.completion_time = run.now
-        if record:
-            events.append(TraceEvent(run.slot, "ack", controller, spec.sources[0], spec.task_id, 0, "ok"))
 
     if survivors and stragglers:
-        p12 = occupycow_phase_probs(_oc_shape(n, packet_bits), chan, t1, t2).p12
+        shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
+        p12 = occupycow_phase_probs(shape, chan, t1, t2).p12
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
             out = run.outcomes[spec.task_id]
@@ -710,11 +677,9 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
                 )
             run.slot += 1
             if rescued:
-                out.delivered = 1
+                run.deliver(spec.task_id, 0, spec.sources[0])
                 out.dispatched = True
                 out.completion_time = run.now + t2
-                if record:
-                    events.append(TraceEvent(run.slot, "ack", controller, spec.sources[0], spec.task_id, 0, "ok"))
             else:
                 out.losses += 1
     elif stragglers and not survivors:
@@ -725,16 +690,6 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     run.now += t2
 
     return run.finalize(max(f.deadline for f in flows))
-
-
-def _oc_shape(n: int, packet_bits: int) -> NetworkShape:
-    return NetworkShape(
-        n_total=n + 1,
-        n_sensors=n,
-        n_relays=1,
-        relay_fanout=float(n),
-        packet_bits=packet_bits,
-    )
 
 
 def measure_cec(
@@ -793,14 +748,11 @@ def estimate_pfail(
         raise ValueError("runs must be >= 1000")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    failures = 0
-    base = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    base = derive_seed(seed)
     with seed_plan(range(base, base + runs)):
-        for i in range(runs):
-            if scenario(base + i).any_communication_failure:
-                failures += 1
+        failures = sum(scenario(base + i).any_communication_failure for i in range(runs))
     p = failures / runs
-    z2 = float(ndtri(0.5 + confidence / 2.0)) ** 2
+    z2 = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) ** 2
     center = (p + z2 / (2 * runs)) / (1.0 + z2 / runs)
     spread = math.sqrt(z2 * (p * (1.0 - p) / runs + z2 / (4 * runs * runs))) / (1.0 + z2 / runs)
     return p, max(p - (center - spread), (center + spread) - p)

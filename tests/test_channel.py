@@ -9,6 +9,7 @@ from cecbench.channel import (
     _seed_words,
     _Words,
     db_to_linear,
+    derive_seed,
     link_capacity_bps,
     outage_probability,
     sample_fades,
@@ -138,6 +139,14 @@ def test_seed_words_equal_seed_sequence(path):
     for seed, row in zip(SEEDS, words):
         expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
         assert row.tolist() == expected.tolist(), seed
+
+
+def test_derive_seed_equals_seed_sequence():
+    for seed in SEEDS:
+        for path in PATHS:
+            expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0]
+            assert type(derive_seed(seed, *path)) is int
+            assert derive_seed(seed, *path) == expected, (seed, path)
 
 
 def test_planned_stream_equals_unplanned_stream():
