@@ -670,12 +670,19 @@ GOLDEN_CASES = {
     "occupycow-3": lambda: _golden_occupy_cow(3, 5, _chan(10, 60e6)),
     "occupycow-t1t2": lambda: _golden_occupy_cow(11, 6, _chan(-20, 1e6), oc_t1=6e-3, oc_t2=3e-3),
     "occupycow-void": lambda: _golden_occupy_cow(8, 3, _chan(-20)),
+    # Above the per-run stream table's break-even: these runs derive their
+    # sensor and relay streams in one pass; the digests were taken when every
+    # stream was set up one at a time.
+    "reflexup-table": lambda: _golden_reflexup(12, 40, 8, 3, _chan(0, 10e6), p_timeout=0.01),
+    "sr-table": lambda: _golden_star(SR, 12, 24, 2, _chan(0, 10e6), p_timeout=0.01),
+    "harq-7-2-table": lambda: _golden_star(HQ, 12, 24, 2, _chan(0), harq=HarqParams(7, 2)),
 }
 
 GOLDEN_DIGESTS = {
     "harq-3-3": "49695b3768e767b997ebf1423527b2b02ca07a08569cd1a66192e11e16e75c7a",
     "harq-7-2-0": "48fcf9718bbf2aa77b6c7dc80e450ee53d33098172fd2b9abe3f7cd3fcdc976a",
     "harq-7-2-1": "5f7245f9b21e0a39d843ae2474e1b8ad403dfe9a86f228f5daf32e822f80ed82",
+    "harq-7-2-table": "50bd1b165ad4eac68c1df9738ed6318b33a4f16b29c8fa45fc254b18f7374325",
     "harq-eps0.7-deadline": "8aee9bf2e18f07c5476ef35bc4792f4677bcad0904c42563e1fdc8e16c0a0a12",
     "occupycow-0": "39426f41407fd7807748ce54bca0e290981f01b28bbf3a93dfe2dbf238195c66",
     "occupycow-1": "81c9665f23dbbff56c332d2cf3a091cd5da11a9020e1c2bde2428547221a87d3",
@@ -690,8 +697,10 @@ GOLDEN_DIGESTS = {
     "reflexup-lossy-timeout-1": "a89dd9716ee762a77762ca6b7986f1e667c0691ba8cbd310735c5b5c3918065b",
     "reflexup-lossy-timeout-2": "659c027b4ffd731afdd62f6f6c8056b4d9ae859ab308bb4d198da77a481247fd",
     "reflexup-max-rounds": "1bb6928b5f98627a4a76c23aba93b9d8c135d28ae08bb3a23950b903c9554d9d",
+    "reflexup-table": "2d3e79860641b2dfe46e4795f41220a404d8be8afee0c8eed9c5a2fce88e89db",
     "sr-deadline": "f93694d819342b78bc56dca2d652a7f6d2a9ad3f0414f5bca75fcc9b21c4dcdc",
     "sr-eps0.7": "1b2cb218e93305587b55d471a7b1bb8a5ac0325a7515621b301485d54ec40b14",
+    "sr-table": "97ae5fc17b5f0b2c681a7371792d3e05c93f5c9634e47aec4c1ac0d1059fd600",
     "sr-timeout-0": "fdedf28a2f3340bcbdb05f05323dabf0c852f18fc039aada381aacf7f04ed621",
     "sr-timeout-1": "5e48db233ad46ef54c6ebb0f95ff69365eb27a057208373b6a17d5658082ed62",
 }
