@@ -21,6 +21,7 @@ __all__ = [
     "outage_probability",
     "derive_seed",
     "spawn_stream",
+    "spawn_streams",
     "seed_plan",
     "sample_fades",
     "link_capacity_bps",
@@ -99,12 +100,28 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     Distinct paths under the same master seed give statistically independent
     streams, so parallel runs and per-link draws never share state. Inside a
     `seed_plan` that covers `seed`, the PCG64 seeding words come from the
-    plan's bulk derivation; the generator is the same either way.
+    plan's bulk derivation; `spawn_streams` derives a run's links under one
+    path head in one pass. The generator is the same either way.
     """
     plan = _PLAN.get()
     if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
         return np.random.Generator(np.random.PCG64(_Words(plan.words(seed, path))))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
+
+
+def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]:
+    """The generators of paths (head, 0) ... (head, count - 1) under `seed`.
+
+    Stream i is bit-identical to `spawn_stream(seed, head, i)`. For at least
+    `_TABLE_MIN` paths of a plain int seed in [0, 2**64) that no `seed_plan`
+    covers, the seeding words of all paths come from one `_seed_words` call,
+    at a few microseconds per stream instead of about 20; otherwise each
+    stream is `spawn_stream`'s, which reads a covering plan.
+    """
+    if count >= _TABLE_MIN and type(seed) is int and 0 <= seed < 1 << 64 and _plan_for(seed) is None:
+        rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
+        return [np.random.Generator(np.random.PCG64(_Words(row))) for row in rows]
+    return [spawn_stream(seed, head, i) for i in range(count)]
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -116,6 +133,12 @@ _MASK32 = 0xFFFFFFFF
 # takes about 0.55 ms to derive, most of it fixed per-call cost, and holds
 # 32 bytes per seed.
 _PLAN_BLOCK = 1024
+# Paths from which `spawn_streams` derives a one-seed table instead of
+# setting each stream up alone. Timed on a 2-core KVM guest (numpy 2.4.6,
+# best of 9 repeats), a table cost about 0.3-0.4 ms, almost all of it the
+# fixed cost of its ~200 small array operations, plus about 3 us per stream;
+# a stream set up alone cost 17-27 us. The two met between 12 and 20 paths.
+_TABLE_MIN = 16
 
 
 def _hash_steps(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
@@ -147,22 +170,30 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _seed_words(seeds, path: tuple[int, ...]) -> np.ndarray:
+def _seed_words(seeds, path: tuple) -> np.ndarray:
     """PCG64 seeding words of many seeds in [0, 2**64) at one spawn-key path.
 
     Row i equals `SeedSequence(seeds[i], spawn_key=path).generate_state(4,
-    np.uint64)`. The hash constants do not depend on the data, so numpy's
-    pool mixing and `generate_state` run here as uint32 array operations over
-    all seeds at once. A one-word seed mixes like its two-word form with a
-    zero high word (a short entropy pool is filled by hashing zeros), and a
-    spawned sequence pads its seed words to the 4-word pool with zeros, so
-    every row mixes the words [lo, hi, 0, 0, *path words].
+    np.uint64)`. A path element may instead be a uint32 array that
+    broadcasts against `seeds`; row i then takes its i-th entry as that path
+    word, so one seed's paths (head, 0), (head, 1), ... take one call. The
+    hash constants do not depend on the data, so numpy's pool mixing and
+    `generate_state` run here as uint32 array operations over all rows at
+    once. A one-word seed mixes like its two-word form with a zero high word
+    (a short entropy pool is filled by hashing zeros), and a spawned sequence
+    pads its seed words to the 4-word pool with zeros, so every row mixes the
+    words [lo, hi, 0, 0, *path words].
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(1, np.uint32)
     lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
     hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    extra = [np.array([w], np.uint32) for p in path for w in _uint32_words(int(p))]
+    extra: list[np.ndarray] = []
+    for p in path:
+        if isinstance(p, np.ndarray):
+            extra.append(p.astype(np.uint32, copy=False))
+        else:
+            extra.extend(np.array([w], np.uint32) for w in _uint32_words(int(p)))
     steps = _hash_steps(_INIT_A, _MULT_A)
     pool = [_hash(w, steps) for w in (lo, hi, zero, zero)]
     for src in range(4):
@@ -175,7 +206,7 @@ def _seed_words(seeds, path: tuple[int, ...]) -> np.ndarray:
     # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
     # paired little-endian into four uint64 words.
     steps = _hash_steps(_INIT_B, _MULT_B)
-    state = np.empty((len(seeds), 8), np.uint32)
+    state = np.empty(pool[0].shape + (8,), np.uint32)
     for i in range(8):
         state[:, i] = _hash(pool[i % 4], steps)
     return state.view("<u8").astype(np.uint64)
@@ -224,14 +255,24 @@ class _SeedPlan:
 _PLAN: ContextVar[_SeedPlan | None] = ContextVar("cecbench_seed_plan", default=None)
 
 
+def _plan_for(seed: int) -> _SeedPlan | None:
+    """The active seed plan, if it covers `seed`; plain ints only."""
+    plan = _PLAN.get()
+    if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
+        return plan
+    return None
+
+
 @contextmanager
 def seed_plan(seeds: range) -> Iterator[None]:
     """Derive the stream seeding words of `seeds` in bulk for this context.
 
-    Within the `with` body, `spawn_stream(seed, *path)` for a seed in
-    `seeds` takes its PCG64 words from a table derived for a block of seeds
-    at a time, in about 4 µs per stream instead of about 25. The streams are
-    bit-identical to those built outside a plan.
+    Within the `with` body, `spawn_stream(seed, *path)` and
+    `spawn_streams(seed, head, count)` for a seed in `seeds` take their PCG64
+    words from a table derived for a block of seeds at a time, in about 4 µs
+    per stream instead of about 25. A plan derives across runs, one path at a
+    time; outside it, `spawn_streams` derives across one run's paths. The
+    streams are bit-identical to those built outside a plan.
     """
     token = _PLAN.set(_SeedPlan(seeds))
     try:

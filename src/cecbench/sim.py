@@ -1,11 +1,13 @@
 """Time-slotted execution of the uplink protocols over sampled Rayleigh links.
 
 One run owns its event log and RNG streams (split per link from the master
-seed), so identical seeds replay bit-identical traces. Each link's stream is
-read in blocks sized by the packets that link carries; a block holds the same
-values, in the same order, as the same number of draws taken one at a time,
-so the block size never changes a trace. Time advances in packet-airtime
-slots per link rate; control messages on the C-M link are error-free and
+seed), so identical seeds replay bit-identical traces. A run with many sensor
+links (path head 1) or relay links (head 2) sets them up in one
+`spawn_streams` pass per head; the streams are those of `spawn_stream`. Each
+link's stream is read in blocks sized by the packets that link carries; a
+block holds the same values, in the same order, as the same number of draws
+taken one at a time, so the block size never changes a trace. Time advances in
+packet-airtime slots per link rate; C-M control messages are error-free and
 instantaneous, and relay queuing plus feedback latency are zero.
 """
 from __future__ import annotations
@@ -15,19 +17,12 @@ import gc
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cec import (
-    CecConfig,
-    PerTaskUtilization,
-    ScheduleResult,
-    compute_uc,
-    compute_ucc,
-    optimal_tcm_case3,
-)
-from .channel import ChannelParams, derive_seed, seed_plan, spawn_stream
+from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
+from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
 from .protocols import HarqParams, NetworkShape, Protocol, occupycow_phase_probs
 
 __all__ = [
@@ -204,7 +199,7 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
     return delivered / required >= epsilon
 
 
-# Block sources for _Run.draws: take(rng, n) returns the next n draws. A
+# Block sources for _blocks: take(rng, n) returns the next n draws. A
 # one-draw block is a scalar draw: the same value, without the cost of
 # numpy's array path, which a run of one packet per link would pay on every
 # stream.
@@ -221,6 +216,12 @@ def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
     return [rng.random()] if n == 1 else rng.random(size=n).tolist()
 
 
+def _blocks(take: _Take, n: int, rng: np.random.Generator) -> Iterator[float]:
+    """The draws of `rng`, read n at a time; a run's last block may be left half read."""
+    while True:
+        yield from take(rng, n)
+
+
 class _Run:
     """Per-link draws and shared bookkeeping for one simulation run."""
 
@@ -234,10 +235,9 @@ class _Run:
         self.controller = topology.controller
         self.events: list[TraceEvent] = []
         self.flows = {f.task_id: f for f in flows}
-        self.outcomes = {
-            f.task_id: FlowOutcome(task_id=f.task_id, required=f.packets_required)
-            for f in self.flows.values()
-        }
+        if len(self.flows) != len(flows):
+            raise ValueError("flows must have distinct task ids")
+        self.outcomes = {t: FlowOutcome(task_id=t, required=f.packets_required) for t, f in self.flows.items()}
         self.link_stats: dict[tuple[str, str], list[int]] = {}
         self.now = 0.0
         self.slot = 0
@@ -245,26 +245,29 @@ class _Run:
         self.layout = [
             (f.task_id, p, f.sources[p % len(f.sources)]) for f in flows for p in range(f.packets_required)
         ]
-        # Packets each source sensor carries: the block size of its streams.
-        self.carried: dict[str, int] = {}
-        for _, _, sensor in self.layout:
-            self.carried[sensor] = self.carried.get(sensor, 0) + 1
+        # Packets each sensor carries: the block size of its streams.
+        self.carried = dict.fromkeys(topology.sensors, 0)
+        try:
+            for _, _, sensor in self.layout:
+                self.carried[sensor] += 1
+        except KeyError as missing:
+            raise ValueError(f"flow source {missing} is not a sensor of the topology") from None
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
-        """Draws of the stream at `path`, read n at a time through `take(rng, n)`.
-
-        A block equals n draws taken one at a time, in value and order, so
-        the block size changes no trace. The stream is set up at the first
-        draw and belongs to this run alone, so the draws left in its last
-        block are simply dropped.
-        """
+        """Draws of the stream at `path`, set up at the first draw, read as `_blocks` reads."""
         rng = spawn_stream(self.seed, *path)
         while True:
             yield from take(rng, n)
 
-    def sensor_draws(self, take: _Take, sensors: Iterable[str]) -> dict[str, Iterator[float]]:
-        """Each sensor's draws on path (1, i), in blocks of the packets it carries."""
-        return {s: self.draws(take, self.carried.get(s, 0), 1, i) for i, s in enumerate(sensors)}
+    def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
+        """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node].
+
+        From `_TABLE_MIN` nodes up, one `spawn_streams` pass sets up the streams; below it,
+        each is set up at its first draw, so a tiny run pays for no table and no unread link.
+        """
+        if len(nodes) < _TABLE_MIN:
+            return {v: self.draws(take, sizes[v], head, i) for i, v in enumerate(nodes)}
+        return {v: _blocks(take, sizes[v], rng) for v, rng in zip(nodes, spawn_streams(self.seed, head, len(nodes)))}
 
     def fits(self, task: int, duration: float) -> bool:
         """Whether `duration` more airtime ends by the task's deadline; a miss counts as a skip."""
@@ -305,11 +308,8 @@ class _Run:
                 self.events.append(TraceEvent(self.slot, "fdd-dispatch", self.edge, self.edge, task, -1, "ok"))
 
     def finalize(self, t_p: float) -> SimTrace:
-        for spec in self.flows.values():
-            out = self.outcomes[spec.task_id]
-            out.communication_failure = not out.void_round and not _meets_epsilon(
-                out.delivered, out.required, spec.epsilon
-            )
+        for f, out in zip(self.flows.values(), self.outcomes.values()):
+            out.communication_failure = not (out.void_round or _meets_epsilon(out.delivered, out.required, f.epsilon))
         return SimTrace(
             protocol=self.protocol,
             events=self.events,
@@ -419,8 +419,8 @@ def run_reflexup(
     schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
     for entry in run.layout:
         schedules[relay_of[entry[2]]].append(entry)
-    local_fades = run.sensor_draws(_fades, topology.sensors)
-    up_fades = {r: run.draws(_fades, len(schedules[r]), 2, i) for i, r in enumerate(topology.relays)}
+    local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
+    up_fades = run.link_draws(_fades, 2, topology.relays, dict(zip(schedules, map(len, schedules.values()))))
     timeouts = run.draws(_uniforms, 2 * len(run.layout), 3)
     local_ok = _attempt_test(local, p_timeout, timeouts)
     up_ok = _attempt_test(chan, p_timeout, timeouts)
@@ -548,7 +548,7 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
     run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
     events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
-    fades = run.sensor_draws(_fades, topology.sensors)
+    fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
     attempt_ok = _attempt_test(chan, p_timeout, run.draws(_uniforms, len(run.layout), 3))
     pending = {(t, p): sensor for t, p, sensor in run.layout}
 
@@ -597,7 +597,7 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
 
     # A block holds one round per packet the sensor carries; packets that
     # need more rounds read on into the next block.
-    information = run.sensor_draws(round_information, topology.sensors)
+    information = run.link_draws(round_information, 1, topology.sensors, run.carried)
 
     for task, packet, sensor in run.layout:
         if run.outcomes[task].dispatched:
@@ -645,7 +645,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
     events, controller = run.events, run.controller
-    fades = run.sensor_draws(_fades, [s.sources[0] for s in flows])
+    fades = run.link_draws(_fades, 1, [s.sources[0] for s in flows], run.carried)
 
     survivors: list[FlowSpec] = []
     stragglers: list[FlowSpec] = []

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cecbench.channel import (
+    _PLAN,
     _PLAN_BLOCK,
+    _TABLE_MIN,
     ChannelParams,
     _seed_words,
     _Words,
@@ -15,6 +17,7 @@ from cecbench.channel import (
     sample_fades,
     seed_plan,
     spawn_stream,
+    spawn_streams,
 )
 
 TABLE = dict(bandwidth_hz=20e6, rate_bps=200e3)
@@ -178,3 +181,52 @@ def test_seed_plan_is_scoped():
     assert not isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
     with pytest.raises(ValueError):
         spawn_stream(-1, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_vary_the_last_path_word(seed):
+    # One seed's paths (head, 0) ... (head, count - 1) in one call.
+    for head in (1, 2, 3, 4):
+        for count in (1, 17, 400):
+            words = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
+            assert words.dtype == np.uint64 and words.shape == (count, 4)
+            for i, row in enumerate(words):
+                expected = np.random.SeedSequence(seed, spawn_key=(head, i)).generate_state(4, np.uint64)
+                assert row.tolist() == expected.tolist(), (head, count, i)
+
+
+def _assert_streams_equal(seed, head, count, table):
+    streams = spawn_streams(seed, head, count)
+    assert len(streams) == count
+    for i, stream in enumerate(streams):
+        assert isinstance(stream.bit_generator.seed_seq, _Words) == table, i
+        assert stream.bit_generator.state == spawn_stream(seed, head, i).bit_generator.state, i
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1])
+def test_spawn_streams_equal_spawn_stream(seed):
+    for head in (1, 2):
+        # At and above the break-even, outside any plan: one table per call.
+        for count in (_TABLE_MIN, 3 * _TABLE_MIN + 1):
+            _assert_streams_equal(seed, head, count, table=True)
+        # Below it, each stream is set up alone.
+        for count in (1, _TABLE_MIN - 1):
+            _assert_streams_equal(seed, head, count, table=False)
+        # Inside a plan that covers the seed, every path comes from the plan.
+        with seed_plan(range(max(seed - 2, 0), seed + 3)):
+            for count in (1, 2 * _TABLE_MIN):
+                _assert_streams_equal(seed, head, count, table=True)
+                assert {(head, i) for i in range(count)} <= set(_PLAN.get().blocks)
+
+
+@pytest.mark.parametrize("seed", [np.int64(12), 2**64, 2**70])
+def test_spawn_streams_fall_back_for_other_seeds(seed):
+    # Seeds that are not plain ints in [0, 2**64) take SeedSequence itself.
+    for count in (1, 2 * _TABLE_MIN):
+        _assert_streams_equal(seed, 1, count, table=False)
+
+
+def test_spawn_streams_rejects_negative_seed():
+    for count in (1, 2 * _TABLE_MIN):
+        with pytest.raises(ValueError):
+            spawn_streams(-1, 1, count)

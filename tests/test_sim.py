@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from cecbench import channel
+from cecbench import channel, sim
 from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
-from cecbench.channel import ChannelParams, outage_probability, spawn_stream
+from cecbench.channel import ChannelParams, outage_probability, spawn_stream, spawn_streams
 from cecbench.protocols import (
     HarqParams,
     NetworkShape,
@@ -568,6 +568,34 @@ def test_flow_validation():
             FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=1.0, deadline=deadline)
 
 
+def test_runs_reject_malformed_flows():
+    relays, star = relay_topology(4, 2), star_topology(4)
+    runners = {
+        "reflexup": lambda topo, flows: run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=0),
+        "sr": lambda topo, flows: run_baseline(SR, topo, flows, LOSSY, seed=0),
+        "harq": lambda topo, flows: run_baseline(HQ, topo, flows, LOSSY, seed=0),
+    }
+    for name, run in runners.items():
+        topo = relays if name == "reflexup" else star
+        # Two flows under one task id were merged, so a task could report
+        # more packets delivered than it required.
+        twins = [FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0)] * 2
+        with pytest.raises(ValueError, match="distinct task ids"):
+            run(topo, twins)
+        # A source outside the topology failed with a KeyError mid-run.
+        stray = [FlowSpec(task_id=0, sources=("v1", "v99"), packets_required=2, epsilon=1.0, deadline=1.0)]
+        with pytest.raises(ValueError, match="v99"):
+            run(topo, stray)
+    with pytest.raises(ValueError, match="distinct task ids"):
+        run_baseline(OC, star_topology(2), [_oc_flows(2, deadline=1.0)[0]] * 2, LOSSY, seed=0)
+    stray = [
+        FlowSpec(task_id=i, sources=(s,), packets_required=1, epsilon=1.0, deadline=1.0)
+        for i, s in enumerate(("v1", "v99"))
+    ]
+    with pytest.raises(ValueError, match="v99"):
+        run_baseline(OC, star_topology(2), stray, LOSSY, seed=0)
+
+
 def test_epsilon_below_one_dispatches_early():
     topo = relay_topology(4, 1)
     flows = [FlowSpec(task_id=0, sources=topo.sensors, packets_required=4, epsilon=0.5, deadline=100.0)]
@@ -719,6 +747,17 @@ def _trace_digest(trace, path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_trace(name, tmp_path):
     assert _trace_digest(GOLDEN_CASES[name](), tmp_path / "trace.csv") == GOLDEN_DIGESTS[name]
+
+
+def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
+    # Every sensor and relay table, however small, from one derivation pass.
+    monkeypatch.setattr(sim, "_TABLE_MIN", 1)
+    monkeypatch.setattr(channel, "_TABLE_MIN", 1)
+    tables = []
+    monkeypatch.setattr(sim, "spawn_streams", lambda *a: tables.append(a) or spawn_streams(*a))
+    for name, case in sorted(GOLDEN_CASES.items()):
+        assert _trace_digest(case(), tmp_path / "trace.csv") == GOLDEN_DIGESTS[name], name
+    assert {head for _, head, _ in tables} == {1, 2}
 
 
 def test_block_draws_equal_scalar_draws():
