@@ -118,9 +118,11 @@ def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]
     at a few microseconds per stream instead of about 20; otherwise each
     stream is `spawn_stream`'s, which reads a covering plan.
     """
-    if count >= _TABLE_MIN and type(seed) is int and 0 <= seed < 1 << 64 and _plan_for(seed) is None:
-        rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
-        return [np.random.Generator(np.random.PCG64(_Words(row))) for row in rows]
+    if count >= _TABLE_MIN and type(seed) is int and 0 <= seed < 1 << 64:
+        plan = _PLAN.get()
+        if plan is None or not plan.start <= seed < plan.stop:
+            rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
+            return [np.random.Generator(np.random.PCG64(_Words(row))) for row in rows]
     return [spawn_stream(seed, head, i) for i in range(count)]
 
 
@@ -253,14 +255,6 @@ class _SeedPlan:
 
 
 _PLAN: ContextVar[_SeedPlan | None] = ContextVar("cecbench_seed_plan", default=None)
-
-
-def _plan_for(seed: int) -> _SeedPlan | None:
-    """The active seed plan, if it covers `seed`; plain ints only."""
-    plan = _PLAN.get()
-    if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
-        return plan
-    return None
 
 
 @contextmanager

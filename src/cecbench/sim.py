@@ -199,10 +199,10 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
     return delivered / required >= epsilon
 
 
-# Block sources for _blocks: take(rng, n) returns the next n draws. A
-# one-draw block is a scalar draw: the same value, without the cost of
-# numpy's array path, which a run of one packet per link would pay on every
-# stream.
+# Block sources for _Run.draws and _blocks: take(rng, n) returns the next n
+# draws. A one-draw block is a scalar draw: the same value, without the cost
+# of numpy's array path, which a run of one packet per link would pay on
+# every stream.
 _Take = Callable[[np.random.Generator, int], list[float]]
 
 
