@@ -699,8 +699,8 @@ GOLDEN_CASES = {
     "occupycow-t1t2": lambda: _golden_occupy_cow(11, 6, _chan(-20, 1e6), oc_t1=6e-3, oc_t2=3e-3),
     "occupycow-void": lambda: _golden_occupy_cow(8, 3, _chan(-20)),
     # Above the per-run stream table's break-even: these runs derive their
-    # sensor and relay streams in one pass; the digests were taken when every
-    # stream was set up one at a time.
+    # sensor streams in one pass (ReFlexUp's 8 relays stay below it); the
+    # digests were taken when every stream was set up one at a time.
     "reflexup-table": lambda: _golden_reflexup(12, 40, 8, 3, _chan(0, 10e6), p_timeout=0.01),
     "sr-table": lambda: _golden_star(SR, 12, 24, 2, _chan(0, 10e6), p_timeout=0.01),
     "harq-7-2-table": lambda: _golden_star(HQ, 12, 24, 2, _chan(0), harq=HarqParams(7, 2)),
