@@ -276,6 +276,11 @@ class _Run:
             return False
         return True
 
+    def live(self, duration: float) -> list[int]:
+        """Tasks not yet dispatched whose deadline still admits `duration` more airtime."""
+        end = self.now + duration
+        return [t for t, o in self.outcomes.items() if not o.dispatched and end <= self.flows[t].deadline]
+
     def attempt(self, event: str, src: str, dst: str, task: int, packet: int, ok: bool) -> None:
         """Count and log one transmission of (task, packet) over src -> dst."""
         out = self.outcomes[task]
@@ -293,14 +298,11 @@ class _Run:
             self.events.append(TraceEvent(self.slot, event, src, dst, task, packet, "ok" if ok else "lost"))
 
     def deliver(self, task: int, packet: int, node: str) -> None:
-        """Count (task, packet) delivered; the controller acks it to `node`."""
-        self.outcomes[task].delivered += 1
+        """Count (task, packet) delivered and ack it to `node`; dispatch the task once its share reaches epsilon."""
+        out = self.outcomes[task]
+        out.delivered += 1
         if self.record:
             self.events.append(TraceEvent(self.slot, "ack", self.controller, node, task, packet, "ok"))
-
-    def dispatch(self, task: int) -> None:
-        """Hand the task to fault detection once its delivered share reaches epsilon."""
-        out = self.outcomes[task]
         if not out.dispatched and _meets_epsilon(out.delivered, out.required, self.flows[task].epsilon):
             out.dispatched = True
             out.completion_time = self.now
@@ -461,16 +463,11 @@ def run_reflexup(
                 acked.add((task, packet))
                 run.deliver(task, packet, relay)
 
-    for task in run.flows:
-        run.dispatch(task)
-
     # Edge-driven repair rounds: missing list goes back, relay re-sends each
     # missing packet bundled with its cached predecessor (double airtime).
     rounds = 0
     while True:
-        pending = [
-            t for t, o in run.outcomes.items() if not o.dispatched and run.now + slot_up <= run.flows[t].deadline
-        ]
+        pending = run.live(slot_up)
         if not pending or (max_rounds is not None and rounds >= max_rounds):
             break
         rounds += 1
@@ -506,7 +503,6 @@ def run_reflexup(
             if ok:
                 acked.add((task, packet))
                 run.deliver(task, packet, relay)
-                run.dispatch(task)
         if not progressed:
             break
 
@@ -573,9 +569,7 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             if ok:
                 run.deliver(task, packet, sensor)
                 del pending[(task, packet)]
-                run.dispatch(task)
-        live = [t for t, o in run.outcomes.items() if not o.dispatched and run.now + slot <= run.flows[t].deadline]
-        if not progressed or not live:
+        if not progressed or not run.live(slot):
             break
 
     return run.finalize(max(f.deadline for f in flows))
@@ -613,7 +607,6 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
             run.now += slot
             if decoded:
                 run.deliver(task, packet, sensor)
-                run.dispatch(task)
                 break
             if record:
                 events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "undecoded"))
@@ -644,7 +637,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     w, snr, rate1 = chan.bandwidth_hz, chan.snr_linear, n * (packet_bits + 1) / t1
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    events, controller = run.events, run.controller
+    controller = run.controller
     fades = run.link_draws(_fades, 1, [s.sources[0] for s in flows], run.carried)
 
     survivors: list[FlowSpec] = []
@@ -659,35 +652,24 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     run.now += t1
     for spec in survivors:
         run.deliver(spec.task_id, 0, spec.sources[0])
-        out = run.outcomes[spec.task_id]
-        out.dispatched = True
-        out.completion_time = run.now
 
+    # Rescued stragglers arrive, and dispatch, at the end of phase 2.
+    run.now += t2
     if survivors and stragglers:
         shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
         p12 = occupycow_phase_probs(shape, chan, t1, t2).p12
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
-            out = run.outcomes[spec.task_id]
-            out.attempts += 1
             rescued = next(rescues) >= p12
-            if record:
-                events.append(
-                    TraceEvent(run.slot, "retransmit", "flood", controller, spec.task_id, 0, "ok" if rescued else "lost")
-                )
+            run.attempt("retransmit", "flood", controller, spec.task_id, 0, rescued)
             run.slot += 1
             if rescued:
                 run.deliver(spec.task_id, 0, spec.sources[0])
-                out.dispatched = True
-                out.completion_time = run.now + t2
-            else:
-                out.losses += 1
-    elif stragglers and not survivors:
+    else:
         # Void round: no node survived phase 1, so no relay exists; the
         # fixed-schedule failure form excludes this stratum.
         for spec in stragglers:
             run.outcomes[spec.task_id].void_round = True
-    run.now += t2
 
     return run.finalize(max(f.deadline for f in flows))
 

@@ -1,6 +1,8 @@
+import ast
 import gc
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +605,26 @@ def test_epsilon_below_one_dispatches_early():
     out = trace.flows[0]
     assert out.dispatched
     assert not out.communication_failure
+    # The second of four acks (slots 5-8) reaches epsilon; the rest of phase 2 still runs.
+    assert [e.slot for e in trace.events if e.event_type == "fdd-dispatch"] == [6]
+    assert out.completion_time == pytest.approx(6 * 176 / PERFECT.rate_bps)
+
+
+def test_reflexup_dispatches_at_each_flows_last_ack():
+    # Phase 1 takes 6 waves; phase 2 forwards relay s1's six packets, then s2's,
+    # so each task's last ack comes from s2, at slots 14, 16 and 18.
+    topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=3)
+    trace = run_reflexup(topo, flows, PERFECT, CEC_SMALL, seed=0, t_cp=0.005)
+    dispatches = [(e.slot, e.task_id) for e in trace.events if e.event_type == "fdd-dispatch"]
+    assert dispatches == [(14, 0), (16, 1), (18, 2)]
+    # Each task's first attempt is 14 slots of 0.88 ms before its dispatch.
+    assert [t.t_cm for t in measure_cec(trace, CEC_SMALL, 0.0).per_task] == pytest.approx([12.32e-3] * 3)
+
+
+def test_occupy_cow_dispatches_each_delivery():
+    trace = run_baseline(OC, star_topology(3), _oc_flows(3, deadline=1.0), PERFECT, seed=0)
+    assert [e.event_type for e in trace.events] == ["transmit"] * 3 + ["ack", "fdd-dispatch"] * 3
+    assert [e.task_id for e in trace.events[3:]] == [0, 0, 1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("tag", [SR, HQ])
@@ -642,6 +664,13 @@ def test_work_scales_linearly_with_nodes_and_tasks():
 # draw, an event or an outcome field changes the digest. The digests hold for
 # the numpy release pinned in CI, because numpy does not promise the same
 # Generator streams across versions.
+#
+# Six digests were re-taken when dispatch moved into delivery: the Occupy CoW
+# cases with a delivery (all but occupycow-void) gained their fdd-dispatch
+# events and the ("flood", "C") link entry, and reflexup-40db's task 0 now
+# dispatches at its last phase-2 ack (slot 25) rather than after the phase
+# (slot 30). Every draw, every other event and every other outcome field of
+# those runs stayed as it was.
 
 OUTCOME_FIELDS = (
     "task_id", "required", "delivered", "attempts", "losses", "skipped",
@@ -712,13 +741,13 @@ GOLDEN_DIGESTS = {
     "harq-7-2-1": "5f7245f9b21e0a39d843ae2474e1b8ad403dfe9a86f228f5daf32e822f80ed82",
     "harq-7-2-table": "50bd1b165ad4eac68c1df9738ed6318b33a4f16b29c8fa45fc254b18f7374325",
     "harq-eps0.7-deadline": "8aee9bf2e18f07c5476ef35bc4792f4677bcad0904c42563e1fdc8e16c0a0a12",
-    "occupycow-0": "39426f41407fd7807748ce54bca0e290981f01b28bbf3a93dfe2dbf238195c66",
-    "occupycow-1": "81c9665f23dbbff56c332d2cf3a091cd5da11a9020e1c2bde2428547221a87d3",
-    "occupycow-2": "a3f2a45235af83ea3611357c407b8fc15acd3afd1f7baf5cb9532af91a8a1d70",
-    "occupycow-3": "630162e9068b46ccfd366259970530a28d8938a7dc5b1ce5d2e31c85084a29d8",
-    "occupycow-t1t2": "22b9fd41742171e26735f15481e4333872e264be863c57bbd1b2d679ea143b65",
+    "occupycow-0": "aaad7b233fe79d22ee2d546a8510898aa0ce85b32a4886f38d806f4eb3eb0705",
+    "occupycow-1": "ef970c40a76b652e95a6e19b502011b49bea02aecc6f2820328a414f89bdba28",
+    "occupycow-2": "b029ab080b1f4852e17f75146d495d1f48e4055886925c528caf811734f5a1f3",
+    "occupycow-3": "09e2f9ca1779fab5b5c84c7345aab04d0ee9ea33c7f2cb909d40fd01a63d4ce8",
+    "occupycow-t1t2": "71e85c6ace0003868d3b7eb523ae1b9e2c719055370bbada92cf507cfdd0b70c",
     "occupycow-void": "17a931d45ec2b022f17c40f57ab481bc45930b6b70fb5876e0dd83e9e4ac7b51",
-    "reflexup-40db": "91019c51631e85a59e41cc3b29ac88e3730eb93337ce575ffa78e2c00cc14b39",
+    "reflexup-40db": "fb734313ab1dcbda71466d0ce18f9ef2cd16ea37d8e7d83277b88a0e68220179",
     "reflexup-deadline": "e9ae7df1014bf460f44198bf76411b6c0b286de58235f4ad6284e677ea97f9b3",
     "reflexup-eps0.7-local": "33cb6c8237a13708b26e707d8186d7d484d97b32359e40b3a62bb3660aaf0bac",
     "reflexup-lossy-timeout-0": "543de66dd54fa49facebe433686d24a30b77a8b2662cb8de2f2a5881ee855bb4",
@@ -758,6 +787,61 @@ def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
     for name, case in sorted(GOLDEN_CASES.items()):
         assert _trace_digest(case(), tmp_path / "trace.csv") == GOLDEN_DIGESTS[name], name
     assert {head for _, head, _ in tables} == {1, 2}
+
+
+def test_golden_traces_dispatch_at_the_epsilon_ack(monkeypatch):
+    # A dispatched task logs one fdd-dispatch, right after the ack that first
+    # brings delivered / required to its epsilon and in that ack's slot.
+    runs = []
+
+    class Recorded(_Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(sim, "_Run", Recorded)
+    for name, case in sorted(GOLDEN_CASES.items()):
+        trace = case()
+        flows = runs[-1].flows
+        for task, out in trace.flows.items():
+            indices = [i for i, e in enumerate(trace.events) if e.task_id == task]
+            dispatches = [i for i in indices if trace.events[i].event_type == "fdd-dispatch"]
+            assert len(dispatches) == out.dispatched, (name, task)
+            if not out.dispatched:
+                continue
+            acks = [i for i in indices if trace.events[i].event_type == "ack"]
+            k = next(k for k in range(1, len(acks) + 1) if k / out.required >= flows[task].epsilon)
+            assert (k - 1) / out.required < flows[task].epsilon
+            assert dispatches == [acks[k - 1] + 1], (name, task)
+            assert trace.events[dispatches[0]].slot == trace.events[acks[k - 1]].slot, (name, task)
+
+
+def test_only_the_run_core_writes_flow_outcomes():
+    # Counters, times and the dispatch and failure flags have one writer, `_Run`.
+    fields = {
+        "delivered", "attempts", "losses", "skipped", "first_attempt_time",
+        "completion_time", "dispatched", "communication_failure",
+    }
+    tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+    core = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Run")
+    in_core = {id(n) for n in ast.walk(core)}
+    inside, outside = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                if isinstance(t, ast.Attribute) and t.attr in fields:
+                    if id(node) in in_core:
+                        inside.add(t.attr)
+                    else:
+                        outside.append((node.lineno, t.attr))
+    assert outside == []
+    assert inside == fields
 
 
 def test_block_draws_equal_scalar_draws():
