@@ -95,6 +95,13 @@ class CsvSchema:
     has_header: bool = False
     delimiter: str = ","
 
+    def __post_init__(self) -> None:
+        # numpy's reader and the csv module split alike on any one character
+        # but a line break or the csv quote character.
+        d = self.delimiter
+        if not isinstance(d, str) or len(d) != 1 or d in '\n\r"':
+            raise ValueError(f"delimiter must be one character but \\n, \\r or '\"', got {d!r}")
+
 
 @dataclass(frozen=True)
 class MeanShift:
@@ -347,8 +354,51 @@ def generate_synthetic_te(
 def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> list[ProcessSample]:
     """Parse a numeric CSV export into samples, in file order.
 
-    Raises CsvParseError naming the line and column of the first malformed
-    cell; an empty file yields an empty list with a warning.
+    A well-formed file is read in one pass by numpy's reader. Any other file
+    is read by _scan_csv, whose result this always equals: it raises
+    CsvParseError naming the line and column of the first malformed or
+    non-finite cell, and an empty file yields an empty list with a warning.
+    """
+    x = _load_matrix(path, schema)
+    if x is None:
+        return _scan_csv(path, schema)
+    return [ProcessSample(float(t), row) for t, row in enumerate(x)]
+
+
+# numpy's reader strips these ASCII separators around a number as whitespace;
+# Python's float rejects them.
+_FLOAT_REJECTS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _load_matrix(path, schema: CsvSchema) -> np.ndarray | None:
+    """The file's data rows as one matrix, or None where _scan_csv must decide."""
+    try:
+        with open(path, "rb") as raw:
+            while chunk := raw.read(1 << 20):
+                if any(sep in chunk for sep in _FLOAT_REJECTS):
+                    return None
+        with open(path, "r", encoding="utf-8") as fh:
+            # A quote in the header can open a field that runs on over later
+            # lines; only the csv module follows it.
+            if schema.has_header and '"' in fh.readline():
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                x = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=schema.delimiter, comments=None, ndmin=2
+                )
+    except ValueError:
+        return None
+    return x if x.size and np.isfinite(x).all() else None
+
+
+def _scan_csv(path, schema: CsvSchema) -> list[ProcessSample]:
+    """Read a CSV cell by cell with the csv module and Python's float.
+
+    This is the reference for ingest_csv and the source of its errors and
+    its empty-file warning, which names the caller of ingest_csv.
     """
     samples: list[ProcessSample] = []
     dim: int | None = None
@@ -362,11 +412,16 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> list[ProcessSample]:
             values = []
             for col, cell in enumerate(row, start=1):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvParseError(
                         f"{path}: line {lineno}, column {col}: not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvParseError(
+                        f"{path}: line {lineno}, column {col}: not finite: {cell!r}"
+                    )
+                values.append(value)
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
@@ -375,7 +430,7 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> list[ProcessSample]:
                 )
             samples.append(ProcessSample(float(len(samples)), np.asarray(values)))
     if not samples:
-        warnings.warn(f"{path}: no data rows found", UserWarning, stacklevel=2)
+        warnings.warn(f"{path}: no data rows found", UserWarning, stacklevel=3)
     return samples
 
 

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cecbench import fdd
 from cecbench.fdd import (
     CsvParseError,
     CsvSchema,
@@ -320,6 +325,90 @@ def test_ingest_reports_width_mismatch(tmp_path):
     path.write_text("1,2,3\n4,5\n")
     with pytest.raises(CsvParseError, match="line 2"):
         ingest_csv(path)
+
+
+def test_ingest_locates_non_finite_cell(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    for cell in ("nan", "-inf", "1e400"):
+        path.write_text(f"1,2,3\n4,{cell},6\n")
+        with pytest.raises(CsvParseError, match=rf"line 2, column 2: not finite: '{cell}'"):
+            ingest_csv(path)
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", "\n", "\r", '"'])
+def test_csv_schema_rejects_bad_delimiter(delimiter):
+    with pytest.raises(ValueError, match="delimiter"):
+        CsvSchema(delimiter=delimiter)
+
+
+def test_well_formed_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    def scan(path, schema):
+        raise AssertionError("fell back to the per-cell scan")
+
+    monkeypatch.setattr(fdd, "_scan_csv", scan)
+    path = tmp_path / "plant.csv"
+    path.write_bytes(b"a;b;c\r\n1.5;-2;3e-3\r\n\r\n 4 ;5;6\r\n")
+    samples = ingest_csv(path, CsvSchema(has_header=True, delimiter=";"))
+    assert [s.timestamp for s in samples] == [0.0, 1.0]
+    assert np.array_equal(samples[0].values, [1.5, -2.0, 3e-3])
+    assert np.array_equal(samples[1].values, [4.0, 5.0, 6.0])
+
+
+def _outcome(read, path, schema):
+    """What a reader returns or raises, bit for bit, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            samples = read(path, schema)
+            result = [(s.timestamp, s.values.dtype, s.values.tobytes()) for s in samples]
+        except Exception as exc:  # the exception is the outcome
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_CELLS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(
+        [" 1", "2 ", "+1", "-.5", "1.", "1_000", "inf", "-Infinity", "nan", "1e400", "\ufeff1",
+         '"1"', '"', '"1,2"', "", " ", "abc", "\x1c1", "1\x1f", "\u0661", "0x10"]
+    ),
+)
+
+
+_FLAWS = st.one_of(
+    st.lists(_CELLS, min_size=1, max_size=5),
+    st.sampled_from([[], [" "], ["", ""], ["\t"], ["a", "b"], ['"a'], ['"h', 'x"']]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Rows of numbers of one width, with up to two flawed rows put anywhere."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_NUMBERS, min_size=width, max_size=width), max_size=6))
+    for flaw in draw(st.lists(_FLAWS, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), flaw)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(delimiter.join(row) for row in rows)
+    text = draw(st.sampled_from(["", "\ufeff"])) + text + draw(st.sampled_from([newline, ""]))
+    return text, CsvSchema(has_header=draw(st.booleans()), delimiter=delimiter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_texts())
+@example(case=('"a\n1,2\n3,4\n', CsvSchema(has_header=True)))
+@example(case=("1,2\x1c\n3,4\n", CsvSchema()))
+@example(case=("1,2\n\n3,nan\n", CsvSchema()))
+def test_bulk_read_matches_the_scan(tmp_path_factory, case):
+    text, schema = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(ingest_csv, path, schema) == _outcome(fdd._scan_csv, path, schema)
 
 
 def test_write_detections_schema(tmp_path, fitted):
