@@ -77,9 +77,13 @@ def outage_probability(params: ChannelParams) -> float:
 
     For a unit-mean exponential channel power gain this is
     1 - exp(-(2^(R/W) - 1) / snr), with snr in linear scale. The result lies
-    in [0, 1), decreases with SNR and increases with R.
+    in [0, 1], decreases with SNR and increases with R. It is 1.0, the exact
+    limit, when 2^(R/W) overflows a double.
     """
-    threshold = math.pow(2.0, params.spectral_efficiency) - 1.0
+    try:
+        threshold = math.pow(2.0, params.spectral_efficiency) - 1.0
+    except OverflowError:
+        return 1.0
     # -expm1 keeps precision for the deep-outage (tiny probability) regime.
     return -math.expm1(-threshold / params.snr_linear)
 

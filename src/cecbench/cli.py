@@ -28,28 +28,22 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", help="Monte-Carlo trial count (overrides the config)")
     run.add_argument(
         "--figure",
-        choices=FIGURE_TAGS,
-        help="build only this figure (overrides the config list)",
+        help="build only this figure (overrides the config list): " + ", ".join(FIGURE_TAGS),
     )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"out_dir": args.out, "seed": args.seed, "trials": args.trials, "figures": args.figure}
     try:
         cfg = validate_config(args.config)
-        if args.seed is not None:
-            apply_override(cfg, "experiment", "seed", args.seed)
-        if args.trials is not None:
-            apply_override(cfg, "experiment", "trials", args.trials)
+        for key, raw in flags.items():
+            if raw is not None:
+                apply_override(cfg, "experiment", key, raw)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.figure is not None:
-        cfg.figures = (args.figure,)
 
     for line in cfg.applied_defaults:
         print(f"default applied: {line}")

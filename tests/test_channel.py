@@ -56,6 +56,12 @@ def test_outage_range():
     assert 0.0 <= outage_probability(extreme) <= 1.0
 
 
+def test_outage_is_one_when_threshold_overflows():
+    # R/W = 2000: 2^(R/W) is beyond double range, and the limit is exactly 1.
+    chan = ChannelParams(snr_db=40.0, bandwidth_hz=1e3, rate_bps=2e6)
+    assert outage_probability(chan) == 1.0
+
+
 def test_outage_monotone_in_snr_and_rate():
     # Finite differences over a parameter grid.
     for snr in np.linspace(5, 60, 12):

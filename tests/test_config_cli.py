@@ -1,13 +1,21 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import cecbench
 
 from cecbench.cli import main
-from cecbench.config import ConfigError, FIGURE_TAGS, default_config, validate_config
+from cecbench.config import (
+    ConfigError,
+    ExperimentConfig,
+    FIGURE_TAGS,
+    default_config,
+    validate_config,
+)
 from cecbench.protocols import Protocol
 
 
@@ -166,6 +174,7 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
     assert main(["run", config, "--seed", "99", "--trials", "15000", "--out", out_dir]) == 0
     echoed = capsys.readouterr().out
     assert "experiment.seed" not in echoed and "experiment.trials" not in echoed
+    assert "experiment.out_dir" not in echoed
     assert main(["run", config, "--trials", "0", "--out", out_dir]) == 1
 
 
@@ -185,6 +194,13 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         (MINIMAL, ["--trials", "500"], "trials"),
         (MINIMAL, ["--seed", "-3"], "seed"),
         (MINIMAL, ["--seed", "x"], "seed"),
+        ("[experiment]\nfigures = fig9_ucc\n[cec]\nc0 = 0\n", [], "c0"),
+        (MINIMAL + "[cec]\nepsilon = 0\n", [], "epsilon"),
+        (MINIMAL + "[protocol]\np_timeout = 1.5\n", [], "p_timeout"),
+        ("[experiment]\nfigures = fig11_tcm\n[sweep]\nn_g_grid = 50 50\n", [], "n_g_grid"),
+        (MINIMAL + "[sweep]\nfig13_n_g = 100 100\n", [], "fig13_n_g"),
+        ("[experiment]\nfigures = fig13_pfail\nscenario = x\n", [], "scenario"),
+        (MINIMAL, ["--figure", "fig99"], "figures"),
     ],
 )
 def test_cli_rejects_unrunnable_config(tmp_path, capsys, config_text, flags, key):
@@ -193,6 +209,39 @@ def test_cli_rejects_unrunnable_config(tmp_path, capsys, config_text, flags, key
     assert main(["run", config, "--out", str(out_dir), *flags]) == 1
     assert key in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# 2^(R/W) overflows a double in each: outage is certain, and every figure builds.
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("channel", "rate_bps = 1e12"),
+        ("channel", "bandwidth_hz = 1e-300"),
+        ("protocol", "reflexup_t_vs = 1e-300"),
+        ("protocol", "packet_bytes = 100000000"),
+        ("protocol", "oc_t1_scale = 1e-300"),
+        ("protocol", "oc_t2_scale = 1e-300"),
+    ],
+)
+def test_cli_runs_configs_whose_outage_overflows(tmp_path, section, line):
+    config = _write(tmp_path, f"[{section}]\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", config, "--out", str(out_dir)]) == 0
+    assert sorted(os.listdir(out_dir)) == sorted(f"{tag}.csv" for tag in FIGURE_TAGS)
+
+
+def test_readme_key_table_matches_the_schema():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        rows = re.search(r"^\| section +\| keys \|\n\|[-|]+\|\n((?:\|.*\n)+)", fh.read(), re.M)
+    table = {}
+    for row in rows.group(1).splitlines():
+        section, keys = row.strip("|").split("|")
+        table[section.strip().strip("`")] = re.findall(r"`([^`]+)`", keys)
+    schema: dict[str, list[str]] = {}
+    for f in fields(ExperimentConfig):
+        if f.metadata:
+            schema.setdefault(f.metadata["section"], []).append(f.name)
+    assert table == schema
 
 
 def test_import_does_not_load_scipy():
