@@ -244,6 +244,13 @@ def _check_times(t_cm: float, t_cp: float) -> None:
         raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
 
 
+def _check_padding(cfg: CecConfig) -> None:
+    # CecConfig admits c0 = 0 for the adaptive slot; a padded slot of
+    # N*c0 = 0 has no optimum (T_cm = 0) for the closed forms to evaluate.
+    if not cfg.c0 > 0:
+        raise ValueError(f"the padded slot needs c0 > 0, got c0 = {cfg.c0!r}")
+
+
 def ucc_case2(t_cm: float, t_cp: float, cfg: CecConfig):
     """Efficiency of N homogeneous tasks under an adaptive slot.
 
@@ -279,6 +286,7 @@ def ucc_case3(t_cm: float, t_cp: float, cfg: CecConfig):
 
     Accepts scalars or numpy arrays for t_cm.
     """
+    _check_padding(cfg)
     if np.ndim(t_cm) == 0:
         _check_times(float(t_cm), t_cp)
     else:
@@ -295,6 +303,7 @@ def optimal_tcm_case3(t_cp: float, cfg: CecConfig) -> float:
     Warns when N*c0 == T_cp, where the derivative test behind the closed form
     degenerates (the returned value is still the argmax).
     """
+    _check_padding(cfg)
     if not t_cp > 0:
         raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
     pad = cfg.n_tasks * cfg.c0
@@ -313,6 +322,7 @@ def ucc_case3_at_optimum(t_cp: float, cfg: CecConfig) -> float:
     Substituting the optimal T_cm collapses the case-III expression to
     c * T_cp / (sqrt(N*c0) + sqrt(T_cp))^2.
     """
+    _check_padding(cfg)
     if not t_cp > 0:
         raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
     return cfg.c * t_cp / (math.sqrt(cfg.n_tasks * cfg.c0) + math.sqrt(t_cp)) ** 2

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessSample:
     """One timestamped vector of process-variable readings."""
 
@@ -50,6 +50,17 @@ class ProcessSample:
         if not np.isfinite(vals).all():
             raise ValueError("all readings must be finite")
         object.__setattr__(self, "values", vals)
+
+
+def _trusted_sample(timestamp: float, values: np.ndarray) -> ProcessSample:
+    """A ProcessSample built without __post_init__'s checks.
+
+    Only for a 1-D float64 row of a matrix already checked to be finite.
+    """
+    sample = object.__new__(ProcessSample)
+    object.__setattr__(sample, "timestamp", timestamp)
+    object.__setattr__(sample, "values", values)
+    return sample
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class PcaModel:
         return self.loadings.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionResult:
     timestamp: float
     spe: float
@@ -140,7 +151,7 @@ def _as_matrix(samples: Sequence[ProcessSample]) -> np.ndarray:
     dims = {s.values.shape[0] for s in samples}
     if len(dims) != 1:
         raise ValueError(f"inconsistent sample dimensions: {sorted(dims)}")
-    return np.vstack([s.values for s in samples])
+    return np.concatenate([s.values for s in samples]).reshape(len(samples), dims.pop())
 
 
 def fit_pca(
@@ -254,9 +265,10 @@ def _score_block(model: PcaModel, samples: Sequence[ProcessSample]) -> list[Dete
     spe = np.einsum("ij,ij->i", x, x)
     scores *= scores
     t2 = (scores / model.eigenvalues).sum(axis=1)
-    flags = (spe > model.spe_limit) | (t2 > model.t2_limit)
+    spe_limit, t2_limit = model.spe_limit, model.t2_limit
+    flags = (spe > spe_limit) | (t2 > t2_limit)
     return [
-        DetectionResult(s.timestamp, q, t, model.spe_limit, model.t2_limit, f)
+        DetectionResult(s.timestamp, q, t, spe_limit, t2_limit, f)
         for s, q, t, f in zip(samples, spe.tolist(), t2.tolist(), flags.tolist())
     ]
 
@@ -362,7 +374,8 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> list[ProcessSample]:
     x = _load_matrix(path, schema)
     if x is None:
         return _scan_csv(path, schema)
-    return [ProcessSample(float(t), row) for t, row in enumerate(x)]
+    # _load_matrix has checked the whole matrix; each row is a 1-D float64 view.
+    return [_trusted_sample(float(t), row) for t, row in enumerate(x)]
 
 
 # numpy's reader strips these ASCII separators around a number as whitespace;
@@ -438,8 +451,15 @@ def write_detections(results: Sequence[DetectionResult], path) -> None:
     """Write detection output CSV: timestamp,spe,t2,spe_limit,t2_limit,fault_flag."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,spe,t2,spe_limit,t2_limit,fault_flag\n")
-        for r in results:
-            fh.write(
-                f"{r.timestamp:.10g},{r.spe:.10g},{r.t2:.10g},"
-                f"{r.spe_limit:.10g},{r.t2_limit:.10g},{int(r.fault_flag)}\n"
-            )
+        fh.writelines(_detection_lines(results))
+
+
+def _detection_lines(results: Sequence[DetectionResult]):
+    # Results scored together share their limit objects, so the limits are
+    # formatted once per run of the same two objects.
+    spe_limit = t2_limit = limits = None
+    for r in results:
+        if r.spe_limit is not spe_limit or r.t2_limit is not t2_limit:
+            spe_limit, t2_limit = r.spe_limit, r.t2_limit
+            limits = f"{spe_limit:.10g},{t2_limit:.10g}"
+        yield f"{r.timestamp:.10g},{r.spe:.10g},{r.t2:.10g},{limits},{int(r.fault_flag)}\n"

@@ -24,6 +24,7 @@ from cecbench.cec import (
     ucc_case3_at_optimum,
     weighted_objective,
 )
+from cecbench.sim import reflexup_plan
 
 CFG = CecConfig(n_tasks=100, k_rbs=200, c=1.5, c0=1.5)
 
@@ -174,6 +175,21 @@ def test_case3_limits():
 def test_case3_optimum_values():
     assert optimal_tcm_case3(0.5, CFG) == pytest.approx(math.sqrt(75.0))
     assert optimal_tcm_case3(0.005, CFG) == pytest.approx(math.sqrt(0.75))
+
+
+def test_case3_rejects_zero_interval():
+    # The adaptive slot takes c0 = 0 (test_case2_optimum_reduces_without_interval);
+    # the padded slot names c0 instead of failing later on T_cm = 0.
+    cfg = CecConfig(n_tasks=3, k_rbs=8, c=1.0, c0=0.0)
+    for call in (
+        lambda: optimal_tcm_case3(0.5, cfg),
+        lambda: ucc_case3(0.2, 0.5, cfg),
+        lambda: ucc_case3(np.array([0.1, 0.2]), 0.5, cfg),
+        lambda: ucc_case3_at_optimum(0.5, cfg),
+        lambda: reflexup_plan(cfg, 0.5),
+    ):
+        with pytest.raises(ValueError, match="c0"):
+            call()
 
 
 def test_case3_grid_search_confirms_argmax():

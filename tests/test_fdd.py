@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ from cecbench import fdd
 from cecbench.fdd import (
     CsvParseError,
     CsvSchema,
+    DetectionResult,
     Drift,
     MeanShift,
     ProcessSample,
@@ -420,3 +425,101 @@ def test_write_detections_schema(tmp_path, fitted):
     assert lines[0] == "timestamp,spe,t2,spe_limit,t2_limit,fault_flag"
     assert len(lines) == 6
     assert lines[1].split(",")[5] in ("0", "1")
+
+
+# ------------------------------------------------------------ golden pipeline
+
+
+def _monitor_pipeline_digest(directory, seed):
+    """sha256 over one monitor pass: ingest, score, diagnose the flagged rows, write.
+
+    The plant CSV is written with repr floats, as the benchmark writes it, so
+    the bulk reader returns the generator's values bit for bit.
+    """
+    train, test = generate_synthetic_te(700, 400, MeanShift((0, 5, 10, 20, 30), 4.0), seed=seed)
+    model = fit_pca(train, n_components=17, alpha=0.01)
+    plant = directory / f"plant-{seed}.csv"
+    plant.write_text("".join(",".join(repr(float(v)) for v in s.values) + "\n" for s in test))
+    samples = ingest_csv(plant)
+    results = score_stream(model, samples)
+    out = directory / f"detections-{seed}.csv"
+    write_detections(results, out)
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(repr(s.timestamp).encode())
+        h.update(s.values.tobytes())
+    for r in results:
+        h.update(repr(tuple(getattr(r, f.name) for f in dataclasses.fields(r))).encode())
+    for s, r in zip(samples, results):
+        if r.fault_flag:
+            h.update(repr(residual_contributions(model, s)).encode())
+    h.update(out.read_bytes())
+    return h.hexdigest(), len(samples), sum(r.fault_flag for r in results)
+
+
+# Taken before the trusted-row, slots and writer changes to fdd.py; each of
+# them must leave every byte of the pipeline's output as it was.
+MONITOR_DIGESTS = {
+    7011: "6458c0f3c93df03dd8bb16654f16ee9fd771f8d6cdbd002898135749e4766b85",
+    7012: "0b5dbe08cd8fe255d677f1d2bbbc740f07e02c1e7a6847fe1ac57ee41ee815f1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MONITOR_DIGESTS))
+def test_golden_monitor_pipeline(tmp_path, seed):
+    digest, rows, flagged = _monitor_pipeline_digest(tmp_path, seed)
+    assert rows == 1100
+    assert 400 <= flagged < 1100
+    assert digest == MONITOR_DIGESTS[seed]
+
+
+def test_bulk_rows_equal_checked_rows(tmp_path):
+    _, test = generate_synthetic_te(30, 5, MeanShift((1,), 3.0), seed=29, n_vars=7)
+    path = tmp_path / "plant.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in s.values) + "\n" for s in test))
+    samples = ingest_csv(path)
+    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert len(samples) == len(matrix)
+    for t, (sample, row) in enumerate(zip(samples, matrix)):
+        checked = ProcessSample(float(t), row)
+        assert type(sample) is ProcessSample
+        assert type(sample.timestamp) is float and sample.timestamp == checked.timestamp
+        assert sample.values.dtype == checked.values.dtype
+        assert sample.values.shape == checked.values.shape
+        assert sample.values.tobytes() == checked.values.tobytes()
+
+
+@pytest.mark.parametrize("values", [[1.0, float("nan")], [float("inf")], [[1.0, 2.0]]])
+def test_process_sample_keeps_its_checks(values):
+    with pytest.raises(ValueError):
+        ProcessSample(0.0, values)
+
+
+# ------------------------------------------------------------------ row types
+
+
+def test_row_types_behave_as_frozen_dataclasses():
+    sample = ProcessSample(3.0, [1.0, 2.0])
+    result = DetectionResult(3.0, 0.5, 1.5, 2.0, 4.0, False)
+    for row, field in ((sample, "timestamp"), (result, "spe")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field, 9.0)
+        assert not hasattr(row, "__dict__")
+    # Equal fields compare equal; a DetectionResult hashes by its fields and
+    # a ProcessSample, which holds an array, does not hash at all.
+    assert result == DetectionResult(3.0, 0.5, 1.5, 2.0, 4.0, False)
+    assert result != DetectionResult(3.0, 0.5, 1.5, 2.0, 4.0, True)
+    assert hash(result) == hash((3.0, 0.5, 1.5, 2.0, 4.0, False))
+    assert sample == ProcessSample(3.0, sample.values)
+    with pytest.raises(TypeError):
+        hash(sample)
+    for copied in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample)):
+        assert copied.timestamp == 3.0 and copied.values is not sample.values
+        assert copied.values.tobytes() == sample.values.tobytes()
+    for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert copied == result
+    moved = dataclasses.replace(sample, timestamp=4.0)
+    assert moved.timestamp == 4.0 and moved.values is sample.values
+    assert dataclasses.replace(result, fault_flag=True).fault_flag
+    with pytest.raises(ValueError):
+        dataclasses.replace(sample, values=[float("inf")])
