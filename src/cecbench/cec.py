@@ -69,14 +69,12 @@ class CecConfig:
         count-like band 0 < c < K - N for N < K (0 < c <= 1 otherwise); it is
         enforced as-is even though a ratio bounded by a count is unusual.
     c0: protocol interval constant in seconds.
-    epsilon: required delivered fraction per task, in [0, 1].
     """
 
     n_tasks: int
     k_rbs: int
     c: float = 1.5
     c0: float = 1.5
-    epsilon: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_tasks < 1:
@@ -97,8 +95,6 @@ class CecConfig:
                 raise ValueError(f"c={self.c} outside admissible range (0, 1] for N >= K")
         if self.c0 < 0:
             raise ValueError("c0 must be >= 0")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -237,8 +233,9 @@ def ucc_case1_bound(cfg: CecConfig) -> float:
     return cfg.c
 
 
-def _check_times(t_cm: float, t_cp: float) -> None:
-    if not t_cm > 0:
+def _check_times(t_cp: float, t_cm=None) -> None:
+    """t_cp, and t_cm when given (a scalar or a numpy grid), must be > 0."""
+    if t_cm is not None and not (t_cm > 0 if np.ndim(t_cm) == 0 else (np.asarray(t_cm) > 0).all()):
         raise ValueError(f"t_cm must be > 0, got {t_cm!r}")
     if not t_cp > 0:
         raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
@@ -260,20 +257,13 @@ def ucc_case2(t_cm: float, t_cp: float, cfg: CecConfig):
 
     Accepts scalars or numpy arrays for t_cm.
     """
-    if np.ndim(t_cm) == 0:
-        _check_times(float(t_cm), t_cp)
-    else:
-        if not (np.asarray(t_cm) > 0).all():
-            raise ValueError("all t_cm grid values must be > 0")
-        _check_times(1.0, t_cp)
-    n = cfg.n_tasks
-    return cfg.c * t_cp * t_cm / ((t_cm + t_cp) * (cfg.c0 + t_cm + n * t_cp))
+    _check_times(t_cp, t_cm)
+    return cfg.c * t_cp * t_cm / ((t_cm + t_cp) * (cfg.c0 + t_cm + cfg.n_tasks * t_cp))
 
 
 def optimal_tcm_case2(t_cp: float, cfg: CecConfig) -> float:
     """Adaptive-slot optimum T_cm = sqrt(T_cp * (N*T_cp + c0))."""
-    if not t_cp > 0:
-        raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
+    _check_times(t_cp)
     return math.sqrt(t_cp * (cfg.n_tasks * t_cp + cfg.c0))
 
 
@@ -287,14 +277,8 @@ def ucc_case3(t_cm: float, t_cp: float, cfg: CecConfig):
     Accepts scalars or numpy arrays for t_cm.
     """
     _check_padding(cfg)
-    if np.ndim(t_cm) == 0:
-        _check_times(float(t_cm), t_cp)
-    else:
-        if not (np.asarray(t_cm) > 0).all():
-            raise ValueError("all t_cm grid values must be > 0")
-        _check_times(1.0, t_cp)
-    n = cfg.n_tasks
-    return cfg.c * t_cp * t_cm / ((t_cm + t_cp) * (n * cfg.c0 + t_cm))
+    _check_times(t_cp, t_cm)
+    return cfg.c * t_cp * t_cm / ((t_cm + t_cp) * (cfg.n_tasks * cfg.c0 + t_cm))
 
 
 def optimal_tcm_case3(t_cp: float, cfg: CecConfig) -> float:
@@ -304,8 +288,7 @@ def optimal_tcm_case3(t_cp: float, cfg: CecConfig) -> float:
     degenerates (the returned value is still the argmax).
     """
     _check_padding(cfg)
-    if not t_cp > 0:
-        raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
+    _check_times(t_cp)
     pad = cfg.n_tasks * cfg.c0
     if pad == t_cp:
         warnings.warn(
@@ -323,8 +306,7 @@ def ucc_case3_at_optimum(t_cp: float, cfg: CecConfig) -> float:
     c * T_cp / (sqrt(N*c0) + sqrt(T_cp))^2.
     """
     _check_padding(cfg)
-    if not t_cp > 0:
-        raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
+    _check_times(t_cp)
     return cfg.c * t_cp / (math.sqrt(cfg.n_tasks * cfg.c0) + math.sqrt(t_cp)) ** 2
 
 

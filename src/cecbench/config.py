@@ -137,7 +137,6 @@ class ExperimentConfig:
     k_rbs: int = _key("cec", 200, _int(minimum=1))
     c: float = _key("cec", 1.5, _float(_POSITIVE))
     c0: float = _key("cec", 1.5, _float(_POSITIVE))
-    epsilon: float = _key("cec", 1.0, _float("(0, 1]"))
     snr_grid_db: tuple[float, ...] = _key(
         "sweep", (10.0, 20.0, 30.0, 40.0, 50.0, 60.0), _list(_float())
     )
@@ -247,7 +246,7 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     is a config error, not a figure failure at run time."""
 
     def cec(n_tasks: int) -> CecConfig:
-        return CecConfig(n_tasks, cfg.k_rbs, cfg.c, cfg.c0, cfg.epsilon)
+        return CecConfig(n_tasks, cfg.k_rbs, cfg.c, cfg.c0)
 
     def shape(n_g: int) -> NetworkShape:
         return split_nodes(n_g, cfg.relay_sensor_ratio, cfg.packet_bits)

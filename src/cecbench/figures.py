@@ -81,7 +81,6 @@ def _cec(cfg: ExperimentConfig, n_tasks: int | None = None) -> CecConfig:
         k_rbs=cfg.k_rbs,
         c=cfg.c,
         c0=cfg.c0,
-        epsilon=cfg.epsilon,
     )
 
 

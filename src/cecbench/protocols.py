@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -188,19 +188,26 @@ _CERTIFY_SLACK = 2.0
 _CERTIFY_FLOOR = 2.0**-46
 
 
-def _harq_round_totals(
-    chan: ChannelParams, params: HarqParams, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Cumulative per-round mutual information, shape (trials, Q)."""
-    snr = chan.snr_linear
-    fades = rng.exponential(
-        1.0, size=(trials, params.max_rounds, params.diversity_order)
-    )
-    # In place on the draws: log2(1 + snr * fades) without three temporaries.
+def _round_information(rng: np.random.Generator, snr: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Per-round information: log2(1 + snr*h) of the last axis's L fades, in place, summed, / L.
+
+    That is ndarray.mean's arithmetic. The simulator and the estimators share this
+    kernel, because np.log2 and math.log2 differ in the last bit on a few inputs.
+    """
+    fades = rng.exponential(1.0, size=shape)
     fades *= snr
     fades += 1.0
     np.log2(fades, out=fades)
-    return np.cumsum(fades.mean(axis=2), axis=1)
+    return fades.sum(axis=-1) / shape[-1]
+
+
+def _harq_round_totals(
+    chan: ChannelParams, params: HarqParams, trials: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Cumulative per-round information of `trials` trials, in (n, Q) chunks of n <= _CHUNK."""
+    for done in range(0, trials, _CHUNK):
+        shape = (min(_CHUNK, trials - done), params.max_rounds, params.diversity_order)
+        yield np.cumsum(_round_information(rng, chan.snr_linear, shape), axis=1)
 
 
 def _harq_branch_threshold(chan: ChannelParams, diversity: int) -> float | None:
@@ -262,15 +269,9 @@ def harq_pfail(
 def _sample_harq_pfail(
     chan: ChannelParams, params: HarqParams, trials: int, seed: int
 ) -> MonteCarloEstimate:
-    rng = spawn_stream(seed, 0x4A, 0)
-    r_norm = chan.spectral_efficiency
     failures = 0
-    done = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        totals = _harq_round_totals(chan, params, n, rng)
-        failures += int((totals[:, -1] <= r_norm).sum())
-        done += n
+    for totals in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 0)):
+        failures += int((totals[:, -1] <= chan.spectral_efficiency).sum())
     p = failures / trials
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return MonteCarloEstimate(p, stderr, trials)
@@ -298,22 +299,16 @@ def harq_expected_rounds(
 def _sample_harq_rounds(
     chan: ChannelParams, params: HarqParams, trials: int, seed: int
 ) -> MonteCarloEstimate:
-    rng = spawn_stream(seed, 0x4A, 1)
-    r_norm = chan.spectral_efficiency
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        cum = _harq_round_totals(chan, params, n, rng)
-        decoded = cum > r_norm
+    for cum in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 1)):
+        decoded = cum > chan.spectral_efficiency
         # First decoding round (1-based); undecoded packets stay at the cap Q.
         first = np.where(
             decoded.any(axis=1), decoded.argmax(axis=1) + 1, params.max_rounds
         ).astype(float)
         total += float(first.sum())
         total_sq += float((first**2).sum())
-        done += n
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
     return MonteCarloEstimate(mean, math.sqrt(var / trials), trials)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
 from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
-from .protocols import HarqParams, NetworkShape, Protocol, occupycow_phase_probs
+from .protocols import HarqParams, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
     "EVENT_TYPES",
@@ -324,14 +324,14 @@ class _Run:
 
 
 def _attempt_test(
-    chan: ChannelParams, p_timeout: float, timeouts: Iterator[float]
+    chan: ChannelParams, rate: float, p_timeout: float = 0.0, timeouts: Iterator[float] | None = None
 ) -> Callable[[Iterator[float]], bool]:
-    """Success test of one hop: no timeout fired, and the faded capacity carries the rate.
+    """Success test of one hop, for every runner: no timeout fired, and the faded capacity carries `rate`.
 
     The fade is drawn only when no timeout fired. The capacity is the
-    arithmetic of `link_capacity_bps`, with W, snr and R read once.
+    arithmetic of `link_capacity_bps`, with W and snr read once.
     """
-    w, snr, rate = chan.bandwidth_hz, chan.snr_linear, chan.rate_bps
+    w, snr = chan.bandwidth_hz, chan.snr_linear
 
     def attempt_ok(fades: Iterator[float]) -> bool:
         if p_timeout > 0 and next(timeouts) < p_timeout:
@@ -424,8 +424,8 @@ def run_reflexup(
     local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
     up_fades = run.link_draws(_fades, 2, topology.relays, dict(zip(schedules, map(len, schedules.values()))))
     timeouts = run.draws(_uniforms, 2 * len(run.layout), 3)
-    local_ok = _attempt_test(local, p_timeout, timeouts)
-    up_ok = _attempt_test(chan, p_timeout, timeouts)
+    local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
+    up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
     acked: set[tuple[int, int]] = set()
     cached: set[tuple[int, int]] = set()
 
@@ -545,7 +545,7 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
     events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
     fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    attempt_ok = _attempt_test(chan, p_timeout, run.draws(_uniforms, len(run.layout), 3))
+    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, run.draws(_uniforms, len(run.layout), 3))
     pending = {(t, p): sensor for t, p, sensor in run.layout}
 
     round_no = 0
@@ -583,15 +583,9 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
     snr = chan.snr_linear
     max_rounds, order = harq.max_rounds, harq.diversity_order
 
-    def round_information(rng: np.random.Generator, n: int) -> list[float]:
-        # Mutual information of n rounds, each the mean over L branch fades
-        # (the sum over L, then / L, as ndarray.mean does). np.log2, not
-        # math.log2: they differ in the last bit on a few inputs.
-        return (np.log2(1.0 + snr * rng.exponential(1.0, size=(n, order))).sum(axis=1) / order).tolist()
-
     # A block holds one round per packet the sensor carries; packets that
     # need more rounds read on into the next block.
-    information = run.link_draws(round_information, 1, topology.sensors, run.carried)
+    information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
 
     for task, packet, sensor in run.layout:
         if run.outcomes[task].dispatched:
@@ -634,7 +628,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     if not (0 < t1 < math.inf and 0 < t2 < math.inf):
         raise ValueError("phase durations must be finite and > 0")
     # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
-    w, snr, rate1 = chan.bandwidth_hz, chan.snr_linear, n * (packet_bits + 1) / t1
+    phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
     controller = run.controller
@@ -644,8 +638,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     stragglers: list[FlowSpec] = []
     for spec in flows:
         sensor = spec.sources[0]
-        # math.log2, as in _attempt_test.
-        ok = w * math.log2(1.0 + snr * next(fades[sensor])) >= rate1
+        ok = phase1_ok(fades[sensor])
         run.attempt("transmit", sensor, controller, spec.task_id, 0, ok)
         run.slot += 1
         (survivors if ok else stragglers).append(spec)

@@ -378,8 +378,3 @@ def test_config_c_range_saturated_pool():
     with pytest.raises(ValueError):
         CecConfig(n_tasks=4, k_rbs=4, c=1.01)
     CecConfig(n_tasks=8, k_rbs=4, c=0.5)
-
-
-def test_config_epsilon_range():
-    with pytest.raises(ValueError):
-        CecConfig(n_tasks=2, k_rbs=8, c=1.0, epsilon=1.2)

@@ -195,7 +195,7 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         (MINIMAL, ["--seed", "-3"], "seed"),
         (MINIMAL, ["--seed", "x"], "seed"),
         ("[experiment]\nfigures = fig9_ucc\n[cec]\nc0 = 0\n", [], "c0"),
-        (MINIMAL + "[cec]\nepsilon = 0\n", [], "epsilon"),
+        (MINIMAL + "[cec]\nepsilon = 0\n", [], "unknown key cec.epsilon"),
         (MINIMAL + "[protocol]\np_timeout = 1.5\n", [], "p_timeout"),
         ("[experiment]\nfigures = fig11_tcm\n[sweep]\nn_g_grid = 50 50\n", [], "n_g_grid"),
         (MINIMAL + "[sweep]\nfig13_n_g = 100 100\n", [], "fig13_n_g"),

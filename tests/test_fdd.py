@@ -511,6 +511,10 @@ def test_row_types_behave_as_frozen_dataclasses():
     assert result != DetectionResult(3.0, 0.5, 1.5, 2.0, 4.0, True)
     assert hash(result) == hash((3.0, 0.5, 1.5, 2.0, 4.0, False))
     assert sample == ProcessSample(3.0, sample.values)
+    assert sample == ProcessSample(3.0, [1.0, 2.0])
+    assert sample != ProcessSample(3.0, [1.0, 2.5])
+    assert sample != ProcessSample(4.0, [1.0, 2.0])
+    assert sample != ProcessSample(3.0, [1.0])
     with pytest.raises(TypeError):
         hash(sample)
     for copied in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from cecbench import protocols
 from cecbench.cec import CecConfig
 from cecbench.channel import ChannelParams, outage_probability
 from cecbench.protocols import (
@@ -129,13 +130,16 @@ def test_harq_pfail_rejects_small_trials():
 
 
 @pytest.mark.parametrize("snr_db", [3.0, 40.0])
-def test_harq_round_totals_match_reference_expression(snr_db):
+def test_harq_round_totals_match_reference_expression(snr_db, monkeypatch):
+    # Drawn in chunks of 1200 trials, the last one short, from one stream.
+    monkeypatch.setattr(protocols, "_CHUNK", 1200)
     chan = STRESSED.with_snr(snr_db)
     params = HarqParams(7, 2)
     fades = np.random.default_rng(11).exponential(1.0, size=(5000, 7, 2))
     expected = np.cumsum(np.log2(1.0 + chan.snr_linear * fades).mean(axis=2), axis=1)
-    got = _harq_round_totals(chan, params, 5000, np.random.default_rng(11))
-    assert np.array_equal(got, expected)
+    chunks = list(_harq_round_totals(chan, params, 5000, np.random.default_rng(11)))
+    assert [len(c) for c in chunks] == [1200, 1200, 1200, 1200, 200]
+    assert np.array_equal(np.concatenate(chunks), expected)
 
 
 def test_harq_single_round_matches_outage_closed_form():
@@ -234,7 +238,7 @@ def test_fade_above_branch_threshold_decodes_round_one(diversity):
             continue
         fades = np.zeros((diversity, 1, diversity))
         fades[np.arange(diversity), 0, np.arange(diversity)] = np.nextafter(threshold, np.inf)
-        totals = _harq_round_totals(chan, HarqParams(1, diversity), diversity, _FixedFades(fades))
+        totals = next(_harq_round_totals(chan, HarqParams(1, diversity), diversity, _FixedFades(fades)))
         assert (totals[:, 0] > chan.spectral_efficiency).all(), (snr_db, r_norm)
         checked += 1
     assert checked >= 30
@@ -247,7 +251,7 @@ def test_round_one_failure_rate_within_branch_bound():
     params = HarqParams(1, 2)
     trials = 200_000
     fades = np.random.default_rng(21).exponential(1.0, size=(trials, 1, 2))
-    totals = _harq_round_totals(chan, params, trials, _FixedFades(fades))
+    totals = next(_harq_round_totals(chan, params, trials, _FixedFades(fades)))
     undecoded = totals[:, 0] <= chan.spectral_efficiency
     exact_threshold = (2.0 ** (2 * 2.0) - 1.0) / chan.snr_linear
     exact_branch = -math.expm1(-exact_threshold)

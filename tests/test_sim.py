@@ -15,6 +15,7 @@ from cecbench.protocols import (
     HarqParams,
     NetworkShape,
     Protocol,
+    _round_information,
     harq_pfail,
     occupycow_pfail,
     occupycow_phase_probs,
@@ -844,6 +845,19 @@ def test_only_the_run_core_writes_flow_outcomes():
     assert inside == fields
 
 
+def test_every_faded_hop_goes_through_one_test():
+    # Every faded hop is decided by `_attempt_test`'s math.log2, and HARQ's
+    # round information comes from `protocols`: no other log2 in the simulator.
+    tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+    hop_test = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_attempt_test")
+    logs = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "log2" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+    ]
+    assert len(logs) == 1 and ast.unparse(logs[0].func) == "math.log2"
+    assert logs[0] in list(ast.walk(hop_test))
+
+
 def test_block_draws_equal_scalar_draws():
     # The simulator reads each stream in blocks; values, order and the
     # generator state after them match the same draws taken one at a time.
@@ -860,12 +874,16 @@ def test_block_draws_equal_scalar_draws():
             assert [next(draws) for _ in range(3 * n)] == [scalar(ref) for _ in range(3 * n)]
 
 
-@pytest.mark.parametrize("diversity", range(1, 9))
+@pytest.mark.parametrize("diversity", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_harq_block_metric_equals_per_round_mean(diversity):
+    # The shared round kernel, on (rounds, L) and (trials, Q, L) blocks, is
+    # bit for bit the mean over each round's L branches.
     snr = _chan(3.0).snr_linear
     rounds = 2500
     fades = spawn_stream(diversity, 1, 0).exponential(1.0, size=(rounds, diversity))
     info = np.log2(1.0 + snr * fades)
     per_round = [float(np.log2(1.0 + snr * row).mean()) for row in fades]
-    assert info.mean(axis=1).tolist() == per_round
-    assert (info.sum(axis=1) / diversity).tolist() == per_round
+    assert info.mean(axis=-1).tolist() == per_round
+    assert _round_information(spawn_stream(diversity, 1, 0), snr, (rounds, diversity)).tolist() == per_round
+    shaped = _round_information(spawn_stream(diversity, 1, 0), snr, (rounds // 5, 5, diversity))
+    assert np.array_equal(shaped, info.mean(axis=-1).reshape(rounds // 5, 5))
