@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import gc
 import math
+import operator
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_st
 from .protocols import HarqParams, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
+    "CONTROLLER",
+    "EDGE",
     "EVENT_TYPES",
     "TraceEvent",
     "Topology",
@@ -46,6 +49,8 @@ __all__ = [
 
 EVENT_TYPES = ("transmit", "ack", "nack", "relay-cache", "retransmit", "fdd-dispatch")
 TRACE_HEADER = "slot,event_type,src,dst,task_id,packet_id,outcome"
+CONTROLLER = "C"  # the plant controller every uplink ends at
+EDGE = "M"  # the edge server that runs fault detection
 
 
 class TraceEvent(NamedTuple):
@@ -63,25 +68,21 @@ class Topology:
     """Field network: relays with disjoint member-sensor sets, or a plain star.
 
     An empty member map is the star fallback where sensors reach the
-    controller directly.
+    controller directly. Sensor names are distinct.
     """
 
     members: Mapping[str, tuple[str, ...]]
     sensors: tuple[str, ...]
-    controller: str = "C"
-    edge_server: str = "M"
 
     def __post_init__(self) -> None:
-        assigned: list[str] = []
-        for relay, group in self.members.items():
+        if len(set(self.sensors)) != len(self.sensors):
+            raise ValueError("sensor names must be distinct")
+        for relay in self.members:
             if relay in self.sensors:
                 raise ValueError(f"node {relay} cannot be both relay and sensor")
-            assigned.extend(group)
-        if self.members:
-            if sorted(assigned) != sorted(self.sensors):
-                raise ValueError("relay member sets must partition the sensor set")
-            if len(assigned) != len(set(assigned)):
-                raise ValueError("a sensor belongs to more than one relay")
+        # With distinct sensors, equal sorted lists leave no sensor in two relays.
+        if self.members and sorted(s for g in self.members.values() for s in g) != sorted(self.sensors):
+            raise ValueError("relay member sets must partition the sensor set")
 
     @property
     def relays(self) -> tuple[str, ...]:
@@ -116,8 +117,11 @@ class FlowSpec:
     deadline: float
 
     def __post_init__(self) -> None:
-        if self.packets_required < 1:
-            raise ValueError("packets_required must be >= 1")
+        try:
+            if operator.index(self.packets_required) < 1:
+                raise ValueError("packets_required must be >= 1")
+        except TypeError:
+            raise ValueError(f"packets_required must be an integer, got {self.packets_required!r}") from None
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0 < self.deadline < math.inf:
@@ -176,11 +180,22 @@ class SimTrace:
     duration: float
     slots: int
     t_p: float
-    link_stats: dict[tuple[str, str], list[int]] = field(default_factory=dict)
 
     @property
     def any_communication_failure(self) -> bool:
         return any(f.communication_failure for f in self.flows.values())
+
+    @property
+    def link_stats(self) -> dict[tuple[str, str], list[int]]:
+        """[attempts, losses] per (src, dst) link, counted from the logged `transmit` and
+        `retransmit` events with outcome `ok` or `lost`; `{}` for a run that did not record."""
+        stats: dict[tuple[str, str], list[int]] = {}
+        for ev in self.events:
+            if ev.event_type in ("transmit", "retransmit") and ev.outcome in ("ok", "lost"):
+                entry = stats.setdefault((ev.src, ev.dst), [0, 0])
+                entry[0] += 1
+                entry[1] += ev.outcome == "lost"
+        return stats
 
 
 def export_trace(trace: SimTrace, path) -> None:
@@ -216,14 +231,16 @@ def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
     return [rng.random()] if n == 1 else rng.random(size=n).tolist()
 
 
-def _blocks(take: _Take, n: int, rng: np.random.Generator) -> Iterator[float]:
-    """The draws of `rng`, read n at a time; a run's last block may be left half read."""
+def _blocks(take: _Take, n: int, stream: Callable[..., np.random.Generator], *args) -> Iterator[float]:
+    """The draws of `stream(*args)`, set up at the first draw and read n at a time;
+    a run's last block may be left half read."""
+    rng = stream(*args)
     while True:
         yield from take(rng, n)
 
 
 class _Run:
-    """Per-link draws and shared bookkeeping for one simulation run."""
+    """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes."""
 
     def __init__(
         self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology
@@ -231,14 +248,11 @@ class _Run:
         self.protocol = protocol
         self.record = record
         self.seed = seed
-        self.edge = topology.edge_server
-        self.controller = topology.controller
         self.events: list[TraceEvent] = []
         self.flows = {f.task_id: f for f in flows}
         if len(self.flows) != len(flows):
             raise ValueError("flows must have distinct task ids")
         self.outcomes = {t: FlowOutcome(task_id=t, required=f.packets_required) for t, f in self.flows.items()}
-        self.link_stats: dict[tuple[str, str], list[int]] = {}
         self.now = 0.0
         self.slot = 0
         # Each (task, packet) with its source sensor, round-robin over the flow's sources.
@@ -254,10 +268,8 @@ class _Run:
             raise ValueError(f"flow source {missing} is not a sensor of the topology") from None
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
-        """Draws of the stream at `path`, set up at the first draw, read as `_blocks` reads."""
-        rng = spawn_stream(self.seed, *path)
-        while True:
-            yield from take(rng, n)
+        """Draws of the stream at `path`, read as `_blocks` reads."""
+        return _blocks(take, n, spawn_stream, self.seed, *path)
 
     def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
         """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node].
@@ -267,7 +279,8 @@ class _Run:
         """
         if len(nodes) < _TABLE_MIN:
             return {v: self.draws(take, sizes[v], head, i) for i, v in enumerate(nodes)}
-        return {v: _blocks(take, sizes[v], rng) for v, rng in zip(nodes, spawn_streams(self.seed, head, len(nodes)))}
+        streams = spawn_streams(self.seed, head, len(nodes))
+        return {v: _blocks(take, sizes[v], streams.__getitem__, i) for i, v in enumerate(nodes)}
 
     def fits(self, task: int, duration: float) -> bool:
         """Whether `duration` more airtime ends by the task's deadline; a miss counts as a skip."""
@@ -281,45 +294,55 @@ class _Run:
         end = self.now + duration
         return [t for t, o in self.outcomes.items() if not o.dispatched and end <= self.flows[t].deadline]
 
-    def attempt(self, event: str, src: str, dst: str, task: int, packet: int, ok: bool) -> None:
-        """Count and log one transmission of (task, packet) over src -> dst."""
+    def log(self, event: str, src: str, dst: str, task: int, packet: int, outcome: str) -> None:
+        """Append one event at the current slot, if the run records events."""
+        if self.record:
+            self.events.append(TraceEvent(self.slot, event, src, dst, task, packet, outcome))
+
+    def attempt(
+        self, event: str, src: str, dst: str, task: int, packet: int, ok: bool, slots: int = 0, airtime: float = 0.0
+    ) -> bool:
+        """Count and log one transmission of (task, packet) over src -> dst at the current slot,
+        then advance the clock by the `slots` and `airtime` seconds it occupies; return `ok`."""
         out = self.outcomes[task]
         out.attempts += 1
         if out.first_attempt_time is None:
             out.first_attempt_time = self.now
-        entry = self.link_stats.get((src, dst))
-        if entry is None:
-            entry = self.link_stats[(src, dst)] = [0, 0]
-        entry[0] += 1
         if not ok:
             out.losses += 1
-            entry[1] += 1
-        if self.record:
-            self.events.append(TraceEvent(self.slot, event, src, dst, task, packet, "ok" if ok else "lost"))
+        self.log(event, src, dst, task, packet, "ok" if ok else "lost")
+        self.slot += slots
+        self.now += airtime
+        return ok
+
+    def wait(self, airtime: float, slots: int = 0) -> None:
+        """Advance the clock with no attempt: ReFlexUp's phase-1 waves, Occupy CoW's phase ends."""
+        self.slot += slots
+        self.now += airtime
 
     def deliver(self, task: int, packet: int, node: str) -> None:
         """Count (task, packet) delivered and ack it to `node`; dispatch the task once its share reaches epsilon."""
         out = self.outcomes[task]
         out.delivered += 1
-        if self.record:
-            self.events.append(TraceEvent(self.slot, "ack", self.controller, node, task, packet, "ok"))
+        self.log("ack", CONTROLLER, node, task, packet, "ok")
         if not out.dispatched and _meets_epsilon(out.delivered, out.required, self.flows[task].epsilon):
             out.dispatched = True
             out.completion_time = self.now
-            if self.record:
-                self.events.append(TraceEvent(self.slot, "fdd-dispatch", self.edge, self.edge, task, -1, "ok"))
+            self.log("fdd-dispatch", EDGE, EDGE, task, -1, "ok")
 
-    def finalize(self, t_p: float) -> SimTrace:
+    def finalize(self, t_p: float | None = None, void: bool = False) -> SimTrace:
+        """Mark each flow's failure and return the trace; `t_p` defaults to the latest deadline.
+        `void` marks every flow's round void (Occupy CoW: no phase-1 survivor), so none fails."""
         for f, out in zip(self.flows.values(), self.outcomes.values()):
-            out.communication_failure = not (out.void_round or _meets_epsilon(out.delivered, out.required, f.epsilon))
+            out.void_round = void
+            out.communication_failure = not (void or _meets_epsilon(out.delivered, out.required, f.epsilon))
         return SimTrace(
             protocol=self.protocol,
             events=self.events,
             flows=self.outcomes,
             duration=self.now,
             slots=self.slot,
-            t_p=t_p,
-            link_stats=self.link_stats,
+            t_p=t_p if t_p is not None else max(f.deadline for f in self.flows.values()),
         )
 
 
@@ -405,7 +428,6 @@ def run_reflexup(
         raise ValueError("the two-phase protocol needs a relay topology")
     local = chan_local if chan_local is not None else chan
     run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
-    events, edge, controller = run.events, run.edge, run.controller
 
     slot_local = packet_bits / local.rate_bps
     slot_up = packet_bits / chan.rate_bps
@@ -413,9 +435,10 @@ def run_reflexup(
     # Parameter calculation at the edge: reports in, window/slot out. The
     # per-flow deadlines carry the slot budget; t_p is kept on the trace.
     _, t_p = reflexup_plan(cec, t_cp)
-    if record_events:
-        events.extend(TraceEvent(run.slot, "transmit", r, edge, -1, -1, "report") for r in topology.relays)
-        events.extend(TraceEvent(run.slot, "transmit", edge, r, -1, -1, "inform") for r in topology.relays)
+    for r in topology.relays:
+        run.log("transmit", r, EDGE, -1, -1, "report")
+    for r in topology.relays:
+        run.log("transmit", EDGE, r, -1, -1, "inform")
 
     relay_of = {s: r for r, group in topology.members.items() for s in group}
     schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
@@ -439,14 +462,10 @@ def run_reflexup(
             task, packet, sensor = sched[wave]
             if not run.fits(task, slot_local):
                 continue
-            ok = local_ok(local_fades[sensor])
-            run.attempt("transmit", sensor, relay, task, packet, ok)
-            if ok:
+            if run.attempt("transmit", sensor, relay, task, packet, local_ok(local_fades[sensor])):
                 cached.add((task, packet))
-                if record_events:
-                    events.append(TraceEvent(run.slot, "relay-cache", relay, relay, task, packet, "ok"))
-        run.slot += 1
-        run.now += slot_local
+                run.log("relay-cache", relay, relay, task, packet, "ok")
+        run.wait(slot_local, slots=1)
 
     # Phase 2: relays forward cached packets to the controller, sequentially.
     for relay in topology.relays:
@@ -455,11 +474,7 @@ def run_reflexup(
                 continue
             if not run.fits(task, slot_up):
                 continue
-            ok = up_ok(up_fades[relay])
-            run.attempt("transmit", relay, controller, task, packet, ok)
-            run.slot += 1
-            run.now += slot_up
-            if ok:
+            if run.attempt("transmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 1, slot_up):
                 acked.add((task, packet))
                 run.deliver(task, packet, relay)
 
@@ -476,31 +491,23 @@ def run_reflexup(
             if task not in pending or (task, packet) in acked or run.outcomes[task].dispatched:
                 continue
             relay = relay_of[sensor]
-            if record_events:
-                events.append(TraceEvent(run.slot, "nack", edge, relay, task, packet, "missing"))
+            run.log("nack", EDGE, relay, task, packet, "missing")
             if (task, packet) not in cached:
                 # The relay never got it: the sensor must re-send locally first.
                 if not run.fits(task, slot_local):
                     continue
-                ok = local_ok(local_fades[sensor])
-                run.attempt("retransmit", sensor, relay, task, packet, ok)
-                run.slot += 1
-                run.now += slot_local
                 progressed = True
-                if not ok:
+                ok = local_ok(local_fades[sensor])
+                if not run.attempt("retransmit", sensor, relay, task, packet, ok, 1, slot_local):
                     continue
                 cached.add((task, packet))
-                if record_events:
-                    events.append(TraceEvent(run.slot, "relay-cache", relay, relay, task, packet, "ok"))
+                run.log("relay-cache", relay, relay, task, packet, "ok")
             bundle_time = 2.0 * slot_up
             if not run.fits(task, bundle_time):
                 continue
-            ok = up_ok(up_fades[relay])
-            run.attempt("retransmit", relay, controller, task, packet, ok)
-            run.slot += 2  # missing packet plus cached predecessor
-            run.now += bundle_time
             progressed = True
-            if ok:
+            # Two slots: the missing packet plus its cached predecessor.
+            if run.attempt("retransmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 2, bundle_time):
                 acked.add((task, packet))
                 run.deliver(task, packet, relay)
         if not progressed:
@@ -542,7 +549,6 @@ def run_baseline(
 
 def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record):
     run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
-    events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
     fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
     attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, run.draws(_uniforms, len(run.layout), 3))
@@ -556,15 +562,13 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
         for (task, packet), sensor in sorted(pending.items()):
             if run.outcomes[task].dispatched or not run.fits(task, slot):
                 continue
-            if record and round_no > 1:
-                events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "missing"))
+            if round_no > 1:
+                run.log("nack", CONTROLLER, sensor, task, packet, "missing")
             ok = attempt_ok(fades[sensor])
-            run.attempt(event, sensor, controller, task, packet, ok)
             # A delivered packet occupies three airtimes (data, ack, turnaround);
             # a lost one burns only its own slot before the timeout fires.
             cost = 3 if ok else 1
-            run.slot += cost
-            run.now += cost * slot
+            run.attempt(event, sensor, CONTROLLER, task, packet, ok, cost, cost * slot)
             progressed = True
             if ok:
                 run.deliver(task, packet, sensor)
@@ -572,12 +576,11 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
         if not progressed or not run.live(slot):
             break
 
-    return run.finalize(max(f.deadline for f in flows))
+    return run.finalize()
 
 
 def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record):
     run = _Run(Protocol.HARQ, flows, record, seed, topology)
-    events, controller = run.events, run.controller
     slot = packet_bits / chan.rate_bps
     r_norm = chan.spectral_efficiency
     snr = chan.snr_linear
@@ -595,17 +598,13 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
             if not run.fits(task, slot):
                 break
             accumulated += next(information[sensor])
-            decoded = accumulated > r_norm
-            run.attempt("transmit" if rnd == 1 else "retransmit", sensor, controller, task, packet, decoded)
-            run.slot += 1
-            run.now += slot
-            if decoded:
+            event = "transmit" if rnd == 1 else "retransmit"
+            if run.attempt(event, sensor, CONTROLLER, task, packet, accumulated > r_norm, 1, slot):
                 run.deliver(task, packet, sensor)
                 break
-            if record:
-                events.append(TraceEvent(run.slot, "nack", controller, sensor, task, packet, "undecoded"))
+            run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
 
-    return run.finalize(max(f.deadline for f in flows))
+    return run.finalize()
 
 
 def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
@@ -631,40 +630,34 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    controller = run.controller
+    busiest = max(run.carried, key=run.carried.get)
+    if run.carried[busiest] > 1:
+        raise ValueError(f"node {busiest} sends more than one flow; each cooperating node sends one")
     fades = run.link_draws(_fades, 1, [s.sources[0] for s in flows], run.carried)
 
     survivors: list[FlowSpec] = []
     stragglers: list[FlowSpec] = []
     for spec in flows:
         sensor = spec.sources[0]
-        ok = phase1_ok(fades[sensor])
-        run.attempt("transmit", sensor, controller, spec.task_id, 0, ok)
-        run.slot += 1
+        ok = run.attempt("transmit", sensor, CONTROLLER, spec.task_id, 0, phase1_ok(fades[sensor]), 1)
         (survivors if ok else stragglers).append(spec)
-    run.now += t1
+    run.wait(t1)
     for spec in survivors:
         run.deliver(spec.task_id, 0, spec.sources[0])
 
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
-    run.now += t2
+    run.wait(t2)
     if survivors and stragglers:
         shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
         p12 = occupycow_phase_probs(shape, chan, t1, t2).p12
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
-            rescued = next(rescues) >= p12
-            run.attempt("retransmit", "flood", controller, spec.task_id, 0, rescued)
-            run.slot += 1
-            if rescued:
+            if run.attempt("retransmit", "flood", CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
                 run.deliver(spec.task_id, 0, spec.sources[0])
-    else:
-        # Void round: no node survived phase 1, so no relay exists; the
-        # fixed-schedule failure form excludes this stratum.
-        for spec in stragglers:
-            run.outcomes[spec.task_id].void_round = True
 
-    return run.finalize(max(f.deadline for f in flows))
+    # Void round: no node survived phase 1, so no relay exists; the
+    # fixed-schedule failure form excludes this stratum.
+    return run.finalize(void=not survivors)
 
 
 def measure_cec(

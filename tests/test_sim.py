@@ -134,7 +134,7 @@ def test_every_retransmit_is_preceded_by_matching_nack():
     for ev in trace.events:
         if ev.event_type == "nack":
             seen_nacks.add((ev.task_id, ev.packet_id))
-        elif ev.event_type == "retransmit" and ev.dst == topo.controller:
+        elif ev.event_type == "retransmit" and ev.dst == sim.CONTROLLER:
             retx_count += 1
             assert (ev.task_id, ev.packet_id) in seen_nacks
     assert retx_count > 0  # the lossy channel must have exercised the path
@@ -187,7 +187,7 @@ def test_per_link_loss_matches_outage():
     p_local = outage_probability(local)
     p_up = outage_probability(LOSSY)
     for (src, dst), (attempts, losses) in trace.link_stats.items():
-        p = p_up if dst == topo.controller else p_local
+        p = p_up if dst == sim.CONTROLLER else p_local
         sigma = math.sqrt(p * (1 - p) / attempts)
         assert abs(losses / attempts - p) <= 3 * sigma + 1e-9, (src, dst)
 
@@ -557,11 +557,20 @@ def test_topology_validation():
     assert set(topo.relays) == {"s1", "s2"}
     with pytest.raises(ValueError):
         run_reflexup(star_topology(3), build_flows(star_topology(3), 1, deadline=1.0), PERFECT, CEC_SMALL, seed=0)
+    # A repeated sensor name was accepted on a star, and its packets shared one stream.
+    with pytest.raises(ValueError, match="distinct"):
+        sim.Topology(members={}, sensors=("v1", "v1"))
+    with pytest.raises(ValueError):
+        sim.Topology(members={"s1": ("v1",), "s2": ("v1",)}, sensors=("v1",))
 
 
 def test_flow_validation():
     with pytest.raises(ValueError):
         FlowSpec(task_id=0, sources=("v1",), packets_required=0, epsilon=1.0, deadline=1.0)
+    # A fractional packet count failed with a TypeError partway through a run.
+    with pytest.raises(ValueError, match="integer"):
+        FlowSpec(task_id=0, sources=("v1",), packets_required=2.5, epsilon=1.0, deadline=1.0)
+    assert FlowSpec(task_id=0, sources=("v1",), packets_required=np.int64(2), epsilon=1.0, deadline=1.0)
     with pytest.raises(ValueError):
         FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=0.0, deadline=1.0)
     with pytest.raises(ValueError):
@@ -597,6 +606,10 @@ def test_runs_reject_malformed_flows():
     ]
     with pytest.raises(ValueError, match="v99"):
         run_baseline(OC, star_topology(2), stray, LOSSY, seed=0)
+    # Two flows from one node ran as two cooperating nodes, of which one sent.
+    shared = [FlowSpec(task_id=i, sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0) for i in range(2)]
+    with pytest.raises(ValueError, match="v1"):
+        run_baseline(OC, star_topology(2), shared, LOSSY, seed=0)
 
 
 def test_epsilon_below_one_dispatches_early():
@@ -703,37 +716,37 @@ def _golden_occupy_cow(seed, n, chan, **kw):
 
 
 GOLDEN_CASES = {
-    "reflexup-lossy-timeout-0": lambda: _golden_reflexup(0, 10, 2, 4, LOSSY, p_timeout=0.01),
-    "reflexup-lossy-timeout-1": lambda: _golden_reflexup(1, 10, 2, 4, LOSSY, p_timeout=0.01),
-    "reflexup-lossy-timeout-2": lambda: _golden_reflexup(2, 10, 2, 4, LOSSY, p_timeout=0.01),
-    "reflexup-eps0.7-local": lambda: _golden_reflexup(
-        3, 12, 3, 3, _chan(0, 10e6), epsilon=0.7, chan_local=_chan(10, 22e6), p_timeout=0.01
+    "reflexup-lossy-timeout-0": lambda **kw: _golden_reflexup(0, 10, 2, 4, LOSSY, p_timeout=0.01, **kw),
+    "reflexup-lossy-timeout-1": lambda **kw: _golden_reflexup(1, 10, 2, 4, LOSSY, p_timeout=0.01, **kw),
+    "reflexup-lossy-timeout-2": lambda **kw: _golden_reflexup(2, 10, 2, 4, LOSSY, p_timeout=0.01, **kw),
+    "reflexup-eps0.7-local": lambda **kw: _golden_reflexup(
+        3, 12, 3, 3, _chan(0, 10e6), epsilon=0.7, chan_local=_chan(10, 22e6), p_timeout=0.01, **kw
     ),
-    "reflexup-deadline": lambda: _golden_reflexup(4, 9, 3, 2, _chan(-5, 4e6), deadline=3e-4),
-    "reflexup-max-rounds": lambda: _golden_reflexup(5, 8, 2, 2, _chan(0), max_rounds=1),
-    "reflexup-40db": lambda: _golden_reflexup(6, 10, 2, 2, _chan(40, 200e3)),
-    "sr-timeout-0": lambda: _golden_star(SR, 0, 6, 2, _chan(0, 10e6), p_timeout=0.01),
-    "sr-timeout-1": lambda: _golden_star(SR, 1, 6, 2, _chan(0, 10e6), p_timeout=0.01),
-    "sr-eps0.7": lambda: _golden_star(SR, 2, 5, 3, _chan(10), epsilon=0.7),
-    "sr-deadline": lambda: _golden_star(SR, 3, 6, 2, _chan(-5, 4e6), deadline=1e-3),
-    "harq-7-2-0": lambda: _golden_star(HQ, 0, 6, 2, _chan(0), harq=HarqParams(7, 2)),
-    "harq-7-2-1": lambda: _golden_star(HQ, 1, 6, 2, _chan(0), harq=HarqParams(7, 2)),
-    "harq-3-3": lambda: _golden_star(HQ, 2, 5, 2, _chan(-5, 10e6), harq=HarqParams(3, 3)),
-    "harq-eps0.7-deadline": lambda: _golden_star(
-        HQ, 3, 6, 2, _chan(-5, 10e6), epsilon=0.7, deadline=2e-4, harq=HarqParams(7, 2)
+    "reflexup-deadline": lambda **kw: _golden_reflexup(4, 9, 3, 2, _chan(-5, 4e6), deadline=3e-4, **kw),
+    "reflexup-max-rounds": lambda **kw: _golden_reflexup(5, 8, 2, 2, _chan(0), max_rounds=1, **kw),
+    "reflexup-40db": lambda **kw: _golden_reflexup(6, 10, 2, 2, _chan(40, 200e3), **kw),
+    "sr-timeout-0": lambda **kw: _golden_star(SR, 0, 6, 2, _chan(0, 10e6), p_timeout=0.01, **kw),
+    "sr-timeout-1": lambda **kw: _golden_star(SR, 1, 6, 2, _chan(0, 10e6), p_timeout=0.01, **kw),
+    "sr-eps0.7": lambda **kw: _golden_star(SR, 2, 5, 3, _chan(10), epsilon=0.7, **kw),
+    "sr-deadline": lambda **kw: _golden_star(SR, 3, 6, 2, _chan(-5, 4e6), deadline=1e-3, **kw),
+    "harq-7-2-0": lambda **kw: _golden_star(HQ, 0, 6, 2, _chan(0), harq=HarqParams(7, 2), **kw),
+    "harq-7-2-1": lambda **kw: _golden_star(HQ, 1, 6, 2, _chan(0), harq=HarqParams(7, 2), **kw),
+    "harq-3-3": lambda **kw: _golden_star(HQ, 2, 5, 2, _chan(-5, 10e6), harq=HarqParams(3, 3), **kw),
+    "harq-eps0.7-deadline": lambda **kw: _golden_star(
+        HQ, 3, 6, 2, _chan(-5, 10e6), epsilon=0.7, deadline=2e-4, harq=HarqParams(7, 2), **kw
     ),
-    "occupycow-0": lambda: _golden_occupy_cow(0, 5, _chan(10, 60e6)),
-    "occupycow-1": lambda: _golden_occupy_cow(1, 5, _chan(10, 60e6)),
-    "occupycow-2": lambda: _golden_occupy_cow(2, 5, _chan(10, 60e6)),
-    "occupycow-3": lambda: _golden_occupy_cow(3, 5, _chan(10, 60e6)),
-    "occupycow-t1t2": lambda: _golden_occupy_cow(11, 6, _chan(-20, 1e6), oc_t1=6e-3, oc_t2=3e-3),
-    "occupycow-void": lambda: _golden_occupy_cow(8, 3, _chan(-20)),
+    "occupycow-0": lambda **kw: _golden_occupy_cow(0, 5, _chan(10, 60e6), **kw),
+    "occupycow-1": lambda **kw: _golden_occupy_cow(1, 5, _chan(10, 60e6), **kw),
+    "occupycow-2": lambda **kw: _golden_occupy_cow(2, 5, _chan(10, 60e6), **kw),
+    "occupycow-3": lambda **kw: _golden_occupy_cow(3, 5, _chan(10, 60e6), **kw),
+    "occupycow-t1t2": lambda **kw: _golden_occupy_cow(11, 6, _chan(-20, 1e6), oc_t1=6e-3, oc_t2=3e-3, **kw),
+    "occupycow-void": lambda **kw: _golden_occupy_cow(8, 3, _chan(-20), **kw),
     # Above the per-run stream table's break-even: these runs derive their
     # sensor streams in one pass (ReFlexUp's 8 relays stay below it); the
     # digests were taken when every stream was set up one at a time.
-    "reflexup-table": lambda: _golden_reflexup(12, 40, 8, 3, _chan(0, 10e6), p_timeout=0.01),
-    "sr-table": lambda: _golden_star(SR, 12, 24, 2, _chan(0, 10e6), p_timeout=0.01),
-    "harq-7-2-table": lambda: _golden_star(HQ, 12, 24, 2, _chan(0), harq=HarqParams(7, 2)),
+    "reflexup-table": lambda **kw: _golden_reflexup(12, 40, 8, 3, _chan(0, 10e6), p_timeout=0.01, **kw),
+    "sr-table": lambda **kw: _golden_star(SR, 12, 24, 2, _chan(0, 10e6), p_timeout=0.01, **kw),
+    "harq-7-2-table": lambda **kw: _golden_star(HQ, 12, 24, 2, _chan(0), harq=HarqParams(7, 2), **kw),
 }
 
 GOLDEN_DIGESTS = {
@@ -779,6 +792,20 @@ def test_golden_trace(name, tmp_path):
     assert _trace_digest(GOLDEN_CASES[name](), tmp_path / "trace.csv") == GOLDEN_DIGESTS[name]
 
 
+def test_unrecorded_golden_runs_match_recorded_ones():
+    # Recording only observes: a run without an event log makes the same
+    # draws and decisions, and reports no events and no link counts.
+    for name, case in sorted(GOLDEN_CASES.items()):
+        recorded, unrecorded = case(), case(record_events=False)
+        assert unrecorded.events == [] and unrecorded.link_stats == {}, name
+        assert recorded.events and recorded.link_stats, name
+        for task, out in recorded.flows.items():
+            fields = [getattr(out, f) for f in OUTCOME_FIELDS]
+            assert [getattr(unrecorded.flows[task], f) for f in OUTCOME_FIELDS] == fields, (name, task)
+        summary = (recorded.duration, recorded.slots, recorded.t_p)
+        assert (unrecorded.duration, unrecorded.slots, unrecorded.t_p) == summary, name
+
+
 def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
     # Every sensor and relay table, however small, from one derivation pass.
     monkeypatch.setattr(sim, "_TABLE_MIN", 1)
@@ -818,10 +845,13 @@ def test_golden_traces_dispatch_at_the_epsilon_ack(monkeypatch):
 
 
 def test_only_the_run_core_writes_flow_outcomes():
-    # Counters, times and the dispatch and failure flags have one writer, `_Run`.
+    # Counters, times, the dispatch, void and failure flags and the slot clock
+    # have one writer, `_Run`, which also builds every event and alone reads
+    # whether the run records.
     fields = {
         "delivered", "attempts", "losses", "skipped", "first_attempt_time",
-        "completion_time", "dispatched", "communication_failure",
+        "completion_time", "dispatched", "void_round", "communication_failure",
+        "slot", "now",
     }
     tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
     core = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Run")
@@ -843,6 +873,17 @@ def test_only_the_run_core_writes_flow_outcomes():
                         outside.append((node.lineno, t.attr))
     assert outside == []
     assert inside == fields
+    events = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "TraceEvent"
+    ]
+    assert events and all(id(n) in in_core for n in events)
+    record_tests = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, (ast.If, ast.IfExp)) and id(n) not in in_core
+        and any(getattr(t, "id", getattr(t, "attr", None)) in ("record", "record_events") for t in ast.walk(n.test))
+    ]
+    assert record_tests == []
 
 
 def test_every_faded_hop_goes_through_one_test():
