@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 from .cec import CecConfig
-from .channel import db_to_linear
+from .channel import ChannelParams, db_to_linear
 from .protocols import _MIN_TRIALS, NetworkShape, Protocol, split_nodes
 
 __all__ = [
@@ -110,7 +110,9 @@ class ExperimentConfig:
     """Fully-resolved experiment description.
 
     Every field but `applied_defaults` is one config key: it declares the
-    key's section, default and parser, and nothing else does.
+    key's section, default and parser, and nothing else does. The methods
+    `channel`, `cec` and `shape` are the one mapping from keys to the model
+    objects that the sweeps and the validation build.
     """
 
     figures: tuple[str, ...] = _key(
@@ -164,6 +166,20 @@ class ExperimentConfig:
     @property
     def packet_bits(self) -> int:
         return self.packet_bytes * 8
+
+    def channel(self, snr_db: float | None = None) -> ChannelParams:
+        """The configured link, at `snr_db` when given."""
+        return ChannelParams(
+            self.snr_db if snr_db is None else snr_db, self.bandwidth_hz, self.rate_bps
+        )
+
+    def cec(self, n_tasks: int | None = None) -> CecConfig:
+        """The configured loop constants, with `n_tasks` tasks when given."""
+        return CecConfig(self.n_tasks if n_tasks is None else n_tasks, self.k_rbs, self.c, self.c0)
+
+    def shape(self, n_g: int) -> NetworkShape:
+        """The configured split of an `n_g`-node network."""
+        return split_nodes(n_g, self.relay_sensor_ratio, self.packet_bits)
 
 
 # (section, key) -> parser, in field order: the schema, read off the fields.
@@ -244,21 +260,14 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     """Build every model object the sweeps build, so that an inadmissible
     combination (c against n_tasks and k_rbs, a network too small to split)
     is a config error, not a figure failure at run time."""
-
-    def cec(n_tasks: int) -> CecConfig:
-        return CecConfig(n_tasks, cfg.k_rbs, cfg.c, cfg.c0)
-
-    def shape(n_g: int) -> NetworkShape:
-        return split_nodes(n_g, cfg.relay_sensor_ratio, cfg.packet_bits)
-
     return [
-        *_rejected("[cec] n_tasks", (cfg.n_tasks,), cec),
-        *_rejected("[sweep] task_grid", cfg.task_grid, cec),
+        *_rejected("[cec] n_tasks", (cfg.n_tasks,), cfg.cec),
+        *_rejected("[sweep] task_grid", cfg.task_grid, cfg.cec),
         *_rejected("[channel] snr_db", (cfg.snr_db,), _check_snr),
         *_rejected("[sweep] snr_grid_db", cfg.snr_grid_db, _check_snr),
-        *_rejected("[sweep] n_g_grid", cfg.n_g_grid, shape),
-        *_rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), shape),
-        *_rejected("[sweep] fig13_n_g", cfg.fig13_n_g, shape),
+        *_rejected("[sweep] n_g_grid", cfg.n_g_grid, cfg.shape),
+        *_rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), cfg.shape),
+        *_rejected("[sweep] fig13_n_g", cfg.fig13_n_g, cfg.shape),
     ]
 
 

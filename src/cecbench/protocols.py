@@ -269,12 +269,23 @@ def harq_pfail(
 def _sample_harq_pfail(
     chan: ChannelParams, params: HarqParams, trials: int, seed: int
 ) -> MonteCarloEstimate:
+    """Sampled outage; its standard error is the z = 1 Wilson half-width."""
     failures = 0
     for totals in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 0)):
         failures += int((totals[:, -1] <= chan.spectral_efficiency).sum())
     p = failures / trials
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return MonteCarloEstimate(p, stderr, trials)
+    return MonteCarloEstimate(p, _wilson_half_width(p, trials, 1.0), trials)
+
+
+def _wilson_half_width(p: float, n: int, z: float) -> float:
+    """Larger distance from a proportion p of n trials to an end of its Wilson score interval at z.
+
+    Unlike the Wald error it stays positive when p is 0 or 1: 1/(n+1) at z = 1 and p = 0.
+    """
+    z2 = z**2
+    center = (p + z2 / (2 * n)) / (1.0 + z2 / n)
+    spread = math.sqrt(z2 * (p * (1.0 - p) / n + z2 / (4 * n * n))) / (1.0 + z2 / n)
+    return max(p - (center - spread), (center + spread) - p)
 
 
 def harq_expected_rounds(

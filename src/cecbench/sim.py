@@ -24,11 +24,12 @@ import numpy as np
 
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
 from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
-from .protocols import HarqParams, NetworkShape, Protocol, _round_information, occupycow_phase_probs
+from .protocols import HarqParams, NetworkShape, Protocol, _round_information, _wilson_half_width, occupycow_phase_probs
 
 __all__ = [
     "CONTROLLER",
     "EDGE",
+    "FLOOD",
     "EVENT_TYPES",
     "TraceEvent",
     "Topology",
@@ -51,6 +52,7 @@ EVENT_TYPES = ("transmit", "ack", "nack", "relay-cache", "retransmit", "fdd-disp
 TRACE_HEADER = "slot,event_type,src,dst,task_id,packet_id,outcome"
 CONTROLLER = "C"  # the plant controller every uplink ends at
 EDGE = "M"  # the edge server that runs fault detection
+FLOOD = "flood"  # the source of Occupy CoW's phase-2 rescues
 
 
 class TraceEvent(NamedTuple):
@@ -68,7 +70,8 @@ class Topology:
     """Field network: relays with disjoint member-sensor sets, or a plain star.
 
     An empty member map is the star fallback where sensors reach the
-    controller directly. Sensor names are distinct.
+    controller directly. Sensor names are distinct, and no node takes the
+    name of a fixed node (CONTROLLER, EDGE) or of Occupy CoW's rescue source.
     """
 
     members: Mapping[str, tuple[str, ...]]
@@ -77,6 +80,9 @@ class Topology:
     def __post_init__(self) -> None:
         if len(set(self.sensors)) != len(self.sensors):
             raise ValueError("sensor names must be distinct")
+        reserved = {CONTROLLER, EDGE, FLOOD}.intersection([*self.sensors, *self.members])
+        if reserved:
+            raise ValueError(f"node names {sorted(reserved)} are reserved")
         for relay in self.members:
             if relay in self.sensors:
                 raise ValueError(f"node {relay} cannot be both relay and sensor")
@@ -245,6 +251,8 @@ class _Run:
     def __init__(
         self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology
     ):
+        if not flows:
+            raise ValueError("need at least one flow")
         self.protocol = protocol
         self.record = record
         self.seed = seed
@@ -422,8 +430,6 @@ def run_reflexup(
     as soon as the fraction reaches epsilon; a flow whose deadline passes
     first is marked as a communication failure without disturbing the rest.
     """
-    if not flows:
-        raise ValueError("need at least one flow")
     if not topology.members:
         raise ValueError("the two-phase protocol needs a relay topology")
     local = chan_local if chan_local is not None else chan
@@ -652,7 +658,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
         p12 = occupycow_phase_probs(shape, chan, t1, t2).p12
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
-            if run.attempt("retransmit", "flood", CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
+            if run.attempt("retransmit", FLOOD, CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
                 run.deliver(spec.task_id, 0, spec.sources[0])
 
     # Void round: no node survived phase 1, so no relay exists; the
@@ -720,7 +726,4 @@ def estimate_pfail(
     with seed_plan(range(base, base + runs)):
         failures = sum(scenario(base + i).any_communication_failure for i in range(runs))
     p = failures / runs
-    z2 = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) ** 2
-    center = (p + z2 / (2 * runs)) / (1.0 + z2 / runs)
-    spread = math.sqrt(z2 * (p * (1.0 - p) / runs + z2 / (4 * runs * runs))) / (1.0 + z2 / runs)
-    return p, max(p - (center - spread), (center + spread) - p)
+    return p, _wilson_half_width(p, runs, statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0))

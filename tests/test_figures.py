@@ -3,14 +3,16 @@ import hashlib
 import pytest
 
 from cecbench import figures
+from cecbench.cec import ucc_case3_at_optimum
 from cecbench.cli import main
 from cecbench.config import default_config
-from cecbench.figures import _chan, _point_seed, build_figure
+from cecbench.figures import _point_seed, build_figure
 from cecbench.protocols import (
     HarqParams,
     Protocol,
     harq_expected_rounds,
     harq_latency,
+    reflexup_latency,
     split_nodes,
 )
 
@@ -54,7 +56,7 @@ def test_fig11_harq_series_shares_one_estimate():
     cfg.snr_db = 10.0
     cfg.trials = 10_000
     cfg.bandwidth_hz = 200e3
-    chan = _chan(cfg)
+    chan = cfg.channel()
     params = HarqParams(cfg.harq_max_rounds, cfg.harq_diversity)
     d_hat = harq_expected_rounds(chan, params, cfg.trials, _point_seed(cfg.seed, "fig11_tcm", 0))
     assert d_hat.value > 1.0 and d_hat.bound is None
@@ -86,3 +88,79 @@ def test_default_config_csv_digests(tmp_path, seed):
     assert main(["run", str(config), "--out", str(out), "--seed", str(seed)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == DEFAULT_CSV_SHA256
+
+
+# sha256 of each CSV under `[channel] rate_bps = 50e3`, taken before fig9/fig10
+# charged ReFlexUp the padded-slot optimum directly: at this rate the loss-free
+# transfer overruns the optimum at 8 of fig10's 10 sizes, which the figures
+# used to price through ReFlexUp's capped latency. Seeds 0-2 share one set.
+INFEASIBLE_CONFIG = "[channel]\nrate_bps = 50e3\n"
+INFEASIBLE_CSV_SHA256 = {
+    "fig7_surface.csv": "0ac14da13942df444024629c6e41f75af36c6de982e78476ee8862302f816283",
+    "fig9_ucc.csv": "760cac8e94233198dd2de39601d3688c47785a3ea197e2d834278c14402ed1e4",
+    "fig10_ucc.csv": "4dd83c89d008e8b476ee8644ea8b02232757b0d5305a09564a563471a463cde9",
+    "fig11_tcm.csv": "5f88657bdb2ebb959caaf0cb4a1dec3b6ddb66c65dc31b574b830f3c9571f8a0",
+    "fig12_ucc_snr_tasks.csv": "8d9d38b914cf4ad3ffebdd7d653f7791cc887a2a2a9bc2c6df63dfac059bec7b",
+    "fig13_pfail.csv": "003077d2cc248d016ed0142a1ecf1a64edac9076a27aa38797030daf2b333f56",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_infeasible_config_csv_digests(tmp_path, seed):
+    config = tmp_path / "slow.ini"
+    config.write_text(INFEASIBLE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == INFEASIBLE_CSV_SHA256
+
+
+def test_reflexup_is_charged_its_optimum_where_the_transfer_overruns_it():
+    cfg = default_config()
+    cfg.rate_bps = 50e3
+    cec = cfg.cec()
+    sizes = sorted(cfg.n_g_grid)
+    lat = [reflexup_latency(cfg.shape(n), cfg.channel(), cec, cfg.t_cp_fig10) for n in sizes]
+    assert sum(point.infeasible for point in lat) == 8
+    u_star = ucc_case3_at_optimum(cfg.t_cp_fig10, cec)
+    ds = build_figure(cfg, "fig10_ucc")
+    assert ds.series(Protocol.REFLEXUP.value) == [(float(n), u_star) for n in sizes]
+
+
+# One patch per figure sanity check, each of which breaks the shape it guards.
+SANITY_BREAKS = {
+    "fig7_surface": (
+        "optimal_tcm_case3",
+        lambda real: lambda t_cp, cec: 1.5 * real(t_cp, cec),
+    ),
+    "fig9_ucc": ("ucc_case3_at_optimum", lambda real: lambda t_cp, cec: 0.0),
+    "fig11_tcm": ("srarq_latency", lambda real: lambda shape, chan: 1.0),
+    "fig12_ucc_snr_tasks": (
+        "ucc_case3_at_optimum",
+        lambda real: lambda t_cp, cec: float(cec.n_tasks),
+    ),
+    "fig13_pfail": (
+        "reflexup_pfail",
+        lambda real: lambda shape, chan, t_vs, p_timeout: chan.snr_db / 100,
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SANITY_BREAKS))
+def test_figure_sanity_checks_fire(monkeypatch, tag):
+    name, patch = SANITY_BREAKS[tag]
+    monkeypatch.setattr(figures, name, patch(getattr(figures, name)))
+    with pytest.raises(RuntimeError, match=tag.split("_")[0]):
+        build_figure(default_config(), tag)
+
+
+def test_cli_exits_2_when_a_sanity_check_fires(tmp_path, monkeypatch, capsys):
+    name, patch = SANITY_BREAKS["fig11_tcm"]
+    monkeypatch.setattr(figures, name, patch(getattr(figures, name)))
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "fig11_tcm: fig11: series selective_repeat_arq is not strictly increasing" in err
+    # The other five figures still build and are written.
+    assert len(list((tmp_path / "out").iterdir())) == 5

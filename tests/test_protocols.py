@@ -122,6 +122,14 @@ def test_harq_pfail_saturates_at_low_snr():
     assert est.value == pytest.approx(1.0)
 
 
+def test_harq_pfail_error_is_positive_without_failures():
+    # A sampled estimate that sees no failure reported a standard error of 0;
+    # the z = 1 Wilson half-width at p = 0 is 1/(n + 1).
+    est = harq_pfail(ChannelParams(20.0, 20e6, 200e3), HarqParams(1, 1), 10_000, seed=0)
+    assert (est.value, est.bound) == (0.0, None)
+    assert est.stderr == pytest.approx(1 / 10_001)
+
+
 def test_harq_pfail_rejects_small_trials():
     with pytest.raises(ValueError):
         harq_pfail(STRESSED, HarqParams(2, 1), 100)
@@ -220,7 +228,9 @@ def test_certified_pfail_equals_sampled_at_default_point():
     for seed in range(20):
         sampled = _sample_harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
         assert sampled.bound is None
-        assert sampled[:3] == certified[:3] == (0.0, 0.0, 100_000)
+        assert (sampled.value, sampled.trials) == (certified.value, certified.trials) == (0.0, 100_000)
+        # A sampled zero carries its z = 1 Wilson half-width; a certified one, its bound.
+        assert (sampled.stderr, certified.stderr) == (pytest.approx(1 / 100_001), 0.0)
 
 
 @pytest.mark.parametrize("diversity", [1, 2, 3, 7])

@@ -562,6 +562,12 @@ def test_topology_validation():
         sim.Topology(members={}, sensors=("v1", "v1"))
     with pytest.raises(ValueError):
         sim.Topology(members={"s1": ("v1",), "s2": ("v1",)}, sensors=("v1",))
+    # A sensor named "C" was accepted, and its SR trace reported a ("C", "C") link.
+    for name in (sim.CONTROLLER, sim.EDGE, sim.FLOOD):
+        with pytest.raises(ValueError, match="reserved"):
+            sim.Topology(members={}, sensors=(name, "v2"))
+        with pytest.raises(ValueError, match="reserved"):
+            sim.Topology(members={name: ("v1",)}, sensors=("v1",))
 
 
 def test_flow_validation():
@@ -598,6 +604,9 @@ def test_runs_reject_malformed_flows():
         stray = [FlowSpec(task_id=0, sources=("v1", "v99"), packets_required=2, epsilon=1.0, deadline=1.0)]
         with pytest.raises(ValueError, match="v99"):
             run(topo, stray)
+        # SR and HARQ failed on an empty flow list with "max() arg is an empty sequence".
+        with pytest.raises(ValueError, match="at least one flow"):
+            run(topo, [])
     with pytest.raises(ValueError, match="distinct task ids"):
         run_baseline(OC, star_topology(2), [_oc_flows(2, deadline=1.0)[0]] * 2, LOSSY, seed=0)
     stray = [
@@ -903,6 +912,7 @@ def test_block_draws_equal_scalar_draws():
     # The simulator reads each stream in blocks; values, order and the
     # generator state after them match the same draws taken one at a time.
     draw_kinds = ((_fades, lambda g: g.exponential(1.0)), (_uniforms, lambda g: g.random()))
+    one_flow = [FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0)]
     for seed in range(200):
         n = 1 + seed % 17
         for take, scalar in draw_kinds:
@@ -910,7 +920,7 @@ def test_block_draws_equal_scalar_draws():
             assert take(a, n) == [scalar(b) for _ in range(n)]
             assert a.bit_generator.state == b.bit_generator.state
             # Through the run's draw source, across two block refills.
-            draws = _Run(SR, [], False, seed, star_topology(1)).draws(take, n, 1, 3)
+            draws = _Run(SR, one_flow, False, seed, star_topology(1)).draws(take, n, 1, 3)
             ref = spawn_stream(seed, 1, 3)
             assert [next(draws) for _ in range(3 * n)] == [scalar(ref) for _ in range(3 * n)]
 
