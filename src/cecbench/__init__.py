@@ -31,6 +31,7 @@ from .cec import (
 )
 from .protocols import (
     HarqParams,
+    MonteCarloEstimate,
     NetworkShape,
     OccupyCowParams,
     Protocol,

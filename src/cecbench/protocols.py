@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _MIN_TRIALS = 10_000
+_Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 
 
 class Protocol(enum.Enum):
@@ -129,18 +130,38 @@ class OccupyCowParams:
             raise ValueError("phase durations must be > 0")
 
 
-class MonteCarloEstimate(NamedTuple):
+@dataclass(frozen=True)
+class MonteCarloEstimate:
     """A Monte-Carlo value over `trials` trials with its standard error.
 
-    `bound` is None when the trials were drawn. A number means nothing was
-    drawn: the value is the one sampling returns unless an event of
-    probability at most `bound` occurs.
+    A proportion carries its `failures` count, and its stderr is the z = 1
+    Wilson half-width; a mean carries its standard error. `bound` is None
+    when the trials were drawn. A number means nothing was drawn: the value
+    is the one sampling returns unless an event of probability at most
+    `bound` occurs, and stderr is 0. Unpacks as (value, ci99).
     """
 
     value: float
     stderr: float
     trials: int
     bound: float | None = None
+    failures: int | None = None
+
+    @classmethod
+    def proportion(cls, failures: int, trials: int) -> MonteCarloEstimate:
+        """`failures` of `trials` trials, with the z = 1 Wilson half-width as stderr."""
+        p = failures / trials
+        return cls(p, _wilson_half_width(p, trials, 1.0), trials, failures=failures)
+
+    @property
+    def ci99(self) -> float:
+        """99% half-width: the Wilson half-width at _Z99 for a proportion, _Z99 * stderr otherwise."""
+        if self.failures is None:
+            return _Z99 * self.stderr
+        return _wilson_half_width(self.value, self.trials, _Z99)
+
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.value, self.ci99))
 
 
 class ReflexupLatency(NamedTuple):
@@ -245,36 +266,35 @@ def _harq_trivial_bound(
     return trials * p_branch ** (rounds * params.diversity_order)
 
 
-def harq_pfail(
-    chan: ChannelParams,
-    params: HarqParams,
-    trials: int,
-    seed: int = 0,
-) -> MonteCarloEstimate:
+def _certified(
+    chan: ChannelParams, params: HarqParams, trials: int, rounds: int, value: float
+) -> MonteCarloEstimate | None:
+    """`value` with its bound when every trial decodes within `rounds` rounds but with
+    probability at most _CERTIFY_TOL; None when the trials must be drawn."""
+    if trials < _MIN_TRIALS:
+        raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
+    bound = _harq_trivial_bound(chan, params, trials, rounds)
+    return MonteCarloEstimate(value, 0.0, trials, bound) if bound <= _CERTIFY_TOL else None
+
+
+def harq_pfail(chan: ChannelParams, params: HarqParams, trials: int, seed: int = 0) -> MonteCarloEstimate:
     """Monte-Carlo outage after Q mutual-information-accumulating rounds.
 
     Estimates P(sum over Q rounds of the L-branch average log2(1 + snr*|h|^2)
-    <= R/W). Returns the estimate with its binomial standard error. When the
-    bound on any trial failing is at most _CERTIFY_TOL, returns 0 with that
-    bound and draws nothing.
+    <= R/W), a proportion. When the bound on any trial failing is at most
+    _CERTIFY_TOL, returns 0 with that bound and draws nothing.
     """
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
-    bound = _harq_trivial_bound(chan, params, trials, params.max_rounds)
-    if bound <= _CERTIFY_TOL:
-        return MonteCarloEstimate(0.0, 0.0, trials, bound)
-    return _sample_harq_pfail(chan, params, trials, seed)
+    certified = _certified(chan, params, trials, params.max_rounds, 0.0)
+    return certified or _sample_harq_pfail(chan, params, trials, seed)
 
 
 def _sample_harq_pfail(
     chan: ChannelParams, params: HarqParams, trials: int, seed: int
 ) -> MonteCarloEstimate:
-    """Sampled outage; its standard error is the z = 1 Wilson half-width."""
     failures = 0
     for totals in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 0)):
         failures += int((totals[:, -1] <= chan.spectral_efficiency).sum())
-    p = failures / trials
-    return MonteCarloEstimate(p, _wilson_half_width(p, trials, 1.0), trials)
+    return MonteCarloEstimate.proportion(failures, trials)
 
 
 def _wilson_half_width(p: float, n: int, z: float) -> float:
@@ -288,23 +308,14 @@ def _wilson_half_width(p: float, n: int, z: float) -> float:
     return max(p - (center - spread), (center + spread) - p)
 
 
-def harq_expected_rounds(
-    chan: ChannelParams,
-    params: HarqParams,
-    trials: int,
-    seed: int = 0,
-) -> MonteCarloEstimate:
+def harq_expected_rounds(chan: ChannelParams, params: HarqParams, trials: int, seed: int = 0) -> MonteCarloEstimate:
     """Monte-Carlo mean of the first decoding round, capped at Q.
 
     When the bound on any trial missing round 1 is at most _CERTIFY_TOL,
     returns 1 with that bound and draws nothing.
     """
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
-    bound = _harq_trivial_bound(chan, params, trials, 1)
-    if bound <= _CERTIFY_TOL:
-        return MonteCarloEstimate(1.0, 0.0, trials, bound)
-    return _sample_harq_rounds(chan, params, trials, seed)
+    certified = _certified(chan, params, trials, 1, 1.0)
+    return certified or _sample_harq_rounds(chan, params, trials, seed)
 
 
 def _sample_harq_rounds(
@@ -322,6 +333,11 @@ def _sample_harq_rounds(
         total_sq += float((first**2).sum())
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
+    if var == 0.0:
+        # Every trial decoded in the same round v of [1, Q]. The share in any
+        # other round is 0 of n, whose z = 1 Wilson upper end is 1/(n+1), and
+        # a trial there moves the mean by at most max(v - 1, Q - v).
+        return MonteCarloEstimate(mean, max(mean - 1.0, params.max_rounds - mean) / (trials + 1), trials)
     return MonteCarloEstimate(mean, math.sqrt(var / trials), trials)
 
 

@@ -16,7 +16,6 @@ import functools
 import gc
 import math
 import operator
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
 from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
-from .protocols import HarqParams, NetworkShape, Protocol, _round_information, _wilson_half_width, occupycow_phase_probs
+from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
     "CONTROLLER",
@@ -359,8 +358,9 @@ def _attempt_test(
 ) -> Callable[[Iterator[float]], bool]:
     """Success test of one hop, for every runner: no timeout fired, and the faded capacity carries `rate`.
 
-    The fade is drawn only when no timeout fired. The capacity is the
-    arithmetic of `link_capacity_bps`, with W and snr read once.
+    The fade is drawn only when no timeout fired. A fade h passes exactly
+    when `link_capacity_bps(chan, h) >= rate`: the same arithmetic, with W
+    and snr read once (a property test holds the two equal near the threshold).
     """
     w, snr = chan.bandwidth_hz, chan.snr_linear
 
@@ -703,27 +703,19 @@ def measure_cec(
     )
 
 
-def estimate_pfail(
-    runs: int,
-    scenario: Callable[[int], SimTrace],
-    seed: int,
-    confidence: float = 0.99,
-) -> tuple[float, float]:
-    """Fraction of runs with a communication failure, with a Wilson CI half-width.
+def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) -> MonteCarloEstimate:
+    """Fraction of runs with a communication failure, as a proportion that unpacks as (p, ci99).
 
     The scenario callable receives a per-run seed derived from the master
     seed; runs are independent streams and may be distributed freely. The
     runs' stream seeding words are derived in bulk (`seed_plan`), which
-    leaves every stream as it would be outside the plan. The half-width is
-    the larger distance from p to the ends of the Wilson score interval, so
-    it stays positive when no run fails or every run does.
+    leaves every stream as it would be outside the plan. The 99% half-width
+    is the larger distance from p to the ends of the Wilson score interval,
+    so it stays positive when no run fails or every run does.
     """
     if runs < 1000:
         raise ValueError("runs must be >= 1000")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     base = derive_seed(seed)
     with seed_plan(range(base, base + runs)):
         failures = sum(scenario(base + i).any_communication_failure for i in range(runs))
-    p = failures / runs
-    return p, _wilson_half_width(p, runs, statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0))
+    return MonteCarloEstimate.proportion(failures, runs)

@@ -5,6 +5,8 @@ import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cecbench
 
@@ -228,6 +230,82 @@ def test_cli_runs_configs_whose_outage_overflows(tmp_path, section, line):
     out_dir = tmp_path / "out"
     assert main(["run", config, "--out", str(out_dir)]) == 0
     assert sorted(os.listdir(out_dir)) == sorted(f"{tag}.csv" for tag in FIGURE_TAGS)
+
+
+def _text(values):
+    return values.map(repr)
+
+
+def _text_list(values):
+    return st.lists(values, min_size=1, max_size=4).map(lambda vs: " ".join(map(repr, vs)))
+
+
+# Positive values span 24 decades, 1e-12 to 1e12; the others are 0 or
+# negative, which the config boundary must reject. Values near the ends of
+# the float range are not drawn: their products can still overflow or
+# underflow inside a figure, which exits 2.
+_SCALE = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+_SCALE_OR_NOT = st.one_of(_SCALE, st.floats(-1e3, 0.0))
+_COUNT = st.integers(-2, 1000)
+_KEYS = {
+    ("experiment", "seed"): _text(st.integers(-1, 2**64)),
+    ("experiment", "protocols"): st.lists(
+        st.sampled_from([p.value for p in Protocol]), min_size=1, max_size=4, unique=True
+    ).map(" ".join),
+    ("channel", "bandwidth_hz"): _text(_SCALE_OR_NOT),
+    ("channel", "rate_bps"): _text(_SCALE_OR_NOT),
+    ("channel", "snr_db"): _text(st.floats(-400.0, 400.0)),
+    ("topology", "relay_sensor_ratio"): _text(_SCALE_OR_NOT),
+    ("protocol", "packet_bytes"): _text(st.integers(-1, 10**6)),
+    ("protocol", "p_timeout"): _text(st.floats(-0.5, 1.5)),
+    ("protocol", "harq_max_rounds"): _text(st.integers(0, 16)),
+    ("protocol", "harq_diversity"): _text(st.integers(0, 8)),
+    ("protocol", "reflexup_t_vs"): _text(_SCALE_OR_NOT),
+    ("protocol", "oc_t1_scale"): _text(_SCALE_OR_NOT),
+    ("protocol", "oc_t2_scale"): _text(_SCALE_OR_NOT),
+    ("cec", "n_tasks"): _text(_COUNT),
+    ("cec", "k_rbs"): _text(_COUNT),
+    ("cec", "c"): _text(_SCALE_OR_NOT),
+    ("cec", "c0"): _text(_SCALE_OR_NOT),
+    ("sweep", "snr_grid_db"): _text_list(st.floats(-400.0, 400.0)),
+    ("sweep", "n_g_grid"): _text_list(_COUNT),
+    ("sweep", "task_grid"): _text_list(_COUNT),
+    ("sweep", "t_cp_fig9"): _text(_SCALE_OR_NOT),
+    ("sweep", "t_cp_fig10"): _text(_SCALE_OR_NOT),
+    ("sweep", "t_cp_fig11"): _text(_SCALE_OR_NOT),
+    ("sweep", "t_cp_fig12"): _text(_SCALE_OR_NOT),
+    ("sweep", "fig12_n_g"): _text(_COUNT),
+    ("sweep", "fig13_n_g"): _text_list(_COUNT),
+    ("sweep", "fig7_t_cm_max"): _text(_SCALE_OR_NOT),
+    ("sweep", "fig7_t_cp_max"): _text(_SCALE_OR_NOT),
+    ("sweep", "fig7_t_cm_points"): _text(st.integers(0, 500)),
+    ("sweep", "fig7_t_cp_points"): _text(st.integers(0, 20)),
+}
+
+
+@st.composite
+def _configs(draw):
+    """Config text setting 1-8 keys drawn over wide ranges, with 10,000 trials."""
+    keys = draw(st.lists(st.sampled_from(sorted(_KEYS)), min_size=1, max_size=8, unique=True))
+    sections: dict[str, list[str]] = {"experiment": ["trials = 10000"]}
+    for section, key in keys:
+        sections.setdefault(section, []).append(f"{key} = {draw(_KEYS[section, key])}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_configs())
+# Sizes 400 and 450 both split into 8 sensors: fig11's latencies tie there.
+@example(text="[experiment]\ntrials = 10000\n[topology]\nrelay_sensor_ratio = 52.0\n")
+def test_every_config_exits_1_or_builds_every_figure(tmp_path_factory, text):
+    # Exit 2 is for runtime faults only: a config the sweeps cannot run must
+    # fail validation, and one that validates must build all six figures.
+    tmp = tmp_path_factory.mktemp("cfg")
+    config, out_dir = _write(tmp, text), tmp / "out"
+    code = main(["run", config, "--out", str(out_dir)])
+    assert code in (0, 1), text
+    if code == 0:
+        assert sorted(os.listdir(out_dir)) == sorted(f"{tag}.csv" for tag in FIGURE_TAGS), text
 
 
 def test_readme_key_table_matches_the_schema():

@@ -68,6 +68,16 @@ def test_fig11_harq_series_shares_one_estimate():
         assert t_cm == harq_latency(shape, chan, d_hat.value)
 
 
+def test_fig11_harq_ci99_is_positive_without_spread():
+    # At 30 dB every sampled trial decodes in round 1, yet d_hat does not
+    # certify, so it is a sample and carries a nonzero error.
+    cfg = default_config()
+    cfg.snr_db = 30.0
+    ds = build_figure(cfg, "fig11_tcm")
+    harq = [ci for _, series, _, ci in ds.rows if series == Protocol.HARQ.value]
+    assert len(harq) == len(cfg.n_g_grid) and all(ci > 0 for ci in harq)
+
+
 # sha256 of each default-config CSV. At the default 40 dB HARQ's d_hat is 1
 # exactly for every seed, so the three seeds share one set of digests.
 DEFAULT_CSV_SHA256 = {

@@ -218,7 +218,9 @@ def test_certified_rounds_equal_sampled_at_default_point():
     for seed in range(20):
         sampled = _sample_harq_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
         assert sampled.bound is None
-        assert sampled[:3] == certified[:3] == (1.0, 0.0, 100_000)
+        assert (sampled.value, sampled.trials) == (certified.value, certified.trials) == (1.0, 100_000)
+        # A sampled mean of no spread carries (Q - 1)/(n + 1); a certified one, its bound.
+        assert (sampled.stderr, certified.stderr) == (pytest.approx(6 / 100_001), 0.0)
         assert harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed) == certified
 
 
@@ -231,6 +233,40 @@ def test_certified_pfail_equals_sampled_at_default_point():
         assert (sampled.value, sampled.trials) == (certified.value, certified.trials) == (0.0, 100_000)
         # A sampled zero carries its z = 1 Wilson half-width; a certified one, its bound.
         assert (sampled.stderr, certified.stderr) == (pytest.approx(1 / 100_001), 0.0)
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 20.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_rounds_without_spread_keep_an_error(snr_db, seed):
+    # Every sampled trial decodes in round 1, but the point does not certify:
+    # the error is that of 0 of n trials needing a second round, times Q - 1.
+    est = harq_expected_rounds(ChannelParams(snr_db, 20e6, 200e3), HarqParams(7, 2), 100_000, seed=seed)
+    assert (est.value, est.bound) == (1.0, None)
+    assert est.stderr == pytest.approx(6 / 100_001)
+    assert tuple(est) == (1.0, est.ci99) and est.ci99 == pytest.approx(protocols._Z99 * 6 / 100_001)
+
+
+def test_rounds_without_spread_at_the_cap():
+    # Every trial stuck at Q: the error mirrors the all-in-round-1 one.
+    est = _sample_harq_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 10_000, seed=4)
+    assert (est.value, est.stderr) == (7.0, pytest.approx(6 / 10_001))
+
+
+def test_proportion_ci99_is_the_wilson_half_width_at_99():
+    # A proportion's ci99 is not its z = 1 stderr scaled: Wilson is not linear in z.
+    est = protocols.MonteCarloEstimate.proportion(37, 10_000)
+    z2 = stats.norm.ppf(0.995) ** 2
+    lo, hi = sorted(np.roots([1.0 + z2 / 10_000, -(2.0 * est.value + z2 / 10_000), est.value**2]).real)
+    assert est.failures == 37 and est.ci99 == pytest.approx(max(est.value - lo, hi - est.value), rel=1e-9)
+    p, ci99 = est
+    assert (p, ci99) == (est.value, est.ci99)
+
+
+def test_certified_estimates_have_no_99_percent_error():
+    pfail = harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000)
+    rounds = harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000)
+    for est in (pfail, rounds):
+        assert est.bound is not None and est.failures is None and est.ci99 == 0.0
 
 
 @pytest.mark.parametrize("diversity", [1, 2, 3, 7])

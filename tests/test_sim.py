@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cecbench import channel, sim
 from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
-from cecbench.channel import ChannelParams, outage_probability, spawn_stream, spawn_streams
+from cecbench.channel import ChannelParams, link_capacity_bps, outage_probability, spawn_stream, spawn_streams
 from cecbench.protocols import (
     HarqParams,
+    MonteCarloEstimate,
     NetworkShape,
     Protocol,
     _round_information,
@@ -26,6 +29,7 @@ from cecbench.sim import (
     SimTrace,
     TRACE_HEADER,
     _Run,
+    _attempt_test,
     _fades,
     _uniforms,
     build_flows,
@@ -399,9 +403,9 @@ def test_estimate_pfail_wilson_halfwidth(every):
     # The Wilson interval's ends are the roots in pi of
     # (p - pi)^2 = z^2 pi (1 - pi) / n.
     runs = 1000
-    p, hw = estimate_pfail(runs, lambda s: _Failing(s % every == 0), seed=5, confidence=0.95)
+    p, hw = estimate_pfail(runs, lambda s: _Failing(s % every == 0), seed=5)
     assert p == pytest.approx(1.0 / every, abs=1.0 / runs)
-    k = float(ndtri(0.975)) ** 2 / runs
+    k = float(ndtri(0.995)) ** 2 / runs
     lo, hi = sorted(np.roots([1.0 + k, -(2.0 * p + k), p * p]).real)
     assert hw == pytest.approx(max(p - lo, hi - p), rel=1e-9)
     assert lo < p < hi
@@ -412,13 +416,13 @@ def test_estimate_pfail_rejects_few_runs():
         estimate_pfail(10, lambda s: None, seed=0)
 
 
-@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
-def test_estimate_pfail_rejects_bad_confidence(confidence):
-    def scenario(seed):
-        raise AssertionError("no run may start")
-
-    with pytest.raises(ValueError, match="confidence"):
-        estimate_pfail(1000, scenario, seed=0, confidence=confidence)
+def test_estimate_pfail_returns_a_proportion_record():
+    runs = 1000
+    est = estimate_pfail(runs, lambda s: _Failing(s % 3 == 0), seed=5)
+    p, hw = est
+    assert isinstance(est, MonteCarloEstimate) and (est.trials, est.bound) == (runs, None)
+    assert est.failures == round(p * runs) and est.failures > 0
+    assert (p, hw) == (est.value, est.ci99)
 
 
 def _criterion4_shapes():
@@ -906,6 +910,27 @@ def test_every_faded_hop_goes_through_one_test():
     ]
     assert len(logs) == 1 and ast.unparse(logs[0].func) == "math.log2"
     assert logs[0] in list(ast.walk(hop_test))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_w=st.floats(3.0, 8.0),
+    snr_db=st.floats(-40.0, 60.0),
+    log_ratio=st.floats(-3.0, math.log10(30.0)),
+    fade=st.floats(0.0, 100.0),
+    ulps=st.integers(-50, 50),
+)
+def test_hop_test_is_the_capacity_test(log_w, snr_db, log_ratio, fade, ulps):
+    # W in 1e3-1e8 Hz, snr in -40-60 dB and R/W in 1e-3-30; fades drawn at
+    # random and within 50 ulps of the outage threshold (2^(R/W) - 1)/snr.
+    w = 10.0**log_w
+    chan = ChannelParams(snr_db, w, 10.0**log_ratio * w)
+    near = math.expm1(chan.spectral_efficiency * math.log(2.0)) / chan.snr_linear
+    for _ in range(abs(ulps)):
+        near = math.nextafter(near, math.copysign(math.inf, ulps))
+    hop_ok = _attempt_test(chan, chan.rate_bps)
+    for h in (fade, near):
+        assert hop_ok(iter([h])) == (link_capacity_bps(chan, h) >= chan.rate_bps)
 
 
 def test_block_draws_equal_scalar_draws():
