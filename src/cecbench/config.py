@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .cec import CecConfig
 from .channel import ChannelParams, db_to_linear
 from .protocols import _MIN_TRIALS, NetworkShape, Protocol, split_nodes
@@ -112,7 +114,8 @@ class ExperimentConfig:
     Every field but `applied_defaults` is one config key: it declares the
     key's section, default and parser, and nothing else does. The methods
     `channel`, `cec` and `shape` are the one mapping from keys to the model
-    objects that the sweeps and the validation build.
+    objects that the sweeps and the validation build, with `oc_windows` and
+    `fig7_grids` the times they sweep.
     """
 
     figures: tuple[str, ...] = _key(
@@ -180,6 +183,33 @@ class ExperimentConfig:
     def shape(self, n_g: int) -> NetworkShape:
         """The configured split of an `n_g`-node network."""
         return split_nodes(n_g, self.relay_sensor_ratio, self.packet_bits)
+
+    def oc_windows(self, n_sensors: int) -> tuple[float, float]:
+        """Occupy CoW's phase windows (t1, t2) over `n_sensors` sensors: the configured scales
+        of the time their packets take at the configured rate. Each must be finite and > 0."""
+        base = n_sensors * (self.packet_bits + 1) / self.rate_bps
+        t1, t2 = self.oc_t1_scale * base, self.oc_t2_scale * base
+        if not (0 < t1 < math.inf and 0 < t2 < math.inf):
+            raise ValueError(
+                f"Occupy CoW's windows, oc_t1_scale and oc_t2_scale times {n_sensors} * (packet_bits + 1)"
+                f" / rate_bps = {base!r} s, are {t1!r} and {t2!r} s, not finite and > 0"
+            )
+        return t1, t2
+
+    def fig7_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """fig7's t_cm and t_cp grids: `points` even steps up to each axis' `max`."""
+        return (
+            _even_grid(self.fig7_t_cm_max, self.fig7_t_cm_points),
+            _even_grid(self.fig7_t_cp_max, self.fig7_t_cp_points),
+        )
+
+
+def _even_grid(top: float, points: int) -> np.ndarray:
+    """`points` even steps from top / points to `top`; each must be finite and > 0."""
+    grid = np.linspace(top / points, top, points)
+    if not (np.isfinite(grid).all() and grid.min() > 0):
+        raise ValueError(f"its {points}-point grid holds values that are not finite and > 0")
+    return grid
 
 
 # (section, key) -> parser, in field order: the schema, read off the fields.
@@ -257,17 +287,20 @@ def apply_override(cfg: ExperimentConfig, section: str, key: str, raw: str) -> N
 
 
 def _cross_checks(cfg: ExperimentConfig) -> list[str]:
-    """Build every model object the sweeps build, so that an inadmissible
-    combination (c against n_tasks and k_rbs, a network too small to split)
-    is a config error, not a figure failure at run time."""
+    """Build every model object and swept time the sweeps build, so that an
+    inadmissible combination (c against n_tasks and k_rbs, a network too small
+    to split, a window or grid that under- or overflows) is a config error, not
+    a figure failure at run time."""
     return [
         *_rejected("[cec] n_tasks", (cfg.n_tasks,), cfg.cec),
         *_rejected("[sweep] task_grid", cfg.task_grid, cfg.cec),
         *_rejected("[channel] snr_db", (cfg.snr_db,), _check_snr),
         *_rejected("[sweep] snr_grid_db", cfg.snr_grid_db, _check_snr),
-        *_rejected("[sweep] n_g_grid", cfg.n_g_grid, cfg.shape),
+        *_rejected("[sweep] n_g_grid", cfg.n_g_grid, lambda n_g: cfg.oc_windows(cfg.shape(n_g).n_sensors)),
         *_rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), cfg.shape),
         *_rejected("[sweep] fig13_n_g", cfg.fig13_n_g, cfg.shape),
+        *_rejected("[sweep] fig7_t_cm_max", (cfg.fig7_t_cm_max,), lambda top: _even_grid(top, cfg.fig7_t_cm_points)),
+        *_rejected("[sweep] fig7_t_cp_max", (cfg.fig7_t_cp_max,), lambda top: _even_grid(top, cfg.fig7_t_cp_points)),
     ]
 
 

@@ -64,11 +64,6 @@ def _point_seed(master_seed: int, tag: str, index: int) -> int:
     return derive_seed(master_seed, FIGURE_TAGS.index(tag), index)
 
 
-def _oc_windows(cfg: ExperimentConfig, n_sensors: int) -> tuple[float, float]:
-    base = n_sensors * (cfg.packet_bits + 1) / cfg.rate_bps
-    return cfg.oc_t1_scale * base, cfg.oc_t2_scale * base
-
-
 def _harq_rounds(cfg: ExperimentConfig, tag: str) -> MonteCarloEstimate | None:
     """HARQ's expected-round estimate d_hat for one figure; None without HARQ.
 
@@ -105,7 +100,7 @@ def protocol_latency(
         scale = shape.n_total * shape.packet_bits / chan.rate_bps
         return harq_latency(shape, chan, rounds.value), rounds.ci99 * scale
     if protocol == Protocol.OCCUPY_COW:
-        t1, t2 = _oc_windows(cfg, shape.n_sensors)
+        t1, t2 = cfg.oc_windows(shape.n_sensors)
         return occupycow_latency(occupycow_phase_probs(shape, chan, t1, t2)), 0.0
     if protocol == Protocol.REFLEXUP:
         return reflexup_latency(shape, chan, cfg.cec(), t_cp).t_cm, 0.0
@@ -119,12 +114,7 @@ def build_fig7(cfg: ExperimentConfig) -> FigureDataset:
     reaches that far.
     """
     cec = cfg.cec()
-    t_cm_grid = np.linspace(
-        cfg.fig7_t_cm_max / cfg.fig7_t_cm_points, cfg.fig7_t_cm_max, cfg.fig7_t_cm_points
-    )
-    t_cp_grid = np.linspace(
-        cfg.fig7_t_cp_max / cfg.fig7_t_cp_points, cfg.fig7_t_cp_max, cfg.fig7_t_cp_points
-    )
+    t_cm_grid, t_cp_grid = cfg.fig7_grids()
     step = float(t_cm_grid[1] - t_cm_grid[0])
     rows = []
     for t_cp in map(float, t_cp_grid):

@@ -203,6 +203,12 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         (MINIMAL + "[sweep]\nfig13_n_g = 100 100\n", [], "fig13_n_g"),
         ("[experiment]\nfigures = fig13_pfail\nscenario = x\n", [], "scenario"),
         (MINIMAL, ["--figure", "fig99"], "figures"),
+        # Near the ends of the float range, Occupy CoW's windows overflow or
+        # underflow and fig7's grids round to 0: each failed in its figure.
+        ("[experiment]\nfigures = fig11_tcm\n[channel]\nrate_bps = 1.1125369292536007e-308\n", [], "rate_bps"),
+        ("[experiment]\nfigures = fig9_ucc\n[protocol]\noc_t2_scale = 5e-324\n", [], "oc_t2_scale"),
+        ("[experiment]\nfigures = fig7_surface\n[sweep]\nfig7_t_cm_max = 5e-324\n", [], "fig7_t_cm_max"),
+        ("[experiment]\nfigures = fig7_surface\n[sweep]\nfig7_t_cp_max = 5e-324\n", [], "fig7_t_cp_max"),
     ],
 )
 def test_cli_rejects_unrunnable_config(tmp_path, capsys, config_text, flags, key):

@@ -28,6 +28,7 @@ from cecbench.sim import (
     FlowSpec,
     SimTrace,
     TRACE_HEADER,
+    TraceEvent,
     _Run,
     _attempt_test,
     _fades,
@@ -581,6 +582,12 @@ def test_flow_validation():
     with pytest.raises(ValueError, match="integer"):
         FlowSpec(task_id=0, sources=("v1",), packets_required=2.5, epsilon=1.0, deadline=1.0)
     assert FlowSpec(task_id=0, sources=("v1",), packets_required=np.int64(2), epsilon=1.0, deadline=1.0)
+    # A fractional task id ran and exported as "1.5"; mixing 0 and "a" made
+    # measure_cec fail with a TypeError from sorting the task ids.
+    for task_id in (1.5, "a", None):
+        with pytest.raises(ValueError, match="task_id must be an integer"):
+            FlowSpec(task_id=task_id, sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0)
+    assert FlowSpec(task_id=np.int64(3), sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0)
     with pytest.raises(ValueError):
         FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=0.0, deadline=1.0)
     with pytest.raises(ValueError):
@@ -819,6 +826,36 @@ def test_unrecorded_golden_runs_match_recorded_ones():
         assert (unrecorded.duration, unrecorded.slots, unrecorded.t_p) == summary, name
 
 
+def _trace_shape_cases():
+    """The three protocols of the `trace` benchmark on its shape: 360 sensors, 72 relays, 12 tasks at 0 dB."""
+    chan, cec = _chan(0.0, 200e3), CecConfig(n_tasks=12, k_rbs=48, c=1.0, c0=0.05)
+    topo = relay_topology(360, 72)
+    flows = build_flows(topo, 12, deadline=12 * 360 * 176 / 200e3 * 1.4)
+    return {
+        "trace-reflexup": lambda: run_reflexup(topo, flows, chan, cec, seed=7, t_cp=0.005),
+        "trace-sr": lambda: run_baseline(SR, topo, flows, chan, seed=7),
+        "trace-harq": lambda: run_baseline(HQ, topo, flows, chan, seed=7),
+    }
+
+
+def test_events_are_trace_events_and_export_as_the_field_rendering(tmp_path):
+    # `_Run` builds events through tuple.__new__, which checks no arity, and
+    # export_trace writes them in one %-format pass; the per-field f-string
+    # rendering below is the reference for the exported bytes, also for the
+    # numpy ints and bools a field may hold.
+    numpy_fields = [TraceEvent(np.int64(3), "transmit", "v1", "C", np.int64(2), np.True_, "ok")]
+    cases = {**GOLDEN_CASES, **_trace_shape_cases(), "numpy-fields": lambda: SimTrace(SR, numpy_fields, {}, 0.0, 0, 1.0)}
+    for name, case in sorted(cases.items()):
+        trace = case()
+        assert all(type(ev) is TraceEvent and len(ev) == 7 for ev in trace.events), name
+        export_trace(trace, tmp_path / "trace.csv")
+        reference = TRACE_HEADER + "\n" + "".join(
+            f"{ev.slot},{ev.event_type},{ev.src},{ev.dst},{ev.task_id},{ev.packet_id},{ev.outcome}\n"
+            for ev in trace.events
+        )
+        assert (tmp_path / "trace.csv").read_bytes() == reference.encode("utf-8"), name
+
+
 def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
     # Every sensor and relay table, however small, from one derivation pass.
     monkeypatch.setattr(sim, "_TABLE_MIN", 1)
@@ -886,9 +923,15 @@ def test_only_the_run_core_writes_flow_outcomes():
                         outside.append((node.lineno, t.attr))
     assert outside == []
     assert inside == fields
+    # An event is built as `TraceEvent(...)` or, on the fast path, as
+    # `tuple.__new__(TraceEvent, ...)` through an alias: a call whose first
+    # argument is the class.
     events = [
         n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "TraceEvent"
+        if isinstance(n, ast.Call) and (
+            (isinstance(n.func, ast.Name) and n.func.id == "TraceEvent")
+            or (n.args and isinstance(n.args[0], ast.Name) and n.args[0].id == "TraceEvent")
+        )
     ]
     assert events and all(id(n) in in_core for n in events)
     record_tests = [
