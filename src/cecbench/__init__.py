@@ -40,6 +40,7 @@ from .protocols import (
     harq_pfail,
     occupycow_pfail,
     occupycow_phase_probs,
+    occupycow_void_probability,
     reflexup_latency,
     reflexup_pfail,
     split_nodes,

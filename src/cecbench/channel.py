@@ -109,7 +109,10 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     """
     plan = _PLAN.get()
     if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
-        return np.random.Generator(np.random.PCG64(_Words(plan.words(seed, path))))
+        first, stop, rows = plan.blocks.get(path, _NO_BLOCK)
+        if not first <= seed < stop:
+            first, stop, rows = plan.derive(seed, path)
+        return _Generator(_PCG64(_Words(rows[seed - first])))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
@@ -126,7 +129,7 @@ def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]
         plan = _PLAN.get()
         if plan is None or not plan.start <= seed < plan.stop:
             rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
-            return [np.random.Generator(np.random.PCG64(_Words(row))) for row in rows]
+            return [_Generator(_PCG64(_Words(row))) for row in rows]
     return [spawn_stream(seed, head, i) for i in range(count)]
 
 
@@ -190,22 +193,43 @@ def _seed_words(seeds, path: tuple) -> np.ndarray:
     pads its seed words to the 4-word pool with zeros, so every row mixes the
     words [lo, hi, 0, 0, *path words].
     """
+    return _path_words(_seed_pool(seeds), path)
+
+
+# The hash constant the path words start from: the seed words take sixteen
+# steps of the pool mixing (four hashed in, twelve mixed across).
+_INIT_PATH = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
+
+
+def _seed_pool(seeds) -> list[np.ndarray]:
+    """The four pool words of each seed after the seed words are mixed in, before any path word.
+
+    They depend on the seeds alone, so a plan derives them once per block of
+    seeds and `_path_words` finishes each path from them.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(1, np.uint32)
     lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
     hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    extra: list[np.ndarray] = []
-    for p in path:
-        if isinstance(p, np.ndarray):
-            extra.append(p.astype(np.uint32, copy=False))
-        else:
-            extra.extend(np.array([w], np.uint32) for w in _uint32_words(int(p)))
     steps = _hash_steps(_INIT_A, _MULT_A)
     pool = [_hash(w, steps) for w in (lo, hi, zero, zero)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    return pool
+
+
+def _path_words(pool: list[np.ndarray], path: tuple) -> np.ndarray:
+    """`_seed_words` at `path`, from the seeds' `_seed_pool`, which it leaves as it is."""
+    extra: list[np.ndarray] = []
+    for p in path:
+        if isinstance(p, np.ndarray):
+            extra.append(p.astype(np.uint32, copy=False))
+        else:
+            extra.extend(np.array([w], np.uint32) for w in _uint32_words(int(p)))
+    steps = _hash_steps(_INIT_PATH, _MULT_A)
+    pool = list(pool)
     for word in extra:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hash(word, steps))
@@ -236,26 +260,37 @@ class _Words(ISeedSequence):
 class _SeedPlan:
     """Seeding words for the seeds in [start, stop), derived per path in blocks.
 
-    A path's block is derived on its first request and replaced when a seed
+    `blocks[path]` is `(first, stop, rows)`: row `seed - first` holds the
+    words of each seed in [first, stop). `spawn_stream` reads it directly; a
+    path's block is derived on its first request and replaced when a seed
     outside it is asked for, so memory stays at one block per path however
     many seeds the plan covers.
     """
 
-    __slots__ = ("start", "stop", "blocks")
+    __slots__ = ("start", "stop", "blocks", "pool")
 
     def __init__(self, seeds: range) -> None:
         self.start = max(seeds.start, 0)
         self.stop = min(seeds.stop, 1 << 64)
-        self.blocks: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+        self.blocks: dict[tuple[int, ...], tuple[int, int, np.ndarray]] = {}
+        # (first, pool): the `_seed_pool` of the block that starts at `first`, shared by its paths.
+        self.pool: tuple[int, list[np.ndarray] | None] = (-1, None)
 
-    def words(self, seed: int, path: tuple[int, ...]) -> np.ndarray:
-        block = self.blocks.get(path)
-        if block is None or not 0 <= seed - block[0] < len(block[1]):
-            first = seed - (seed - self.start) % _PLAN_BLOCK
-            count = min(_PLAN_BLOCK, self.stop - first)
-            seeds = np.uint64(first) + np.arange(count, dtype=np.uint64)
-            block = self.blocks[path] = (first, _seed_words(seeds, path))
-        return block[1][seed - block[0]]
+    def derive(self, seed: int, path: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
+        """Derive and keep the block of `path` that holds `seed`."""
+        first = seed - (seed - self.start) % _PLAN_BLOCK
+        stop = min(first + _PLAN_BLOCK, self.stop)
+        if self.pool[0] != first:
+            self.pool = (first, _seed_pool(np.uint64(first) + np.arange(stop - first, dtype=np.uint64)))
+        block = self.blocks[path] = (first, stop, _path_words(self.pool[1], path))
+        return block
+
+
+# A path no block covers yet: every seed falls outside it.
+_NO_BLOCK = (0, 0, None)
+# The two constructors every stream goes through, bound once.
+_Generator = np.random.Generator
+_PCG64 = np.random.PCG64
 
 
 _PLAN: ContextVar[_SeedPlan | None] = ContextVar("cecbench_seed_plan", default=None)
@@ -267,7 +302,7 @@ def seed_plan(seeds: range) -> Iterator[None]:
 
     Within the `with` body, `spawn_stream(seed, *path)` and
     `spawn_streams(seed, head, count)` for a seed in `seeds` take their PCG64
-    words from a table derived for a block of seeds at a time, in about 4 µs
+    words from a table derived for a block of seeds at a time, in about 2-3 µs
     per stream instead of about 25. A plan derives across runs, one path at a
     time; outside it, `spawn_streams` derives across one run's paths. The
     streams are bit-identical to those built outside a plan.

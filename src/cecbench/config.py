@@ -12,14 +12,24 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cec import CecConfig
+from .cec import CecConfig, ucc_case3
 from .channel import ChannelParams, db_to_linear
-from .protocols import _MIN_TRIALS, NetworkShape, Protocol, split_nodes
+from .protocols import (
+    _MIN_TRIALS,
+    NetworkShape,
+    Protocol,
+    harq_latency,
+    occupycow_latency,
+    occupycow_phase_probs,
+    split_nodes,
+    srarq_latency,
+)
 
 __all__ = [
     "FIGURE_TAGS",
@@ -291,6 +301,7 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     inadmissible combination (c against n_tasks and k_rbs, a network too small
     to split, a window or grid that under- or overflows) is a config error, not
     a figure failure at run time."""
+    times = _baseline_times(cfg)
     return [
         *_rejected("[cec] n_tasks", (cfg.n_tasks,), cfg.cec),
         *_rejected("[sweep] task_grid", cfg.task_grid, cfg.cec),
@@ -301,7 +312,74 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
         *_rejected("[sweep] fig13_n_g", cfg.fig13_n_g, cfg.shape),
         *_rejected("[sweep] fig7_t_cm_max", (cfg.fig7_t_cm_max,), lambda top: _even_grid(top, cfg.fig7_t_cm_points)),
         *_rejected("[sweep] fig7_t_cp_max", (cfg.fig7_t_cp_max,), lambda top: _even_grid(top, cfg.fig7_t_cp_points)),
+        *_rejected("[cec] c", (cfg.c,), lambda _: _check_fig7_peaks(cfg)),
+        *_rejected("[channel] rate_bps", (cfg.rate_bps,), lambda _: _check_uplink_times(times)),
+        *_rejected("[sweep] t_cp_fig9", (cfg.t_cp_fig9,), lambda t_cp: _check_efficiencies(cfg, times, t_cp)),
+        *_rejected("[sweep] t_cp_fig10", (cfg.t_cp_fig10,), lambda t_cp: _check_efficiencies(cfg, times, t_cp)),
     ]
+
+
+def _check_fig7_peaks(cfg: ExperimentConfig) -> None:
+    """Reject a fig7 surface whose series peak is not a normal positive float.
+
+    `c * t_cp * t_cm` underflows for a tiny `c`: at 5e-324 every value is 0,
+    and at 1e-320 the subnormal values tie, so the argmax is not the ridge.
+    Every value grows with t_cp, and so do the product and the denominator
+    that could overflow, so the first and last series bound the surface. A
+    surface whose model objects fail their own checks is left to those.
+    """
+    try:
+        cec = cfg.cec()
+        t_cm_grid, t_cp_grid = cfg.fig7_grids()
+    except ValueError:
+        return
+    with np.errstate(all="ignore"):
+        for t_cp in (float(t_cp_grid[0]), float(t_cp_grid[-1])):
+            peak = float(ucc_case3(t_cm_grid, t_cp, cec).max())
+            if not sys.float_info.min <= peak < math.inf:
+                raise ValueError(f"fig7's series at t_cp = {t_cp:.6g} s peaks at {peak!r}, not a normal float > 0")
+
+
+def _baseline_times(cfg: ExperimentConfig) -> list[tuple[Protocol, int, float]]:
+    """(protocol, n_g, uplink time) of each configured baseline at the largest `n_g_grid` size.
+
+    Every baseline's time grows with the network, so that size bounds the
+    times fig9-fig11 charge. HARQ is charged its full round budget, which
+    bounds its sampled expected rounds. Empty when the size or the channel
+    fails its own checks (say, an SNR whose linear value overflows), which
+    report it.
+    """
+    n_g, times = max(cfg.n_g_grid), []
+    try:
+        shape, chan = cfg.shape(n_g), cfg.channel()
+        for protocol in cfg.protocols:
+            if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
+                times.append((protocol, n_g, srarq_latency(shape, chan)))
+            elif protocol == Protocol.HARQ:
+                times.append((protocol, n_g, harq_latency(shape, chan, cfg.harq_max_rounds)))
+            elif protocol == Protocol.OCCUPY_COW:
+                t1, t2 = cfg.oc_windows(shape.n_sensors)
+                times.append((protocol, n_g, occupycow_latency(occupycow_phase_probs(shape, chan, t1, t2))))
+    except (ValueError, ArithmeticError):
+        return []
+    return times
+
+
+def _check_uplink_times(times: list[tuple[Protocol, int, float]]) -> None:
+    for protocol, n_g, t_cm in times:
+        if not math.isfinite(t_cm):
+            raise ValueError(f"{protocol.value}'s uplink time at n_g = {n_g} is {t_cm!r} s, not finite")
+
+
+def _check_efficiencies(cfg: ExperimentConfig, times: list[tuple[Protocol, int, float]], t_cp: float) -> None:
+    """Reject a baseline whose fig9/fig10 efficiency at `t_cp` is not finite (a product that overflows)."""
+    try:
+        cec = cfg.cec()
+    except ValueError:
+        return
+    for protocol, n_g, t_cm in times:
+        if math.isfinite(t_cm) and not math.isfinite(u := ucc_case3(t_cm, t_cp, cec)):
+            raise ValueError(f"{protocol.value}'s efficiency at n_g = {n_g} is {u!r} (uplink time {t_cm!r} s)")
 
 
 def _check_snr(snr_db: float) -> None:

@@ -33,6 +33,7 @@ __all__ = [
     "harq_latency",
     "occupycow_phase_probs",
     "occupycow_pfail",
+    "occupycow_void_probability",
     "occupycow_latency",
     "reflexup_pfail",
     "reflexup_latency",
@@ -398,6 +399,13 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
     rescue_fail = 1.0 - (1.0 - params.p12) ** (n - a)
     total = float(np.dot(mass, rescue_fail))
     return min(max(total, 0.0), 1.0)
+
+
+def occupycow_void_probability(n: int, params: OccupyCowParams) -> float:
+    """Probability p1^n that no node survives phase 1: the void stratum `occupycow_pfail` leaves out."""
+    if n < 2:
+        raise ValueError("need n >= 2 nodes")
+    return params.p1**n
 
 
 def occupycow_latency(params: OccupyCowParams) -> float:

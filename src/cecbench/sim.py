@@ -166,7 +166,7 @@ def build_flows(
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowOutcome:
     task_id: int
     required: int
@@ -181,7 +181,10 @@ class FlowOutcome:
     communication_failure: bool = False  # delivered share below epsilon
 
 
-@dataclass
+_FAILED = operator.attrgetter("communication_failure")
+
+
+@dataclass(slots=True)
 class SimTrace:
     """Event log plus per-flow outcome summary of one protocol run."""
 
@@ -194,7 +197,7 @@ class SimTrace:
 
     @property
     def any_communication_failure(self) -> bool:
-        return any(f.communication_failure for f in self.flows.values())
+        return any(map(_FAILED, self.flows.values()))
 
     @property
     def link_stats(self) -> dict[tuple[str, str], list[int]]:
@@ -249,6 +252,8 @@ def _blocks(take: _Take, n: int, stream: Callable[..., np.random.Generator], *ar
 class _Run:
     """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes."""
 
+    __slots__ = ("protocol", "record", "seed", "events", "flows", "outcomes", "now", "slot", "layout", "carried")
+
     def __init__(
         self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology
     ):
@@ -258,23 +263,27 @@ class _Run:
         self.record = record
         self.seed = seed
         self.events: list[TraceEvent] = []
-        self.flows = {f.task_id: f for f in flows}
-        if len(self.flows) != len(flows):
-            raise ValueError("flows must have distinct task ids")
-        self.outcomes = {t: FlowOutcome(task_id=t, required=f.packets_required) for t, f in self.flows.items()}
         self.now = 0.0
         self.slot = 0
-        # Each (task, packet) with its source sensor, round-robin over the flow's sources.
-        self.layout = [
-            (f.task_id, p, f.sources[p % len(f.sources)]) for f in flows for p in range(f.packets_required)
-        ]
-        # Packets each sensor carries: the block size of its streams.
-        self.carried = dict.fromkeys(topology.sensors, 0)
-        try:
-            for _, _, sensor in self.layout:
-                self.carried[sensor] += 1
-        except KeyError as missing:
-            raise ValueError(f"flow source {missing} is not a sensor of the topology") from None
+        # One pass over the flows: each spec and outcome by task id; each (task, packet)
+        # with its source sensor, round-robin over the flow's sources; and the packets
+        # each sensor carries, the block size of its streams.
+        self.flows = specs = {}
+        self.outcomes = outcomes = {}
+        self.layout = layout = []
+        self.carried = carried = dict.fromkeys(topology.sensors, 0)
+        for f in flows:
+            task, sources = f.task_id, f.sources
+            if task in specs:
+                raise ValueError("flows must have distinct task ids")
+            specs[task] = f
+            outcomes[task] = FlowOutcome(task, f.packets_required)
+            for p in range(f.packets_required):
+                sensor = sources[p % len(sources)]
+                if sensor not in carried:
+                    raise ValueError(f"flow source {sensor!r} is not a sensor of the topology")
+                carried[sensor] += 1
+                layout.append((task, p, sensor))
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
         """Draws of the stream at `path`, read as `_blocks` reads."""
@@ -287,7 +296,8 @@ class _Run:
         each is set up at its first draw, so a tiny run pays for no table and no unread link.
         """
         if len(nodes) < _TABLE_MIN:
-            return {v: self.draws(take, sizes[v], head, i) for i, v in enumerate(nodes)}
+            seed = self.seed
+            return {v: _blocks(take, sizes[v], spawn_stream, seed, head, i) for i, v in enumerate(nodes)}
         streams = spawn_streams(self.seed, head, len(nodes))
         return {v: _blocks(take, sizes[v], streams.__getitem__, i) for i, v in enumerate(nodes)}
 
@@ -347,14 +357,9 @@ class _Run:
         for f, out in zip(self.flows.values(), self.outcomes.values()):
             out.void_round = void
             out.communication_failure = not (void or _meets_epsilon(out.delivered, out.required, f.epsilon))
-        return SimTrace(
-            protocol=self.protocol,
-            events=self.events,
-            flows=self.outcomes,
-            duration=self.now,
-            slots=self.slot,
-            t_p=t_p if t_p is not None else max(f.deadline for f in self.flows.values()),
-        )
+        if t_p is None:
+            t_p = max(f.deadline for f in self.flows.values())
+        return SimTrace(self.protocol, self.events, self.outcomes, self.now, self.slot, t_p)
 
 
 def _attempt_test(
@@ -446,53 +451,57 @@ def run_reflexup(
     # Parameter calculation at the edge: reports in, window/slot out. The
     # per-flow deadlines carry the slot budget; t_p is kept on the trace.
     _, t_p = reflexup_plan(cec, t_cp)
-    for r in topology.relays:
+    relays = topology.relays
+    for r in relays:
         run.log("transmit", r, EDGE, -1, -1, "report")
-    for r in topology.relays:
+    for r in relays:
         run.log("transmit", EDGE, r, -1, -1, "inform")
 
+    # The layout entries as (task, packet, sensor, relay), and each relay's schedule of them.
     relay_of = {s: r for r, group in topology.members.items() for s in group}
-    schedules: dict[str, list[tuple[int, int, str]]] = {r: [] for r in topology.relays}
-    for entry in run.layout:
-        schedules[relay_of[entry[2]]].append(entry)
+    entries: list[tuple[int, int, str, str]] = []
+    schedules: dict[str, list[tuple[int, int, str, str]]] = {r: [] for r in relays}
+    for task, packet, sensor in run.layout:
+        entry = (task, packet, sensor, relay_of[sensor])
+        entries.append(entry)
+        schedules[entry[3]].append(entry)
     local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    up_fades = run.link_draws(_fades, 2, topology.relays, dict(zip(schedules, map(len, schedules.values()))))
+    up_fades = run.link_draws(_fades, 2, relays, {r: len(sched) for r, sched in schedules.items()})
     timeouts = run.draws(_uniforms, 2 * len(run.layout), 3)
     local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
     up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
-    acked: set[tuple[int, int]] = set()
-    cached: set[tuple[int, int]] = set()
+    # Entries the relay holds, and those the controller acked.
+    cached: set[tuple[int, int, str, str]] = set()
+    acked: set[tuple[int, int, str, str]] = set()
 
     # Phase 1: relays run parallel sessions; one wave = one local slot.
-    waves = max((len(s) for s in schedules.values()), default=0)
-    for wave in range(waves):
-        for relay in topology.relays:
-            sched = schedules[relay]
+    for wave in range(max(map(len, schedules.values()))):
+        for sched in schedules.values():
             if wave >= len(sched):
                 continue
-            task, packet, sensor = sched[wave]
+            entry = sched[wave]
+            task, packet, sensor, relay = entry
             if not run.fits(task, slot_local):
                 continue
             if run.attempt("transmit", sensor, relay, task, packet, local_ok(local_fades[sensor])):
-                cached.add((task, packet))
+                cached.add(entry)
                 run.log("relay-cache", relay, relay, task, packet, "ok")
         run.wait(slot_local, slots=1)
 
     # Phase 2: relays forward cached packets to the controller, sequentially.
-    for relay in topology.relays:
-        for task, packet, sensor in schedules[relay]:
-            if (task, packet) not in cached:
-                continue
-            if not run.fits(task, slot_up):
+    for sched in schedules.values():
+        for entry in sched:
+            task, packet, _, relay = entry
+            if entry not in cached or not run.fits(task, slot_up):
                 continue
             if run.attempt("transmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 1, slot_up):
-                acked.add((task, packet))
+                acked.add(entry)
                 run.deliver(task, packet, relay)
 
     # Edge-driven repair rounds: missing list goes back, relay re-sends each
     # missing packet bundled with its cached predecessor (double airtime).
     # A round scans the layout entries not yet acked, in layout order.
-    missing = run.layout
+    missing = entries
     rounds = 0
     while True:
         pending = run.live(slot_up)
@@ -500,13 +509,13 @@ def run_reflexup(
             break
         rounds += 1
         progressed = False
-        missing = [entry for entry in missing if entry[:2] not in acked]
-        for task, packet, sensor in missing:
+        missing = [entry for entry in missing if entry not in acked]
+        for entry in missing:
+            task, packet, sensor, relay = entry
             if task not in pending or run.outcomes[task].dispatched:
                 continue
-            relay = relay_of[sensor]
             run.log("nack", EDGE, relay, task, packet, "missing")
-            if (task, packet) not in cached:
+            if entry not in cached:
                 # The relay never got it: the sensor must re-send locally first.
                 if not run.fits(task, slot_local):
                     continue
@@ -514,7 +523,7 @@ def run_reflexup(
                 ok = local_ok(local_fades[sensor])
                 if not run.attempt("retransmit", sensor, relay, task, packet, ok, 1, slot_local):
                     continue
-                cached.add((task, packet))
+                cached.add(entry)
                 run.log("relay-cache", relay, relay, task, packet, "ok")
             bundle_time = 2.0 * slot_up
             if not run.fits(task, bundle_time):
@@ -522,7 +531,7 @@ def run_reflexup(
             progressed = True
             # Two slots: the missing packet plus its cached predecessor.
             if run.attempt("retransmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 2, bundle_time):
-                acked.add((task, packet))
+                acked.add(entry)
                 run.deliver(task, packet, relay)
         if not progressed:
             break
@@ -566,15 +575,19 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
     slot = packet_bits / chan.rate_bps
     fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
     attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, run.draws(_uniforms, len(run.layout), 3))
-    pending = {(t, p): sensor for t, p, sensor in run.layout}
+    # The packets not yet delivered, in (task, packet) order.
+    pending = sorted(run.layout)
 
     round_no = 0
     while pending:
         round_no += 1
         event = "transmit" if round_no == 1 else "retransmit"
         progressed = False
-        for (task, packet), sensor in sorted(pending.items()):
+        missing = []
+        for entry in pending:
+            task, packet, sensor = entry
             if run.outcomes[task].dispatched or not run.fits(task, slot):
+                missing.append(entry)
                 continue
             if round_no > 1:
                 run.log("nack", CONTROLLER, sensor, task, packet, "missing")
@@ -586,7 +599,9 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             progressed = True
             if ok:
                 run.deliver(task, packet, sensor)
-                del pending[(task, packet)]
+            else:
+                missing.append(entry)
+        pending = missing
         if not progressed or not run.live(slot):
             break
 
@@ -619,6 +634,13 @@ def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record
             run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
 
     return run.finalize()
+
+
+@functools.lru_cache(maxsize=64)
+def _rescue_failure(n: int, packet_bits: int, chan: ChannelParams, t1: float, t2: float) -> float:
+    """Occupy CoW's conditional phase-2 failure p12, computed once per channel and windows."""
+    shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
+    return occupycow_phase_probs(shape, chan, t1, t2).p12
 
 
 def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
@@ -662,8 +684,7 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
     run.wait(t2)
     if survivors and stragglers:
-        shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
-        p12 = occupycow_phase_probs(shape, chan, t1, t2).p12
+        p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for spec in stragglers:
             if run.attempt("retransmit", FLOOD, CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):

@@ -209,6 +209,17 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         ("[experiment]\nfigures = fig9_ucc\n[protocol]\noc_t2_scale = 5e-324\n", [], "oc_t2_scale"),
         ("[experiment]\nfigures = fig7_surface\n[sweep]\nfig7_t_cm_max = 5e-324\n", [], "fig7_t_cm_max"),
         ("[experiment]\nfigures = fig7_surface\n[sweep]\nfig7_t_cp_max = 5e-324\n", [], "fig7_t_cp_max"),
+        # fig7's surface underflows to 0 or to tied subnormals, so its argmax
+        # is the first grid point; a baseline's efficiency overflows to nan,
+        # or its uplink time to inf. Each exited 2 from its figure.
+        ("[experiment]\nfigures = fig7_surface\n[cec]\nc = 5e-324\n", [], "[cec] c"),
+        ("[experiment]\nfigures = fig7_surface\n[cec]\nc = 1e-320\n", [], "[cec] c"),
+        ("[experiment]\nfigures = fig9_ucc\n[channel]\nrate_bps = 1e-300\n[sweep]\nt_cp_fig9 = 1000\n", [], "[sweep] t_cp_fig9"),
+        (
+            "[experiment]\nfigures = fig11_tcm\n[channel]\nrate_bps = 1e-303\n[protocol]\noc_t1_scale = 1\noc_t2_scale = 1\n",
+            [],
+            "[channel] rate_bps",
+        ),
     ],
 )
 def test_cli_rejects_unrunnable_config(tmp_path, capsys, config_text, flags, key):
@@ -303,6 +314,9 @@ def _configs(draw):
 @given(text=_configs())
 # Sizes 400 and 450 both split into 8 sensors: fig11's latencies tie there.
 @example(text="[experiment]\ntrials = 10000\n[topology]\nrelay_sensor_ratio = 52.0\n")
+# Near the ends of the float range: fig7's surface underflows, fig9's Occupy CoW efficiency overflows.
+@example(text="[experiment]\ntrials = 10000\n[cec]\nc = 5e-324\n")
+@example(text="[experiment]\ntrials = 10000\n[channel]\nrate_bps = 1e-300\n[sweep]\nt_cp_fig9 = 1000\n")
 def test_every_config_exits_1_or_builds_every_figure(tmp_path_factory, text):
     # Exit 2 is for runtime faults only: a config the sweeps cannot run must
     # fail validation, and one that validates must build all six figures.

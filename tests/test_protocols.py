@@ -18,6 +18,7 @@ from cecbench.protocols import (
     occupycow_latency,
     occupycow_pfail,
     occupycow_phase_probs,
+    occupycow_void_probability,
     reflexup_latency,
     reflexup_pfail,
     split_nodes,
@@ -427,6 +428,35 @@ def test_occupycow_pfail_matches_enumeration(n):
         closed = occupycow_pfail(n, _oc_params(p1, p12))
         oracle = _oc_enumeration_oracle(n, p1, p12)
         assert closed == pytest.approx(oracle, rel=1e-11, abs=1e-14)
+
+
+def test_occupycow_void_probability_at_criterion4_shape():
+    # Criterion 4's Occupy CoW shape (six nodes, t1 = 5 us, t2 = 2.5 us): the
+    # void stratum holds almost all the mass at 10-25 dB, which is why the
+    # analytic failure there is near zero.
+    shape = _shape(6, 1, fanout=6.0)
+    void = {}
+    for snr in (10.0, 20.0, 25.0):
+        params = occupycow_phase_probs(shape, TABLE_CHAN.with_snr(snr), 5e-6, 2.5e-6)
+        void[snr] = occupycow_void_probability(6, params)
+        assert void[snr] == params.p1**6
+    assert void[10.0] == 1.0
+    assert round(void[20.0], 6) == 0.999999
+    assert round(void[25.0], 3) == 0.959
+    with pytest.raises(ValueError):
+        occupycow_void_probability(1, _oc_params(0.5, 0.5))
+
+
+def test_occupycow_void_stratum_completes_the_enumeration():
+    # Void rounds, failed rounds and the rest (all survive, or every straggler rescued) partition the rounds.
+    for n, p1, p12 in ((2, 0.3, 0.6), (4, 0.7, 0.2), (6, 0.5, 0.9)):
+        params = _oc_params(p1, p12)
+        survive_all = (1 - p1) ** n
+        rescued = sum(
+            math.comb(n, a) * (1 - p1) ** a * p1 ** (n - a) * (1 - p12) ** (n - a) for a in range(1, n)
+        )
+        total = occupycow_void_probability(n, params) + occupycow_pfail(n, params) + survive_all + rescued
+        assert total == pytest.approx(1.0, rel=1e-12)
 
 
 def _oc_scipy_reference(n, p1, p12):

@@ -477,6 +477,69 @@ def test_estimate_pfail_runs_equal_plain_runs(shape):
     assert p == failures / runs
 
 
+def _pfail_shape(protocol, snr):
+    """Criterion 4's scenario for one protocol at `snr` dB, unrecorded, as the `pfail` benchmark runs it."""
+    m_bits = 176
+    chan = ChannelParams(snr_db=snr, bandwidth_hz=20e6, rate_bps=200e3)
+    if protocol in (SR, HQ):
+        topo = star_topology(1)
+        deadline = 1.5 * m_bits / chan.rate_bps if protocol == SR else 10.0
+        flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=deadline)]
+        kw = {"p_timeout": 1e-4} if protocol == SR else {"harq": HarqParams(7, 2)}
+        return lambda s: run_baseline(protocol, topo, flows, chan, seed=s, record_events=False, **kw)
+    if protocol == OC:
+        topo = star_topology(6)
+        flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(6)]
+        return lambda s: run_baseline(OC, topo, flows, chan, seed=s, oc_t1=5e-6, oc_t2=2.5e-6, record_events=False)
+    session_rate = m_bits * 2 / 1e-5
+    chan = ChannelParams(snr_db=snr, bandwidth_hz=20e6, rate_bps=session_rate)
+    topo = relay_topology(1, 1)
+    cec = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.05)
+    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=2.4 * m_bits / session_rate)]
+    return lambda s: run_reflexup(topo, flows, chan, cec, seed=s, t_cp=0.005, p_timeout=1e-4, record_events=False)
+
+
+# Digests of estimate_pfail's unrecorded in-plan runs on criterion 4's shapes
+# (1000 runs, criterion 4's seeds): each run's (any_communication_failure,
+# duration, slots) and every outcome field of every flow, in run order. SR and
+# HARQ fail no run at 10 or 40 dB, so each also runs at an SNR where about
+# half their runs fail.
+PLAN_PATH_SNRS = {SR: (10.0, 40.0, -20.0), HQ: (10.0, 40.0, -30.0), OC: (10.0, 40.0), Protocol.REFLEXUP: (10.0, 40.0)}
+PLAN_PATH_DIGESTS = {
+    "selective_repeat_arq-10db": "1dc9af16afe83fba1affed2e70eb1162ebd31b1c0feb8813101e8e734357b13a",  # 0 failures
+    "selective_repeat_arq-40db": "1dc9af16afe83fba1affed2e70eb1162ebd31b1c0feb8813101e8e734357b13a",  # 0 failures
+    "selective_repeat_arq--20db": "21f43f3c48a450a69c1ab531f481672765d185ba33349ed3e4530ae0e6bab160",  # 513 failures
+    "harq-10db": "0a6a420717d40434f4ec9b66546cf16b24bb54cad98faa4ba84545f47b1affd0",  # 0 failures
+    "harq-40db": "0a6a420717d40434f4ec9b66546cf16b24bb54cad98faa4ba84545f47b1affd0",  # 0 failures
+    "harq--30db": "b95d75f533cc0424bd67ab66d8e8dc803a354187599816b95da53f38786cbdb4",  # 542 failures
+    "occupy_cow-10db": "4daa8dc71eac9dec101892e316f283a0913c987fec46131ec6fcf543691f50cc",  # 0 failures
+    "occupy_cow-40db": "5d86d94908b00d2613166841f6fae0be58647346e18af515f8cf5f34964e143e",  # 121 failures
+    "reflexup-10db": "a387e2d8f71f0921b350e8658f96087bd9d1354366ed4c5b138af970f72f84a5",  # 390 failures
+    "reflexup-40db": "b61cb1ecdc1003c4a893bffcbee86f85895b0c8ad2f6ca75c852f80e1f6a3554",  # 0 failures
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PLAN_PATH_SNRS, key=lambda p: p.value), ids=lambda p: p.value)
+def test_unrecorded_plan_runs_keep_their_digests(protocol):
+    # Every SNR, and the first again, run in one process: anything a runner
+    # keeps between runs (Occupy CoW's rescue probability) must follow the channel.
+    seed_base = {SR: 0, HQ: 100, OC: 200, Protocol.REFLEXUP: 300}[protocol]
+    snrs = PLAN_PATH_SNRS[protocol]
+    for snr in snrs + snrs[:1]:
+        scenario = _pfail_shape(protocol, snr)
+        h = hashlib.sha256()
+
+        def digested(s):
+            trace = scenario(s)
+            h.update(repr((trace.any_communication_failure, trace.duration, trace.slots)).encode())
+            for task, out in trace.flows.items():
+                h.update(repr((task, *(getattr(out, f) for f in OUTCOME_FIELDS))).encode())
+            return trace
+
+        estimate_pfail(1000, digested, seed=seed_base + abs(int(snr)))
+        assert h.hexdigest() == PLAN_PATH_DIGESTS[f"{protocol.value}-{snr:g}db"], snr
+
+
 def test_estimate_pfail_leaves_no_seed_plan():
     inside = []
 
