@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -66,10 +66,10 @@ class ChannelParams:
 
     def with_rate(self, rate_bps: float) -> "ChannelParams":
         """Same link at a different target rate."""
-        return replace(self, rate_bps=rate_bps)
+        return ChannelParams(self.snr_db, self.bandwidth_hz, rate_bps)
 
     def with_snr(self, snr_db: float) -> "ChannelParams":
-        return replace(self, snr_db=snr_db)
+        return ChannelParams(snr_db, self.bandwidth_hz, self.rate_bps)
 
 
 def outage_probability(params: ChannelParams) -> float:

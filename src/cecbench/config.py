@@ -109,6 +109,13 @@ def _names(known: dict, what: str):
     return _list(name)
 
 
+def _path(text: str) -> str:
+    """Parser of a non-empty path; an empty one names no directory to write."""
+    if not text:
+        raise ValueError("expected a non-empty path")
+    return text
+
+
 def _key(section: str, default, parse):
     """The field of the config key `[section] <field name>`."""
     return field(default=default, metadata={"section": section, "parse": parse})
@@ -136,7 +143,7 @@ class ExperimentConfig:
     )
     seed: int = _key("experiment", 0, _int(minimum=0))
     trials: int = _key("experiment", 100_000, _int(minimum=_MIN_TRIALS))
-    out_dir: str = _key("experiment", "results", str)
+    out_dir: str = _key("experiment", "results", _path)
     bandwidth_hz: float = _key("channel", 20e6, _float(_POSITIVE))
     rate_bps: float = _key("channel", 200e3, _float(_POSITIVE))
     snr_db: float = _key("channel", 40.0, _float())

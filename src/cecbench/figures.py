@@ -10,15 +10,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .cec import optimal_tcm_case3, ucc_case3, ucc_case3_at_optimum
-from .channel import derive_seed
+from .channel import ChannelParams, derive_seed
 from .config import FIGURE_TAGS, ExperimentConfig
 from .protocols import (
     HarqParams,
     MonteCarloEstimate,
+    NetworkShape,
     Protocol,
     harq_expected_rounds,
     harq_latency,
@@ -41,17 +44,24 @@ class FigureDataset:
     y_name: str
     rows: list[tuple[float, str, float, float]]
 
+    def grouped(self) -> dict[str, list[tuple[float, float]]]:
+        """The (x, y) points of every series, in first-seen order, from one pass over the rows."""
+        groups: dict[str, list[tuple[float, float]]] = {}
+        for x, s, y, _ in self.rows:
+            points = groups.get(s)
+            if points is None:
+                points = groups[s] = []
+            points.append((x, y))
+        return groups
+
     def series(self, name: str) -> list[tuple[float, float]]:
-        return [(x, y) for x, s, y, _ in self.rows if s == name]
+        return self.grouped().get(name, [])
 
     def series_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for _, s, _, _ in self.rows:
-            seen.setdefault(s)
-        return list(seen)
+        return list(self.grouped())
 
     def sort(self) -> None:
-        self.rows.sort(key=lambda r: (r[1], r[0]))
+        self.rows.sort(key=itemgetter(1, 0))
 
     def check(self) -> None:
         for x, s, y, ci in self.rows:
@@ -84,16 +94,17 @@ def _harq_rounds(cfg: ExperimentConfig, tag: str) -> MonteCarloEstimate | None:
 def protocol_latency(
     cfg: ExperimentConfig,
     protocol: Protocol,
-    n_g: int,
+    shape: NetworkShape,
+    chan: ChannelParams,
     t_cp: float,
     rounds: MonteCarloEstimate | None,
 ) -> tuple[float, float]:
-    """(t_cm, ci99) of one protocol at one network size.
+    """(t_cm, ci99) of one protocol on the network `shape` over the link `chan`.
 
-    `rounds` is the figure's HARQ estimate from _harq_rounds; only HARQ reads it.
+    The caller builds `shape` once per network size and `chan` once per
+    figure, and passes both to every protocol. `rounds` is the figure's HARQ
+    estimate from _harq_rounds; only HARQ reads it.
     """
-    shape = cfg.shape(n_g)
-    chan = cfg.channel()
     if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
         return srarq_latency(shape, chan), 0.0
     if protocol == Protocol.HARQ:
@@ -115,15 +126,16 @@ def build_fig7(cfg: ExperimentConfig) -> FigureDataset:
     """
     cec = cfg.cec()
     t_cm_grid, t_cp_grid = cfg.fig7_grids()
-    step = float(t_cm_grid[1] - t_cm_grid[0])
+    t_cms = t_cm_grid.tolist()
+    step = t_cms[1] - t_cms[0]
     rows = []
-    for t_cp in map(float, t_cp_grid):
+    for t_cp in t_cp_grid.tolist():
         values = ucc_case3(t_cm_grid, t_cp, cec)
         series = f"tcp={t_cp:.6g}"
-        rows.extend((float(t), series, float(u), 0.0) for t, u in zip(t_cm_grid, values))
-        ridge = float(t_cm_grid[np.argmax(values)])
+        rows.extend(zip(t_cms, repeat(series), values.tolist(), repeat(0.0)))
+        ridge = t_cms[int(np.argmax(values))]
         expected = optimal_tcm_case3(t_cp, cec)
-        if expected <= t_cm_grid[-1] and abs(ridge - expected) > step:
+        if expected <= t_cms[-1] and abs(ridge - expected) > step:
             raise RuntimeError(
                 f"fig7 ridge off: series {series} peaks at {ridge}, expected {expected}"
             )
@@ -141,13 +153,15 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
     cec = cfg.cec()
     u_steered = ucc_case3_at_optimum(t_cp, cec)
     rounds = _harq_rounds(cfg, tag)
+    chan = cfg.channel()
     rows = []
     for n_g in sorted(cfg.n_g_grid):
+        shape = cfg.shape(n_g)
         for protocol in cfg.protocols:
             if protocol == Protocol.REFLEXUP:
                 u = u_steered
             else:
-                t_cm, _ = protocol_latency(cfg, protocol, n_g, t_cp, rounds)
+                t_cm, _ = protocol_latency(cfg, protocol, shape, chan, t_cp, rounds)
                 u = ucc_case3(t_cm, t_cp, cec)
             rows.append((float(n_g), protocol.value, float(u), 0.0))
     ds = FigureDataset(tag, "n_g", "u_cc", rows)
@@ -156,12 +170,14 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
 
 
 def _check_reflexup_dominates(ds: FigureDataset) -> None:
-    others = [n for n in ds.series_names() if n != Protocol.REFLEXUP.value]
-    ref = dict(ds.series(Protocol.REFLEXUP.value))
+    groups = ds.grouped()
+    ref = dict(groups.get(Protocol.REFLEXUP.value, ()))
     if not ref:
         return
-    for name in others:
-        for x, y in ds.series(name):
+    for name, points in groups.items():
+        if name == Protocol.REFLEXUP.value:
+            continue
+        for x, y in points:
             if y > ref[x] + 1e-12:
                 raise RuntimeError(
                     f"{ds.tag}: series {name} exceeds the adaptive protocol at n_g={x}"
@@ -171,15 +187,17 @@ def _check_reflexup_dominates(ds: FigureDataset) -> None:
 def build_fig11(cfg: ExperimentConfig) -> FigureDataset:
     """Uplink latency vs network size, one series per protocol."""
     rounds = _harq_rounds(cfg, "fig11_tcm")
+    chan = cfg.channel()
     rows = []
-    sensors = [cfg.shape(n_g).n_sensors for n_g in sorted(cfg.n_g_grid)]
-    for n_g in sorted(cfg.n_g_grid):
+    sizes = sorted(cfg.n_g_grid)
+    shapes = [cfg.shape(n_g) for n_g in sizes]
+    sensors = [shape.n_sensors for shape in shapes]
+    for n_g, shape in zip(sizes, shapes):
         for protocol in cfg.protocols:
-            t_cm, ci = protocol_latency(cfg, protocol, n_g, cfg.t_cp_fig11, rounds)
+            t_cm, ci = protocol_latency(cfg, protocol, shape, chan, cfg.t_cp_fig11, rounds)
             rows.append((float(n_g), protocol.value, float(t_cm), float(ci)))
     ds = FigureDataset("fig11_tcm", "n_g", "t_cm_s", rows)
-    for name in ds.series_names():
-        pts = ds.series(name)
+    for name, pts in ds.grouped().items():
         ys = [y for _, y in pts]
         if name == Protocol.REFLEXUP.value:
             # The steering target caps this series; it may plateau but never drop.
@@ -230,8 +248,8 @@ def build_fig13(cfg: ExperimentConfig) -> FigureDataset:
         for snr, p in _reflexup_pfail_curve(cfg, n_g):
             rows.append((float(snr), series, float(p), 0.0))
     ds = FigureDataset("fig13_pfail", "snr_db", "p_fail", rows)
-    for name in ds.series_names():
-        ys = [y for _, y in ds.series(name)]
+    for name, pts in ds.grouped().items():
+        ys = [y for _, y in pts]
         if any(b > a + 1e-15 for a, b in zip(ys, ys[1:])):
             raise RuntimeError(f"fig13: series {name} is not non-increasing in SNR")
     return ds
@@ -258,18 +276,16 @@ def write_dataset(ds: FigureDataset, out_dir: str) -> str:
     """One CSV per dataset: <x>,series,<y>,ci99 with %.10g numeric formatting."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{ds.tag}.csv")
+    body = "".join(["%.10g,%s,%.10g,%.10g\n" % row for row in ds.rows])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{ds.x_name},series,{ds.y_name},ci99\n")
-        for x, series, y, ci in ds.rows:
-            fh.write(f"{x:.10g},{series},{y:.10g},{ci:.10g}\n")
+        fh.write(f"{ds.x_name},series,{ds.y_name},ci99\n{body}")
     return path
 
 
 def summarize(ds: FigureDataset) -> list[str]:
     """min/max/argmax lines per series, for the run log."""
     lines = []
-    for name in ds.series_names():
-        pts = ds.series(name)
+    for name, pts in ds.grouped().items():
         ys = [y for _, y in pts]
         best_x = max(pts, key=lambda p: p[1])[0]
         lines.append(

@@ -203,6 +203,9 @@ def test_cli_seed_and_trials_override(tmp_path, capsys):
         (MINIMAL + "[sweep]\nfig13_n_g = 100 100\n", [], "fig13_n_g"),
         ("[experiment]\nfigures = fig13_pfail\nscenario = x\n", [], "scenario"),
         (MINIMAL, ["--figure", "fig99"], "figures"),
+        # An empty path names no directory: every figure failed to write, exit 2.
+        (MINIMAL + "out_dir =\n", [], "[experiment] out_dir: expected a non-empty path"),
+        (MINIMAL, ["--out", ""], "[experiment] out_dir: expected a non-empty path"),
         # Near the ends of the float range, Occupy CoW's windows overflow or
         # underflow and fig7's grids round to 0: each failed in its figure.
         ("[experiment]\nfigures = fig11_tcm\n[channel]\nrate_bps = 1.1125369292536007e-308\n", [], "rate_bps"),

@@ -1,12 +1,16 @@
 import hashlib
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cecbench import figures
 from cecbench.cec import ucc_case3_at_optimum
 from cecbench.cli import main
 from cecbench.config import default_config
-from cecbench.figures import _point_seed, build_figure
+from cecbench.figures import FigureDataset, _point_seed, build_figure, summarize, write_dataset
 from cecbench.protocols import (
     HarqParams,
     Protocol,
@@ -174,3 +178,62 @@ def test_cli_exits_2_when_a_sanity_check_fires(tmp_path, monkeypatch, capsys):
     assert "fig11_tcm: fig11: series selective_repeat_arq is not strictly increasing" in err
     # The other five figures still build and are written.
     assert len(list((tmp_path / "out").iterdir())) == 5
+
+
+# ----------------------------------------------- the one-pass series view
+
+
+def _scan_series(ds, name):
+    return [(x, y) for x, s, y, _ in ds.rows if s == name]
+
+
+def _scan_names(ds):
+    seen = {}
+    for _, s, _, _ in ds.rows:
+        seen.setdefault(s)
+    return list(seen)
+
+
+def _scan_summary(ds):
+    lines = []
+    for name in _scan_names(ds):
+        pts = _scan_series(ds, name)
+        ys = [y for _, y in pts]
+        best_x = max(pts, key=lambda p: p[1])[0]
+        lines.append(
+            f"{ds.tag:22s} {name:22s} n={len(pts):3d} "
+            f"min={min(ys):.6g} max={max(ys):.6g} argmax_x={best_x:.6g}"
+        )
+    return lines
+
+
+def _scan_csv(ds):
+    text = f"{ds.x_name},series,{ds.y_name},ci99\n"
+    for x, series, y, ci in ds.rows:
+        text += f"{x:.10g},{series},{y:.10g},{ci:.10g}\n"
+    return text.encode("utf-8")
+
+
+# A few x values recur across and within series; the rest are any float.
+_X = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-7, 3.0e5]), st.floats())
+_ROWS = st.lists(
+    st.tuples(_X, st.sampled_from(["harq", "reflexup", "tcp=0.5", "n_g=100", "a,b"]), st.floats(), st.floats()),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_ROWS, sort=st.booleans())
+def test_one_pass_view_matches_a_scan_per_series(rows, sort):
+    ds = FigureDataset("fig_prop", "x", "y", rows)
+    if sort:
+        ds.sort()
+    names = _scan_names(ds)
+    assert ds.series_names() == names
+    for name in [*names, "absent"]:
+        assert ds.series(name) == _scan_series(ds, name)
+    assert summarize(ds) == _scan_summary(ds)
+    with tempfile.TemporaryDirectory() as out:
+        with open(write_dataset(ds, out), "rb") as fh:
+            assert fh.read() == _scan_csv(ds)
+        assert os.listdir(out) == ["fig_prop.csv"]
