@@ -10,6 +10,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -54,9 +55,18 @@ class ChannelParams:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
         if not self.rate_bps > 0:
             raise ValueError(f"rate_bps must be > 0, got {self.rate_bps!r}")
+        # Kept on the instance, where a read finds it with no call. On Python 3.11 a
+        # cached_property computed at the first read cost `figures` 2.5-4%: it takes a lock
+        # there, and a sweep reads the SNR of most of the channels it builds, once.
+        try:
+            object.__setattr__(self, "snr_linear", db_to_linear(self.snr_db))
+        except OverflowError:
+            pass
 
-    @property
+    @cached_property
     def snr_linear(self) -> float:
+        """The SNR in linear scale. One that overflows a double is not kept at construction,
+        so the channel still constructs, and this read raises OverflowError."""
         return db_to_linear(self.snr_db)
 
     @property
@@ -78,14 +88,17 @@ def outage_probability(params: ChannelParams) -> float:
     For a unit-mean exponential channel power gain this is
     1 - exp(-(2^(R/W) - 1) / snr), with snr in linear scale. The result lies
     in [0, 1], decreases with SNR and increases with R. It is 1.0, the exact
-    limit, when 2^(R/W) overflows a double.
+    limit, when 2^(R/W) overflows a double or the linear SNR underflows to 0.
     """
     try:
         threshold = math.pow(2.0, params.spectral_efficiency) - 1.0
     except OverflowError:
         return 1.0
+    snr = params.snr_linear
+    if snr == 0.0:
+        return 1.0
     # -expm1 keeps precision for the deep-outage (tiny probability) regime.
-    return -math.expm1(-threshold / params.snr_linear)
+    return -math.expm1(-threshold / snr)
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -112,7 +125,7 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
         first, stop, rows = plan.blocks.get(path, _NO_BLOCK)
         if not first <= seed < stop:
             first, stop, rows = plan.derive(seed, path)
-        return _Generator(_PCG64(_Words(rows[seed - first])))
+        return _Generator(_PCG64(_Words((rows[seed - first],))))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
@@ -129,7 +142,7 @@ def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]
         plan = _PLAN.get()
         if plan is None or not plan.start <= seed < plan.stop:
             rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
-            return [_Generator(_PCG64(_Words(row))) for row in rows]
+            return [_Generator(_PCG64(_Words((row,)))) for row in rows]
     return [spawn_stream(seed, head, i) for i in range(count)]
 
 
@@ -242,19 +255,17 @@ def _path_words(pool: list[np.ndarray], path: tuple) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-class _Words(ISeedSequence):
-    """Seed sequence that hands PCG64 one row of precomputed seeding words.
+class _Words(tuple, ISeedSequence):
+    """Seed sequence that hands PCG64 one row of precomputed seeding words: `_Words((row,))`.
 
-    It answers only PCG64's own request, `generate_state(4, np.uint64)`.
+    It answers only PCG64's own request, `generate_state(4, np.uint64)`. As a
+    tuple it is built in C, with no Python `__init__` frame per stream.
     """
 
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+    __slots__ = ()
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
+        return self[0]
 
 
 class _SeedPlan:

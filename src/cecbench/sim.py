@@ -1,12 +1,12 @@
 """Time-slotted execution of the uplink protocols over sampled Rayleigh links.
 
 One run owns its event log and RNG streams (split per link from the master
-seed), so identical seeds replay bit-identical traces. A run with many sensor
-links (path head 1) or relay links (head 2) sets them up in one
-`spawn_streams` pass per head; the streams are those of `spawn_stream`. Each
-link's stream is read in blocks sized by the packets that link carries; a
-block holds the same values, in the same order, as the same number of draws
-taken one at a time, so the block size never changes a trace. Time advances in
+seed), so identical seeds replay bit-identical traces. Each link's stream is
+set up with the link, by `spawn_stream` or, for many links under one path
+head (1: sensors, 2: relays), by one `spawn_streams` pass of equal streams. A stream
+is read in blocks sized by the packets its link carries; a block holds the
+same values, in the same order, as the same number of draws taken one at a
+time, so the block size never changes a trace. Time advances in
 packet-airtime slots per link rate; C-M control messages are error-free and
 instantaneous, and relay queuing plus feedback latency are zero.
 """
@@ -17,6 +17,7 @@ import gc
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -224,50 +225,51 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
     return delivered / required >= epsilon
 
 
-# Block sources for _Run.draws and _blocks: take(rng, n) returns the next n
-# draws. A one-draw block is a scalar draw: the same value, without the cost
-# of numpy's array path, which a run of one packet per link would pay on
-# every stream.
+# Block sources for _Run.draws and _Run.link_draws: take(rng, n) returns the
+# next n draws. `_SCALAR` names the Generator method that draws one value of a
+# source with its defaults: `_read` calls it for one-draw blocks, which a run of
+# one packet per link reads on every stream, without numpy's array path.
 _Take = Callable[[np.random.Generator, int], list[float]]
 
 
 def _fades(rng: np.random.Generator, n: int) -> list[float]:
     """n unit-mean exponential fade powers (Rayleigh |h|^2)."""
-    return [rng.exponential(1.0)] if n == 1 else rng.exponential(1.0, size=n).tolist()
+    return rng.exponential(1.0, size=n).tolist()
 
 
 def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
     """n uniform [0, 1) draws, for timeouts and rescues."""
-    return [rng.random()] if n == 1 else rng.random(size=n).tolist()
+    return rng.random(size=n).tolist()
 
 
-def _blocks(take: _Take, n: int, stream: Callable[..., np.random.Generator], *args) -> Iterator[float]:
-    """The draws of `stream(*args)`, set up at the first draw and read n at a time;
-    a run's last block may be left half read."""
-    rng = stream(*args)
-    while True:
-        yield from take(rng, n)
+_SCALAR = {_fades: "exponential", _uniforms: "random"}
+
+
+def _read(take: _Take, n: int, rng: np.random.Generator) -> Iterator[float]:
+    """The draws of `rng` in blocks of n, read by C iterators with no Python frame per draw
+    but take's; a run's last block may be left half read."""
+    if n == 1 and take in _SCALAR:
+        return iter(getattr(rng, _SCALAR[take]), None)
+    return chain.from_iterable(map(take, repeat(rng), repeat(n)))
 
 
 class _Run:
     """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes."""
 
-    __slots__ = ("protocol", "record", "seed", "events", "flows", "outcomes", "now", "slot", "layout", "carried")
+    __slots__ = ("protocol", "record", "seed", "events", "flows", "outcomes", "now", "slot", "layout", "carried", "latest")
 
-    def __init__(
-        self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology
-    ):
+    def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology):
         if not flows:
             raise ValueError("need at least one flow")
         self.protocol = protocol
         self.record = record
         self.seed = seed
         self.events: list[TraceEvent] = []
-        self.now = 0.0
+        self.now = self.latest = 0.0
         self.slot = 0
         # One pass over the flows: each spec and outcome by task id; each (task, packet)
-        # with its source sensor, round-robin over the flow's sources; and the packets
-        # each sensor carries, the block size of its streams.
+        # with its source sensor, round-robin over the flow's sources; the packets each
+        # sensor carries, the block size of its streams; and the latest deadline.
         self.flows = specs = {}
         self.outcomes = outcomes = {}
         self.layout = layout = []
@@ -278,6 +280,7 @@ class _Run:
                 raise ValueError("flows must have distinct task ids")
             specs[task] = f
             outcomes[task] = FlowOutcome(task, f.packets_required)
+            self.latest = max(self.latest, f.deadline)
             for p in range(f.packets_required):
                 sensor = sources[p % len(sources)]
                 if sensor not in carried:
@@ -286,20 +289,17 @@ class _Run:
                 layout.append((task, p, sensor))
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
-        """Draws of the stream at `path`, read as `_blocks` reads."""
-        return _blocks(take, n, spawn_stream, self.seed, *path)
+        """The `_read` draws of the stream at `path`, set up now, in blocks of n."""
+        return _read(take, n, spawn_stream(self.seed, *path))
 
     def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
-        """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node].
-
-        From `_TABLE_MIN` nodes up, one `spawn_streams` pass sets up the streams; below it,
-        each is set up at its first draw, so a tiny run pays for no table and no unread link.
-        """
+        """Each node's `_read` draws on path (head, i), i its index in `nodes`, in blocks of sizes[node],
+        all set up now: from `_TABLE_MIN` nodes up in one `spawn_streams` pass, below it one by one."""
         if len(nodes) < _TABLE_MIN:
             seed = self.seed
-            return {v: _blocks(take, sizes[v], spawn_stream, seed, head, i) for i, v in enumerate(nodes)}
+            return {v: _read(take, sizes[v], spawn_stream(seed, head, i)) for i, v in enumerate(nodes)}
         streams = spawn_streams(self.seed, head, len(nodes))
-        return {v: _blocks(take, sizes[v], streams.__getitem__, i) for i, v in enumerate(nodes)}
+        return {v: _read(take, sizes[v], rng) for v, rng in zip(nodes, streams)}
 
     def fits(self, task: int, duration: float) -> bool:
         """Whether `duration` more airtime ends by the task's deadline; a miss counts as a skip."""
@@ -349,17 +349,17 @@ class _Run:
         if not out.dispatched and _meets_epsilon(out.delivered, out.required, self.flows[task].epsilon):
             out.dispatched = True
             out.completion_time = self.now
-            self.log("fdd-dispatch", EDGE, EDGE, task, -1, "ok")
+            if self.record:
+                self.events.append(_new_tuple(TraceEvent, (self.slot, "fdd-dispatch", EDGE, EDGE, task, -1, "ok")))
 
     def finalize(self, t_p: float | None = None, void: bool = False) -> SimTrace:
-        """Mark each flow's failure and return the trace; `t_p` defaults to the latest deadline.
-        `void` marks every flow's round void (Occupy CoW: no phase-1 survivor), so none fails."""
-        for f, out in zip(self.flows.values(), self.outcomes.values()):
+        """Mark each flow's failure and return the trace; `t_p` defaults to the latest deadline. A flow
+        fails unless it dispatched, which `deliver` does at the first delivery that meets the dispatch
+        rule; `void` marks every flow's round void (Occupy CoW: no phase-1 survivor), so none fails."""
+        for out in self.outcomes.values():
             out.void_round = void
-            out.communication_failure = not (void or _meets_epsilon(out.delivered, out.required, f.epsilon))
-        if t_p is None:
-            t_p = max(f.deadline for f in self.flows.values())
-        return SimTrace(self.protocol, self.events, self.outcomes, self.now, self.slot, t_p)
+            out.communication_failure = not (void or out.dispatched)
+        return SimTrace(self.protocol, self.events, self.outcomes, self.now, self.slot, self.latest if t_p is None else t_p)
 
 
 def _attempt_test(
@@ -442,6 +442,8 @@ def run_reflexup(
     """
     if not topology.members:
         raise ValueError("the two-phase protocol needs a relay topology")
+    if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
+        raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
     local = chan_local if chan_local is not None else chan
     run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
 
@@ -459,15 +461,15 @@ def run_reflexup(
 
     # The layout entries as (task, packet, sensor, relay), and each relay's schedule of them.
     relay_of = {s: r for r, group in topology.members.items() for s in group}
-    entries: list[tuple[int, int, str, str]] = []
+    missing: list[tuple[int, int, str, str]] = []
     schedules: dict[str, list[tuple[int, int, str, str]]] = {r: [] for r in relays}
     for task, packet, sensor in run.layout:
         entry = (task, packet, sensor, relay_of[sensor])
-        entries.append(entry)
+        missing.append(entry)
         schedules[entry[3]].append(entry)
     local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    up_fades = run.link_draws(_fades, 2, relays, {r: len(sched) for r, sched in schedules.items()})
-    timeouts = run.draws(_uniforms, 2 * len(run.layout), 3)
+    up_fades = run.link_draws(_fades, 2, relays, dict(zip(relays, map(len, schedules.values()))))
+    timeouts = run.draws(_uniforms, 2 * len(run.layout), 3) if p_timeout > 0 else None
     local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
     up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
     # Entries the relay holds, and those the controller acked.
@@ -501,13 +503,10 @@ def run_reflexup(
     # Edge-driven repair rounds: missing list goes back, relay re-sends each
     # missing packet bundled with its cached predecessor (double airtime).
     # A round scans the layout entries not yet acked, in layout order.
-    missing = entries
-    rounds = 0
-    while True:
+    for rounds in count():
         pending = run.live(slot_up)
         if not pending or (max_rounds is not None and rounds >= max_rounds):
             break
-        rounds += 1
         progressed = False
         missing = [entry for entry in missing if entry not in acked]
         for entry in missing:
@@ -561,6 +560,8 @@ def run_baseline(
     L-branch diversity. Occupy CoW: two fixed phases; stragglers are rescued
     by the flooding survivors with the conditional phase-2 failure p12.
     """
+    if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
+        raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
     if protocol_tag == Protocol.SELECTIVE_REPEAT_ARQ:
         return _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record_events)
     if protocol_tag == Protocol.HARQ:
@@ -574,13 +575,12 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
     run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
     slot = packet_bits / chan.rate_bps
     fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, run.draws(_uniforms, len(run.layout), 3))
+    timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
+    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
     # The packets not yet delivered, in (task, packet) order.
     pending = sorted(run.layout)
 
-    round_no = 0
-    while pending:
-        round_no += 1
+    for round_no in count(1):
         event = "transmit" if round_no == 1 else "retransmit"
         progressed = False
         missing = []
@@ -602,7 +602,7 @@ def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, r
             else:
                 missing.append(entry)
         pending = missing
-        if not progressed or not run.live(slot):
+        if not (progressed and pending and run.live(slot)):
             break
 
     return run.finalize()
@@ -666,10 +666,10 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    busiest = max(run.carried, key=run.carried.get)
-    if run.carried[busiest] > 1:
-        raise ValueError(f"node {busiest} sends more than one flow; each cooperating node sends one")
-    fades = run.link_draws(_fades, 1, [s.sources[0] for s in flows], run.carried)
+    nodes = [s.sources[0] for s in flows]
+    if len(set(nodes)) < n:
+        raise ValueError(f"node {max(run.carried, key=run.carried.get)} sends more than one flow; each cooperating node sends one")
+    fades = run.link_draws(_fades, 1, nodes, run.carried)
 
     survivors: list[FlowSpec] = []
     stragglers: list[FlowSpec] = []
@@ -746,5 +746,5 @@ def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) ->
         raise ValueError("runs must be >= 1000")
     base = derive_seed(seed)
     with seed_plan(range(base, base + runs)):
-        failures = sum(scenario(base + i).any_communication_failure for i in range(runs))
+        failures = sum(map(operator.attrgetter("any_communication_failure"), map(scenario, range(base, base + runs))))
     return MonteCarloEstimate.proportion(failures, runs)

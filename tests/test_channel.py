@@ -62,6 +62,28 @@ def test_outage_is_one_when_threshold_overflows():
     assert outage_probability(chan) == 1.0
 
 
+def test_outage_is_one_when_snr_underflows():
+    # -4000 dB is 1e-400 in linear scale, which underflows a double to 0:
+    # no fade carries any rate, and the limit is exactly 1.
+    chan = ChannelParams(snr_db=-4000.0, **TABLE)
+    assert chan.snr_linear == 0.0
+    assert outage_probability(chan) == 1.0
+
+
+def test_linear_snr_is_kept_and_leaves_equality_alone():
+    # snr_linear is computed once and kept on the instance, which changes
+    # neither equality nor the hash a cache keys channels by.
+    chan = ChannelParams(snr_db=10.0, **TABLE)
+    assert vars(chan)["snr_linear"] == chan.snr_linear == db_to_linear(10.0)
+    assert chan == ChannelParams(snr_db=10.0, **TABLE) and hash(chan) == hash(ChannelParams(snr_db=10.0, **TABLE))
+    assert chan.with_snr(20.0).snr_linear == db_to_linear(20.0)
+    # A channel whose linear SNR overflows still constructs; each read raises.
+    huge = ChannelParams(snr_db=4000.0, **TABLE)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            huge.snr_linear
+
+
 def test_outage_monotone_in_snr_and_rate():
     # Finite differences over a parameter grid.
     for snr in np.linspace(5, 60, 12):

@@ -2,6 +2,8 @@ import ast
 import gc
 import hashlib
 import math
+import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +319,36 @@ def test_run_baseline_rejects_reflexup_tag():
         run_baseline(Protocol.REFLEXUP, topo, flows, PERFECT, seed=0)
 
 
+def _entry_points():
+    star, relays = star_topology(2), relay_topology(2, 1)
+    star_flows, relay_flows = build_flows(star, 1, deadline=1.0), build_flows(relays, 1, deadline=1.0)
+    runners = {tag.value: partial(run_baseline, tag, star, star_flows, PERFECT, seed=0) for tag in (SR, HQ)}
+    runners["reflexup"] = partial(run_reflexup, relays, relay_flows, PERFECT, CEC_SMALL, seed=0)
+    return runners
+
+
+@pytest.mark.parametrize("packet_bits", [0, -176, 1.5, 176.0, "176"])
+def test_runs_reject_packet_bits_that_are_not_positive_integers(packet_bits):
+    # On a lossy channel a 0-bit packet took no airtime, so Selective Repeat and
+    # ReFlexUp retried it forever; a negative size gave a negative duration. The
+    # perfect channel keeps this test finite where the check is missing.
+    for name, run in _entry_points().items():
+        with pytest.raises(ValueError, match="packet_bits"):
+            run(packet_bits=packet_bits)
+        assert run(packet_bits=np.int64(1)).flows[0].dispatched, name
+
+
+@pytest.mark.parametrize("p_timeout", [math.nan, 1.5, -0.5, math.inf])
+def test_runs_reject_timeout_probabilities_outside_the_unit_interval(p_timeout):
+    # NaN ran as no timeouts, 1.5 as a timeout on every attempt and -0.5 as no
+    # timeouts, where `srarq_pfail` rejects all three.
+    for name, run in _entry_points().items():
+        with pytest.raises(ValueError, match="p_timeout"):
+            run(p_timeout=p_timeout)
+        for edge in (0.0, 1.0):
+            assert run(p_timeout=edge).flows[0].dispatched == (edge == 0.0 or name == "harq"), (name, edge)
+
+
 # -------------------------------------------------------------- measure_cec
 
 
@@ -538,6 +570,45 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 
         estimate_pfail(1000, digested, seed=seed_base + abs(int(snr)))
         assert h.hexdigest() == PLAN_PATH_DIGESTS[f"{protocol.value}-{snr:g}db"], snr
+
+
+# Python frames entered in cecbench code (profiler `call` events) by 1000 warm,
+# unrecorded, in-plan runs of each criterion-4 shape, seeds 5000-5999. The same
+# seeds give the same draws and branches, so a count is exact. Before the
+# per-run glue was cut (generator readers, per-flow dispatch re-test, deadline
+# scan, a frame per stream set-up and per scalar draw) they were:
+# SR 34000 / 34000, HARQ 25000 / 25000, Occupy CoW 68000 / 97096 and
+# ReFlexUp 57196 / 58000, at 10 / 40 dB.
+FRAME_BUDGETS = {
+    (SR, 10.0): 20000, (SR, 40.0): 20000,
+    (HQ, 10.0): 17000, (HQ, 40.0): 17000,
+    (OC, 10.0): 41000, (OC, 40.0): 56315,
+    (Protocol.REFLEXUP, 10.0): 42180, (Protocol.REFLEXUP, 40.0): 42000,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FRAME_BUDGETS, key=lambda k: (k[0].value, k[1])), ids=lambda k: f"{k[0].value}-{k[1]:g}db")
+def test_frames_per_run_stay_within_budget(shape):
+    scenario = _pfail_shape(*shape)
+    package = str(Path(sim.__file__).parent)
+    seeds = range(5000, 6000)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    with channel.seed_plan(seeds):
+        for s in seeds:  # warm: the plan's blocks and the runners' caches
+            scenario(s)
+        sys.setprofile(count)
+        try:
+            for s in seeds:
+                scenario(s)
+        finally:
+            sys.setprofile(None)
+    assert calls <= FRAME_BUDGETS[shape]
 
 
 def test_estimate_pfail_leaves_no_seed_plan():
