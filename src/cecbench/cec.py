@@ -7,6 +7,7 @@ tractable scheduling cases, and the Gaussian irregular-traffic extension.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -77,6 +78,10 @@ class CecConfig:
     c0: float = 1.5
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n_tasks), operator.index(self.k_rbs)
+        except TypeError:
+            raise ValueError(f"n_tasks and k_rbs must be integers, got {self!r}") from None
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.k_rbs < 1:

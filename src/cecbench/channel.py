@@ -122,23 +122,24 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     """
     plan = _PLAN.get()
     if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
-        first, stop, rows = plan.blocks.get(path, _NO_BLOCK)
-        if not first <= seed < stop:
-            first, stop, rows = plan.derive(seed, path)
-        return _Generator(_PCG64(_Words((rows[seed - first],))))
+        rows = plan.rows.get(path)
+        if rows is None:
+            rows = plan.rows[path] = _path_words(plan.pool, path)
+        return _Generator(_PCG64(_Words((rows[seed - plan.start],))))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]:
     """The generators of paths (head, 0) ... (head, count - 1) under `seed`.
 
-    Stream i is bit-identical to `spawn_stream(seed, head, i)`. For at least
-    `_TABLE_MIN` paths of a plain int seed in [0, 2**64) that no `seed_plan`
-    covers, the seeding words of all paths come from one `_seed_words` call,
-    at a few microseconds per stream instead of about 20; otherwise each
-    stream is `spawn_stream`'s, which reads a covering plan.
+    Stream i is bit-identical to `spawn_stream(seed, head, i)`. For a plain
+    int seed in [0, 2**64) that no `seed_plan` covers, the seeding words of
+    all paths come from one `_seed_words` call (about 0.3-0.4 ms plus 3 µs
+    per stream, against about 20 µs per stream set up alone: the caller
+    decides when that pays); otherwise each stream is `spawn_stream`'s,
+    which reads a covering plan of 32 bytes per seed and derived path.
     """
-    if count >= _TABLE_MIN and type(seed) is int and 0 <= seed < 1 << 64:
+    if type(seed) is int and 0 <= seed < 1 << 64:
         plan = _PLAN.get()
         if plan is None or not plan.start <= seed < plan.stop:
             rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
@@ -151,16 +152,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# Seeds per block of a plan's per-path words table. A block of 1024 seeds
-# takes about 0.55 ms to derive, most of it fixed per-call cost, and holds
-# 32 bytes per seed.
-_PLAN_BLOCK = 1024
-# Paths from which `spawn_streams` derives a one-seed table instead of
-# setting each stream up alone. Timed on a 2-core KVM guest (numpy 2.4.6,
-# best of 9 repeats), a table cost about 0.3-0.4 ms, almost all of it the
-# fixed cost of its ~200 small array operations, plus about 3 us per stream;
-# a stream set up alone cost 17-27 us. The two met between 12 and 20 paths.
-_TABLE_MIN = 16
 
 
 def _hash_steps(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
@@ -217,7 +208,7 @@ _INIT_PATH = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
 def _seed_pool(seeds) -> list[np.ndarray]:
     """The four pool words of each seed after the seed words are mixed in, before any path word.
 
-    They depend on the seeds alone, so a plan derives them once per block of
+    They depend on the seeds alone, so a plan derives them once for its
     seeds and `_path_words` finishes each path from them.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -269,36 +260,19 @@ class _Words(tuple, ISeedSequence):
 
 
 class _SeedPlan:
-    """Seeding words for the seeds in [start, stop), derived per path in blocks.
+    """Seeding words for the seeds in [start, stop): `rows[path]` holds, in row
+    `seed - start`, the words of each seed at `path`, derived on the path's
+    first request from the seeds' `_seed_pool`, which the plan derives once."""
 
-    `blocks[path]` is `(first, stop, rows)`: row `seed - first` holds the
-    words of each seed in [first, stop). `spawn_stream` reads it directly; a
-    path's block is derived on its first request and replaced when a seed
-    outside it is asked for, so memory stays at one block per path however
-    many seeds the plan covers.
-    """
-
-    __slots__ = ("start", "stop", "blocks", "pool")
+    __slots__ = ("start", "stop", "pool", "rows")
 
     def __init__(self, seeds: range) -> None:
         self.start = max(seeds.start, 0)
         self.stop = min(seeds.stop, 1 << 64)
-        self.blocks: dict[tuple[int, ...], tuple[int, int, np.ndarray]] = {}
-        # (first, pool): the `_seed_pool` of the block that starts at `first`, shared by its paths.
-        self.pool: tuple[int, list[np.ndarray] | None] = (-1, None)
-
-    def derive(self, seed: int, path: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
-        """Derive and keep the block of `path` that holds `seed`."""
-        first = seed - (seed - self.start) % _PLAN_BLOCK
-        stop = min(first + _PLAN_BLOCK, self.stop)
-        if self.pool[0] != first:
-            self.pool = (first, _seed_pool(np.uint64(first) + np.arange(stop - first, dtype=np.uint64)))
-        block = self.blocks[path] = (first, stop, _path_words(self.pool[1], path))
-        return block
+        self.pool = _seed_pool(np.arange(self.start, self.stop, dtype=np.uint64))
+        self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
 
-# A path no block covers yet: every seed falls outside it.
-_NO_BLOCK = (0, 0, None)
 # The two constructors every stream goes through, bound once.
 _Generator = np.random.Generator
 _PCG64 = np.random.PCG64
@@ -313,9 +287,10 @@ def seed_plan(seeds: range) -> Iterator[None]:
 
     Within the `with` body, `spawn_stream(seed, *path)` and
     `spawn_streams(seed, head, count)` for a seed in `seeds` take their PCG64
-    words from a table derived for a block of seeds at a time, in about 2-3 µs
+    words from a table derived for all of `seeds` at once, in about 2-3 µs
     per stream instead of about 25. A plan derives across runs, one path at a
-    time; outside it, `spawn_streams` derives across one run's paths. The
+    time, and holds 32 bytes per seed and derived path, so its caller sizes
+    it; outside it, `spawn_streams` derives across one run's paths. The
     streams are bit-identical to those built outside a plan.
     """
     token = _PLAN.set(_SeedPlan(seeds))

@@ -333,8 +333,17 @@ def generate_synthetic_te(
         raise ValueError("n_normal must be >= 1")
     if n_fault < 0:
         raise ValueError("n_fault must be >= 0")
-    if n_fault > 0 and fault_spec is None:
-        raise ValueError("a fault_spec is required when n_fault > 0")
+    if n_fault > 0:
+        if fault_spec is None:
+            raise ValueError("a fault_spec is required when n_fault > 0")
+        if isinstance(fault_spec, MeanShift):
+            faulted = fault_spec.variables
+        elif isinstance(fault_spec, (Drift, VarianceBump)):
+            faulted = (fault_spec.variable,)
+        else:
+            raise ValueError(f"unknown fault spec {fault_spec!r}")
+        if not all(0 <= v < n_vars for v in faulted):
+            raise ValueError(f"fault variables {faulted} must lie in [0, {n_vars})")
     rng = spawn_stream(seed, 0xFDD)
     corr = _random_correlation(rng, n_vars, condition_number)
     chol = np.linalg.cholesky(corr)
@@ -355,12 +364,10 @@ def generate_synthetic_te(
         elif isinstance(fault_spec, Drift):
             ramp = fault_spec.slope * base_scale[fault_spec.variable] * np.arange(1, n_fault + 1)
             tail[:, fault_spec.variable] += ramp
-        elif isinstance(fault_spec, VarianceBump):
+        else:
             v = fault_spec.variable
             center = base_mean[v]
             tail[:, v] = center + (tail[:, v] - center) * math.sqrt(fault_spec.factor)
-        else:
-            raise ValueError(f"unknown fault spec {fault_spec!r}")
 
     training = [ProcessSample(float(t), train[t]) for t in range(n_normal)]
     test_stream = [

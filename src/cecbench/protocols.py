@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -65,6 +66,11 @@ class NetworkShape:
     packet_bits: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n_total), operator.index(self.n_sensors)
+            operator.index(self.n_relays), operator.index(self.packet_bits)
+        except TypeError:
+            raise ValueError(f"node counts and packet_bits must be integers, got {self!r}") from None
         if self.n_total != self.n_sensors + self.n_relays:
             raise ValueError("n_total must equal n_sensors + n_relays")
         if self.n_relays > 0 and self.relay_fanout * self.n_relays < self.n_sensors - 1e-9:
@@ -102,6 +108,10 @@ class HarqParams:
     diversity_order: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.max_rounds), operator.index(self.diversity_order)
+        except TypeError:
+            raise ValueError(f"max_rounds and diversity_order must be integers, got {self!r}") from None
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.diversity_order < 1:

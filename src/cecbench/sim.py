@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
-from .channel import _TABLE_MIN, ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
+from .channel import ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
 from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
@@ -243,6 +243,11 @@ def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
 
 
 _SCALAR = {_fades: "exponential", _uniforms: "random"}
+# Links from which a run sets up a path head's streams as one `spawn_streams` table. Timed
+# on a 2-core KVM guest (numpy 2.4.6, best of 9 repeats), a table cost about 0.3-0.4 ms,
+# almost all of it the fixed cost of its ~200 small array operations, plus about 3 us per
+# stream; a stream set up alone cost 17-27 us. The two met between 12 and 20 paths.
+_TABLE_MIN = 16
 
 
 def _read(take: _Take, n: int, rng: np.random.Generator) -> Iterator[float]:
@@ -732,19 +737,27 @@ def measure_cec(
     )
 
 
+# Runs per `seed_plan` of an estimate. Deriving a plan for 1024 seeds takes about 0.55 ms,
+# most of it fixed per-call cost, and it holds 32 bytes per seed and path, so memory stays
+# at one plan's rows however many runs the estimate makes.
+_PLAN_RUNS = 1024
+
+
 def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) -> MonteCarloEstimate:
     """Fraction of runs with a communication failure, as a proportion that unpacks as (p, ci99).
 
     The scenario callable receives a per-run seed derived from the master
     seed; runs are independent streams and may be distributed freely. The
-    runs' stream seeding words are derived in bulk (`seed_plan`), which
-    leaves every stream as it would be outside the plan. The 99% half-width
-    is the larger distance from p to the ends of the Wilson score interval,
-    so it stays positive when no run fails or every run does.
+    runs' stream seeding words are derived in bulk (a `seed_plan` per 1024
+    runs), which leaves every stream as it would be outside a plan. The 99%
+    half-width is the larger distance from p to the ends of the Wilson score
+    interval, so it stays positive when no run fails or every run does.
     """
     if runs < 1000:
         raise ValueError("runs must be >= 1000")
-    base = derive_seed(seed)
-    with seed_plan(range(base, base + runs)):
-        failures = sum(map(operator.attrgetter("any_communication_failure"), map(scenario, range(base, base + runs))))
+    base, failures = derive_seed(seed), 0
+    for start in range(base, base + runs, _PLAN_RUNS):
+        seeds = range(start, min(start + _PLAN_RUNS, base + runs))
+        with seed_plan(seeds):
+            failures += sum(map(operator.attrgetter("any_communication_failure"), map(scenario, seeds)))
     return MonteCarloEstimate.proportion(failures, runs)

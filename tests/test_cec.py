@@ -219,6 +219,18 @@ def test_case3_at_optimum_closed_form():
         assert ucc_case3_at_optimum(t_cp, cfg) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("counts", [(2.5, 10), (2, 10.0), (np.float64(2.0), 10)])
+def test_config_counts_must_be_integers(counts):
+    # A fractional count used to construct, then fail in allocate_rbs_equal.
+    with pytest.raises(ValueError, match="must be integers"):
+        CecConfig(*counts, c=1.0)
+
+
+def test_config_counts_accept_numpy_integers():
+    alloc = allocate_rbs_equal(CecConfig(np.int64(2), np.int32(4), c=1.0))
+    assert np.array_equal(alloc.indicator, allocate_rbs_equal(CecConfig(2, 4, c=1.0)).indicator)
+
+
 def test_cases_reject_nonpositive_times():
     for fn in (ucc_case2, ucc_case3):
         with pytest.raises(ValueError):

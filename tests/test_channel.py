@@ -5,8 +5,6 @@ import pytest
 
 from cecbench.channel import (
     _PLAN,
-    _PLAN_BLOCK,
-    _TABLE_MIN,
     ChannelParams,
     _seed_words,
     _Words,
@@ -181,10 +179,10 @@ def test_derive_seed_equals_seed_sequence():
 
 
 def test_planned_stream_equals_unplanned_stream():
-    # The range crosses 2**32 (one-word and two-word seeds) and spans several
-    # blocks; requests go forward, backward and outside the range.
-    start = 2**32 - _PLAN_BLOCK - 300
-    seeds = range(start, start + 3 * _PLAN_BLOCK)
+    # The range crosses 2**32 (one-word and two-word seeds) and holds 3072
+    # seeds; requests go forward, backward and outside the range.
+    start = 2**32 - 1324
+    seeds = range(start, start + 3072)
     probes = list(range(start - 3, seeds.stop + 3, 97)) + [2**32 - 1, 2**32, start, seeds.stop - 1, start + 5]
     with seed_plan(seeds):
         for seed in probes:
@@ -234,27 +232,24 @@ def _assert_streams_equal(seed, head, count, table):
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1])
 def test_spawn_streams_equal_spawn_stream(seed):
     for head in (1, 2):
-        # At and above the break-even, outside any plan: one table per call.
-        for count in (_TABLE_MIN, 3 * _TABLE_MIN + 1):
+        # Outside any plan: one table per call, whatever the count.
+        for count in (1, 15, 16, 49):
             _assert_streams_equal(seed, head, count, table=True)
-        # Below it, each stream is set up alone.
-        for count in (1, _TABLE_MIN - 1):
-            _assert_streams_equal(seed, head, count, table=False)
         # Inside a plan that covers the seed, every path comes from the plan.
         with seed_plan(range(max(seed - 2, 0), seed + 3)):
-            for count in (1, 2 * _TABLE_MIN):
+            for count in (1, 32):
                 _assert_streams_equal(seed, head, count, table=True)
-                assert {(head, i) for i in range(count)} <= set(_PLAN.get().blocks)
+                assert {(head, i) for i in range(count)} <= set(_PLAN.get().rows)
 
 
 @pytest.mark.parametrize("seed", [np.int64(12), 2**64, 2**70])
 def test_spawn_streams_fall_back_for_other_seeds(seed):
     # Seeds that are not plain ints in [0, 2**64) take SeedSequence itself.
-    for count in (1, 2 * _TABLE_MIN):
+    for count in (1, 32):
         _assert_streams_equal(seed, 1, count, table=False)
 
 
 def test_spawn_streams_rejects_negative_seed():
-    for count in (1, 2 * _TABLE_MIN):
+    for count in (1, 32):
         with pytest.raises(ValueError):
             spawn_streams(-1, 1, count)

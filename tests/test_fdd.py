@@ -272,6 +272,20 @@ def test_generator_requires_spec_for_faults():
         generate_synthetic_te(10, 5, None, seed=1)
 
 
+def test_generator_rejects_fault_variables_outside_the_plant():
+    # A negative index would fault a variable counted from the end, and one
+    # past the last would fail with IndexError deep in the injection.
+    for spec in (Drift(-1, 1.0), MeanShift((-3,), 4.0), VarianceBump(-2, 4.0), MeanShift((60,), 4.0),
+                 MeanShift((3, 52), 4.0), Drift(52, 1.0), VarianceBump(99, 4.0)):
+        with pytest.raises(ValueError, match="must lie in"):
+            generate_synthetic_te(10, 5, spec, seed=1, n_vars=52)
+    with pytest.raises(ValueError, match="unknown fault spec"):
+        generate_synthetic_te(10, 5, "drift", seed=1)
+    # The first and the last variable are both in range.
+    _, test = generate_synthetic_te(10, 5, MeanShift((0, 51), 4.0), seed=1, n_vars=52)
+    assert len(test) == 15
+
+
 def test_drift_fault_eventually_flags():
     train, test = generate_synthetic_te(2000, 300, Drift(variable=2, slope=0.05), seed=17, n_vars=12)
     model = fit_pca(train, n_components=5)

@@ -72,6 +72,32 @@ def test_shape_invariants():
         NetworkShape(n_total=4, n_sensors=2, n_relays=2, relay_fanout=1.0, packet_bits=0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HarqParams(7.5, 2),
+        lambda: HarqParams(7, 2.5),
+        lambda: HarqParams(np.float64(7.0), 2),
+        lambda: NetworkShape(10.5, 9.5, 1, 9.5, 176),
+        lambda: NetworkShape(10, 9, 1, 9.0, 176.0),
+        lambda: split_nodes(10.5, 0.2, 176),
+    ],
+)
+def test_model_counts_must_be_integers(build):
+    # A fractional count used to construct, then raise TypeError in the
+    # sampler (HARQ's rounds) or yield a fractional relay count (split_nodes).
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_model_counts_accept_numpy_integers():
+    harq = HarqParams(np.int64(7), np.int32(2))
+    chan = ChannelParams(-9.0, 20e6, 20e6)
+    assert harq_pfail(chan, harq, 10_000, seed=1) == harq_pfail(chan, HarqParams(7, 2), 10_000, seed=1)
+    shape = split_nodes(np.int64(250), 0.2, np.int64(M_BITS))
+    assert (shape.n_sensors, shape.n_relays) == (208, 42)
+
+
 # ----------------------------------------------------------- selective repeat
 
 

@@ -486,19 +486,22 @@ def _criterion4_shapes():
 
 @pytest.mark.parametrize("shape", sorted(_criterion4_shapes()))
 def test_estimate_pfail_runs_equal_plain_runs(shape):
-    # estimate_pfail derives its runs' stream seeds in bulk; each run must
-    # replay, event for event, as the same scenario called outside a plan.
+    # estimate_pfail derives its runs' stream seeds in bulk, one plan per
+    # 1024 runs; each run must replay, event for event, as the same scenario
+    # called outside a plan, on both sides of each plan boundary.
     scenario = _criterion4_shapes()[shape]
-    runs, seed = 1000, 17
-    seen = []
+    runs, seed = 2100, 17
+    seen, plans = [], set()
 
     def recorded(s):
+        plans.add((channel._PLAN.get().start, channel._PLAN.get().stop))
         trace = scenario(s)
         seen.append((s, trace.events, trace.any_communication_failure))
         return trace
 
     p, _ = estimate_pfail(runs, recorded, seed=seed)
     base = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    assert sorted(plans) == [(base, base + 1024), (base + 1024, base + 2048), (base + 2048, base + runs)]
     plain = []
     for i in range(runs):
         trace = scenario(base + i)
@@ -628,6 +631,19 @@ def test_estimate_pfail_leaves_no_seed_plan():
 
     with pytest.raises(RuntimeError, match="scenario fault"):
         estimate_pfail(1000, raising, seed=0)
+    assert channel._PLAN.get() is None
+
+    # A fault inside the second of three plans leaves none open either.
+    base = channel.derive_seed(0)
+
+    def raising_later(s):
+        if s == base + 1500:
+            assert channel._PLAN.get().start == base + 1024
+            raise RuntimeError("scenario fault")
+        return _Failing(False)
+
+    with pytest.raises(RuntimeError, match="scenario fault"):
+        estimate_pfail(3000, raising_later, seed=0)
     assert channel._PLAN.get() is None
 
 
@@ -993,7 +1009,6 @@ def test_events_are_trace_events_and_export_as_the_field_rendering(tmp_path):
 def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
     # Every sensor and relay table, however small, from one derivation pass.
     monkeypatch.setattr(sim, "_TABLE_MIN", 1)
-    monkeypatch.setattr(channel, "_TABLE_MIN", 1)
     tables = []
     monkeypatch.setattr(sim, "spawn_streams", lambda *a: tables.append(a) or spawn_streams(*a))
     for name, case in sorted(GOLDEN_CASES.items()):
