@@ -342,6 +342,9 @@ def generate_synthetic_te(
             faulted = (fault_spec.variable,)
         else:
             raise ValueError(f"unknown fault spec {fault_spec!r}")
+        # bool is an int subclass, and True would fault variable 1.
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in faulted):
+            raise ValueError(f"fault variables {faulted} must be integers")
         if not all(0 <= v < n_vars for v in faulted):
             raise ValueError(f"fault variables {faulted} must lie in [0, {n_vars})")
     rng = spawn_stream(seed, 0xFDD)

@@ -34,6 +34,8 @@ from .protocols import (
 
 __all__ = ["FigureDataset", "build_figure", "run_experiment", "write_dataset", "summarize"]
 
+_X, _Y, _CI = itemgetter(0), itemgetter(2), itemgetter(3)  # a row's numeric fields
+
 
 @dataclass
 class FigureDataset:
@@ -64,7 +66,16 @@ class FigureDataset:
         self.rows.sort(key=itemgetter(1, 0))
 
     def check(self) -> None:
-        for x, s, y, ci in self.rows:
+        """Raise RuntimeError naming the first row whose x, y or ci99 is not finite.
+
+        A sum is finite only if every term is, as inf and nan carry through it, so
+        three C-level column sums clear a dataset; only a non-finite total, or one
+        that overflowed, pays the row scan that finds the row.
+        """
+        rows = self.rows
+        if math.isfinite(sum(map(_X, rows)) + sum(map(_Y, rows)) + sum(map(_CI, rows))):
+            return
+        for x, s, y, ci in rows:
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(ci)):
                 raise RuntimeError(f"{self.tag}: non-finite row ({x}, {s}, {y}, {ci})")
 

@@ -16,6 +16,9 @@ import functools
 import gc
 import math
 import operator
+import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -227,8 +230,8 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
 
 # Block sources for _Run.draws and _Run.link_draws: take(rng, n) returns the
 # next n draws. `_SCALAR` names the Generator method that draws one value of a
-# source with its defaults: `_read` calls it for one-draw blocks, which a run of
-# one packet per link reads on every stream, without numpy's array path.
+# source with its defaults: a reader of one-draw blocks, which a run of one
+# packet per link reads on every stream, calls it without numpy's array path.
 _Take = Callable[[np.random.Generator, int], list[float]]
 
 
@@ -250,18 +253,76 @@ _SCALAR = {_fades: "exponential", _uniforms: "random"}
 _TABLE_MIN = 16
 
 
-def _read(take: _Take, n: int, rng: np.random.Generator) -> Iterator[float]:
-    """The draws of `rng` in blocks of n, read by C iterators with no Python frame per draw
-    but take's; a run's last block may be left half read."""
-    if n == 1 and take in _SCALAR:
-        return iter(getattr(rng, _SCALAR[take]), None)
-    return chain.from_iterable(map(take, repeat(rng), repeat(n)))
+class _SetUp(NamedTuple):
+    """What a run derives from its protocol, topology and flows alone (see `_Run.__init__`)."""
+
+    protocol: Protocol
+    topology: Topology
+    flows: tuple[FlowSpec, ...]
+    specs: dict[int, FlowSpec]  # each flow by task id, in flow order
+    layout: tuple[tuple[int, int, str], ...]  # each (task, packet, sensor)
+    carried: dict[str, int]  # the packets each sensor carries: its streams' block size
+    latest: float  # the latest deadline
+    # ReFlexUp only: the layout as (task, packet, sensor, relay), and each relay's share of it.
+    relay_layout: tuple[tuple[int, int, str, str], ...]
+    schedules: dict[str, tuple[tuple[int, int, str, str], ...]]
+
+
+def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _SetUp:
+    """A run's set-up, from one pass over the flows: each (task, packet) goes to a source
+    sensor, round-robin over its flow's sources."""
+    specs: dict[int, FlowSpec] = {}
+    layout: list[tuple[int, int, str]] = []
+    carried = dict.fromkeys(topology.sensors, 0)
+    latest = 0.0
+    for f in flows:
+        task, sources = f.task_id, f.sources
+        if task in specs:
+            raise ValueError("flows must have distinct task ids")
+        specs[task] = f
+        latest = max(latest, f.deadline)
+        for p in range(f.packets_required):
+            sensor = sources[p % len(sources)]
+            if sensor not in carried:
+                raise ValueError(f"flow source {sensor!r} is not a sensor of the topology")
+            carried[sensor] += 1
+            layout.append((task, p, sensor))
+    relay_layout: list[tuple[int, int, str, str]] = []
+    shares: dict[str, list[tuple[int, int, str, str]]] = {}
+    if protocol is Protocol.REFLEXUP:
+        relay_of = {s: r for r, group in topology.members.items() for s in group}
+        shares = {r: [] for r in topology.members}
+        for task, p, sensor in layout:
+            entry = (task, p, sensor, relay_of[sensor])
+            relay_layout.append(entry)
+            shares[entry[3]].append(entry)
+    schedules = {r: tuple(share) for r, share in shares.items()}
+    return _SetUp(protocol, topology, tuple(flows), specs, tuple(layout), carried, latest, tuple(relay_layout), schedules)
+
+
+# The set-up memo of the runs inside `_plan`: a one-entry list holding the last run's
+# `_SetUp`, or None outside a plan, where nothing is kept.
+_SET_UP: ContextVar[list[_SetUp | None] | None] = ContextVar("cecbench_run_set_up", default=None)
 
 
 class _Run:
-    """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes."""
+    """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes.
 
-    __slots__ = ("protocol", "record", "seed", "events", "flows", "outcomes", "now", "slot", "layout", "carried", "latest")
+    A run that records holds the cyclic garbage collector from construction
+    until `close`, which its runner calls in a `finally`; one that does not
+    record leaves the collector alone. A run makes no reference cycles, but
+    every recorded event is a tracked TraceEvent, and each full collection
+    rescans all events recorded so far: without the pause the `trace`
+    benchmark read 406-411k against 552-565k events/s (-27%, 3 alternating
+    6 s pairs on a 2-core guest), and doubling the criterion-8 nodes took
+    2.0-2.6x the time against 1.7-2.1x with it. `close` restores the
+    collector's previous state.
+    """
+
+    __slots__ = (
+        "protocol", "record", "seed", "held", "events", "flows", "outcomes", "now", "slot",
+        "layout", "carried", "latest", "relay_layout", "schedules",
+    )
 
     def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology):
         if not flows:
@@ -270,41 +331,61 @@ class _Run:
         self.record = record
         self.seed = seed
         self.events: list[TraceEvent] = []
-        self.now = self.latest = 0.0
+        self.now = 0.0
         self.slot = 0
-        # One pass over the flows: each spec and outcome by task id; each (task, packet)
-        # with its source sensor, round-robin over the flow's sources; the packets each
-        # sensor carries, the block size of its streams; and the latest deadline.
-        self.flows = specs = {}
+        # Held before the set-up, whose tuples would otherwise start collections.
+        self.held = record and gc.isenabled()
+        if self.held:
+            gc.disable()
+        try:
+            # Inside `_plan` a run reuses the last run's set-up when it has the same protocol,
+            # the very same topology object and a flows list of the very same FlowSpec objects,
+            # which are frozen; each run still builds its own outcomes, streams and readers.
+            memo = _SET_UP.get()
+            setup = memo[0] if memo else None
+            if not (
+                setup is not None and setup.topology is topology and setup.protocol is protocol
+                and len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
+            ):
+                setup = _set_up(protocol, flows, topology)
+                if memo:
+                    memo[0] = setup
+        except BaseException:
+            self.close()
+            raise
+        _, _, _, self.flows, self.layout, self.carried, self.latest, self.relay_layout, self.schedules = setup
         self.outcomes = outcomes = {}
-        self.layout = layout = []
-        self.carried = carried = dict.fromkeys(topology.sensors, 0)
-        for f in flows:
-            task, sources = f.task_id, f.sources
-            if task in specs:
-                raise ValueError("flows must have distinct task ids")
-            specs[task] = f
+        for task, f in self.flows.items():
             outcomes[task] = FlowOutcome(task, f.packets_required)
-            self.latest = max(self.latest, f.deadline)
-            for p in range(f.packets_required):
-                sensor = sources[p % len(sources)]
-                if sensor not in carried:
-                    raise ValueError(f"flow source {sensor!r} is not a sensor of the topology")
-                carried[sensor] += 1
-                layout.append((task, p, sensor))
+
+    def close(self) -> None:
+        """Restore the collector if this run holds it; its runner calls this in a `finally`."""
+        if self.held:
+            gc.enable()
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
-        """The `_read` draws of the stream at `path`, set up now, in blocks of n."""
-        return _read(take, n, spawn_stream(self.seed, *path))
+        """The draws of the stream at `path`, set up now, in blocks of n."""
+        rng, scalar = spawn_stream(self.seed, *path), _SCALAR.get(take)
+        if n == 1 and scalar:
+            return iter(getattr(rng, scalar), None)
+        return chain.from_iterable(map(take, repeat(rng), repeat(n)))
 
     def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
-        """Each node's `_read` draws on path (head, i), i its index in `nodes`, in blocks of sizes[node],
-        all set up now: from `_TABLE_MIN` nodes up in one `spawn_streams` pass, below it one by one."""
-        if len(nodes) < _TABLE_MIN:
-            seed = self.seed
-            return {v: _read(take, sizes[v], spawn_stream(seed, head, i)) for i, v in enumerate(nodes)}
-        streams = spawn_streams(self.seed, head, len(nodes))
-        return {v: _read(take, sizes[v], rng) for v, rng in zip(nodes, streams)}
+        """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node], all
+        set up now: from `_TABLE_MIN` nodes up in one `spawn_streams` pass, below it one by one.
+        Each reader is a C iterator, with no Python frame per draw but take's; a run's last block
+        may be left half read."""
+        seed, scalar = self.seed, _SCALAR.get(take)
+        table = spawn_streams(seed, head, len(nodes)) if len(nodes) >= _TABLE_MIN else None
+        readers = {}
+        for i, v in enumerate(nodes):
+            rng = spawn_stream(seed, head, i) if table is None else table[i]
+            n = sizes[v]
+            if n == 1 and scalar:
+                readers[v] = iter(getattr(rng, scalar), None)
+            else:
+                readers[v] = chain.from_iterable(map(take, repeat(rng), repeat(n)))
+        return readers
 
     def fits(self, task: int, duration: float) -> bool:
         """Whether `duration` more airtime ends by the task's deadline; a miss counts as a skip."""
@@ -388,37 +469,27 @@ def _attempt_test(
     return attempt_ok
 
 
-def _collector_paused(run: Callable[..., SimTrace]) -> Callable[..., SimTrace]:
-    """Hold the cyclic garbage collector for the length of one run.
-
-    A run makes no reference cycles, but every recorded event is a tracked
-    TraceEvent, and each full collection rescans all events recorded so far:
-    without the pause the `trace` benchmark read 406-411k against 552-565k
-    events/s (-27%, 3 alternating 6 s pairs on a 2-core guest), and doubling
-    the criterion-8 nodes took 2.0-2.6x the time against 1.7-2.1x with it.
-    The collector's previous state is restored.
-    """
-
-    @functools.wraps(run)
-    def paused(*args, **kwargs) -> SimTrace:
-        if not gc.isenabled():
-            return run(*args, **kwargs)
-        gc.disable()
-        try:
-            return run(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
+@functools.lru_cache(maxsize=64)
+def _padded_slot(cec: CecConfig, t_cp: float) -> tuple[float, float, tuple[warnings.WarningMessage, ...]]:
+    """`reflexup_plan`'s window and slot, computed once per (cec, t_cp), with the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        target = optimal_tcm_case3(t_cp, cec)
+    return target, cec.n_tasks * cec.c0 + target, tuple(caught)
 
 
 def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
-    """Edge-side parameter calculation: target window and padded slot length."""
-    target = optimal_tcm_case3(t_cp, cec)
-    return target, cec.n_tasks * cec.c0 + target
+    """Edge-side parameter calculation: target window and padded slot length.
+
+    Computed once per (cec, t_cp); every call re-issues the warnings of the
+    computation (`DegenerateScheduleWarning` when N*c0 == t_cp) at its caller.
+    """
+    target, t_p, caught = _padded_slot(cec, t_cp)
+    for w in caught:
+        warnings.warn(w.message, w.category, stacklevel=2)
+    return target, t_p
 
 
-@_collector_paused
 def run_reflexup(
     topology: Topology,
     flows: list[FlowSpec],
@@ -450,100 +521,95 @@ def run_reflexup(
     if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
         raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
     local = chan_local if chan_local is not None else chan
-    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
-
     slot_local = packet_bits / local.rate_bps
     slot_up = packet_bits / chan.rate_bps
+    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
+    try:
+        # Parameter calculation at the edge: reports in, window/slot out. The
+        # per-flow deadlines carry the slot budget; t_p is kept on the trace.
+        _, t_p = reflexup_plan(cec, t_cp)
+        relays = topology.relays
+        for r in relays:
+            run.log("transmit", r, EDGE, -1, -1, "report")
+        for r in relays:
+            run.log("transmit", EDGE, r, -1, -1, "inform")
 
-    # Parameter calculation at the edge: reports in, window/slot out. The
-    # per-flow deadlines carry the slot budget; t_p is kept on the trace.
-    _, t_p = reflexup_plan(cec, t_cp)
-    relays = topology.relays
-    for r in relays:
-        run.log("transmit", r, EDGE, -1, -1, "report")
-    for r in relays:
-        run.log("transmit", EDGE, r, -1, -1, "inform")
+        # Each relay's schedule of the layout entries (task, packet, sensor, relay), and the
+        # entries not yet acked, in layout order.
+        schedules, missing = run.schedules, run.relay_layout
+        local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
+        up_fades = run.link_draws(_fades, 2, relays, dict(zip(relays, map(len, schedules.values()))))
+        timeouts = run.draws(_uniforms, 2 * len(run.layout), 3) if p_timeout > 0 else None
+        local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
+        up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+        # Entries the relay holds, and those the controller acked.
+        cached: set[tuple[int, int, str, str]] = set()
+        acked: set[tuple[int, int, str, str]] = set()
 
-    # The layout entries as (task, packet, sensor, relay), and each relay's schedule of them.
-    relay_of = {s: r for r, group in topology.members.items() for s in group}
-    missing: list[tuple[int, int, str, str]] = []
-    schedules: dict[str, list[tuple[int, int, str, str]]] = {r: [] for r in relays}
-    for task, packet, sensor in run.layout:
-        entry = (task, packet, sensor, relay_of[sensor])
-        missing.append(entry)
-        schedules[entry[3]].append(entry)
-    local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    up_fades = run.link_draws(_fades, 2, relays, dict(zip(relays, map(len, schedules.values()))))
-    timeouts = run.draws(_uniforms, 2 * len(run.layout), 3) if p_timeout > 0 else None
-    local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
-    up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
-    # Entries the relay holds, and those the controller acked.
-    cached: set[tuple[int, int, str, str]] = set()
-    acked: set[tuple[int, int, str, str]] = set()
-
-    # Phase 1: relays run parallel sessions; one wave = one local slot.
-    for wave in range(max(map(len, schedules.values()))):
-        for sched in schedules.values():
-            if wave >= len(sched):
-                continue
-            entry = sched[wave]
-            task, packet, sensor, relay = entry
-            if not run.fits(task, slot_local):
-                continue
-            if run.attempt("transmit", sensor, relay, task, packet, local_ok(local_fades[sensor])):
-                cached.add(entry)
-                run.log("relay-cache", relay, relay, task, packet, "ok")
-        run.wait(slot_local, slots=1)
-
-    # Phase 2: relays forward cached packets to the controller, sequentially.
-    for sched in schedules.values():
-        for entry in sched:
-            task, packet, _, relay = entry
-            if entry not in cached or not run.fits(task, slot_up):
-                continue
-            if run.attempt("transmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 1, slot_up):
-                acked.add(entry)
-                run.deliver(task, packet, relay)
-
-    # Edge-driven repair rounds: missing list goes back, relay re-sends each
-    # missing packet bundled with its cached predecessor (double airtime).
-    # A round scans the layout entries not yet acked, in layout order.
-    for rounds in count():
-        pending = run.live(slot_up)
-        if not pending or (max_rounds is not None and rounds >= max_rounds):
-            break
-        progressed = False
-        missing = [entry for entry in missing if entry not in acked]
-        for entry in missing:
-            task, packet, sensor, relay = entry
-            if task not in pending or run.outcomes[task].dispatched:
-                continue
-            run.log("nack", EDGE, relay, task, packet, "missing")
-            if entry not in cached:
-                # The relay never got it: the sensor must re-send locally first.
+        # Phase 1: relays run parallel sessions; one wave = one local slot.
+        for wave in range(max(map(len, schedules.values()))):
+            for sched in schedules.values():
+                if wave >= len(sched):
+                    continue
+                entry = sched[wave]
+                task, packet, sensor, relay = entry
                 if not run.fits(task, slot_local):
                     continue
-                progressed = True
-                ok = local_ok(local_fades[sensor])
-                if not run.attempt("retransmit", sensor, relay, task, packet, ok, 1, slot_local):
+                if run.attempt("transmit", sensor, relay, task, packet, local_ok(local_fades[sensor])):
+                    cached.add(entry)
+                    run.log("relay-cache", relay, relay, task, packet, "ok")
+            run.wait(slot_local, slots=1)
+
+        # Phase 2: relays forward cached packets to the controller, sequentially.
+        for sched in schedules.values():
+            for entry in sched:
+                task, packet, _, relay = entry
+                if entry not in cached or not run.fits(task, slot_up):
                     continue
-                cached.add(entry)
-                run.log("relay-cache", relay, relay, task, packet, "ok")
-            bundle_time = 2.0 * slot_up
-            if not run.fits(task, bundle_time):
-                continue
-            progressed = True
-            # Two slots: the missing packet plus its cached predecessor.
-            if run.attempt("retransmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 2, bundle_time):
-                acked.add(entry)
-                run.deliver(task, packet, relay)
-        if not progressed:
-            break
+                if run.attempt("transmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 1, slot_up):
+                    acked.add(entry)
+                    run.deliver(task, packet, relay)
 
-    return run.finalize(t_p)
+        # Edge-driven repair rounds: missing list goes back, relay re-sends each
+        # missing packet bundled with its cached predecessor (double airtime).
+        # A round scans the layout entries not yet acked, in layout order.
+        for rounds in count():
+            pending = run.live(slot_up)
+            if not pending or (max_rounds is not None and rounds >= max_rounds):
+                break
+            progressed = False
+            missing = [entry for entry in missing if entry not in acked]
+            for entry in missing:
+                task, packet, sensor, relay = entry
+                if task not in pending or run.outcomes[task].dispatched:
+                    continue
+                run.log("nack", EDGE, relay, task, packet, "missing")
+                if entry not in cached:
+                    # The relay never got it: the sensor must re-send locally first.
+                    if not run.fits(task, slot_local):
+                        continue
+                    progressed = True
+                    ok = local_ok(local_fades[sensor])
+                    if not run.attempt("retransmit", sensor, relay, task, packet, ok, 1, slot_local):
+                        continue
+                    cached.add(entry)
+                    run.log("relay-cache", relay, relay, task, packet, "ok")
+                bundle_time = 2.0 * slot_up
+                if not run.fits(task, bundle_time):
+                    continue
+                progressed = True
+                # Two slots: the missing packet plus its cached predecessor.
+                if run.attempt("retransmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 2, bundle_time):
+                    acked.add(entry)
+                    run.deliver(task, packet, relay)
+            if not progressed:
+                break
+
+        return run.finalize(t_p)
+    finally:
+        run.close()
 
 
-@_collector_paused
 def run_baseline(
     protocol_tag: Protocol,
     topology: Topology,
@@ -578,67 +644,73 @@ def run_baseline(
 
 def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record):
     run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
-    slot = packet_bits / chan.rate_bps
-    fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
-    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
-    # The packets not yet delivered, in (task, packet) order.
-    pending = sorted(run.layout)
+    try:
+        slot = packet_bits / chan.rate_bps
+        fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
+        timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
+        attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+        # The packets not yet delivered, in (task, packet) order.
+        pending = sorted(run.layout)
 
-    for round_no in count(1):
-        event = "transmit" if round_no == 1 else "retransmit"
-        progressed = False
-        missing = []
-        for entry in pending:
-            task, packet, sensor = entry
-            if run.outcomes[task].dispatched or not run.fits(task, slot):
-                missing.append(entry)
-                continue
-            if round_no > 1:
-                run.log("nack", CONTROLLER, sensor, task, packet, "missing")
-            ok = attempt_ok(fades[sensor])
-            # A delivered packet occupies three airtimes (data, ack, turnaround);
-            # a lost one burns only its own slot before the timeout fires.
-            cost = 3 if ok else 1
-            run.attempt(event, sensor, CONTROLLER, task, packet, ok, cost, cost * slot)
-            progressed = True
-            if ok:
-                run.deliver(task, packet, sensor)
-            else:
-                missing.append(entry)
-        pending = missing
-        if not (progressed and pending and run.live(slot)):
-            break
+        for round_no in count(1):
+            event = "transmit" if round_no == 1 else "retransmit"
+            progressed = False
+            missing = []
+            for entry in pending:
+                task, packet, sensor = entry
+                if run.outcomes[task].dispatched or not run.fits(task, slot):
+                    missing.append(entry)
+                    continue
+                if round_no > 1:
+                    run.log("nack", CONTROLLER, sensor, task, packet, "missing")
+                ok = attempt_ok(fades[sensor])
+                # A delivered packet occupies three airtimes (data, ack, turnaround);
+                # a lost one burns only its own slot before the timeout fires.
+                cost = 3 if ok else 1
+                run.attempt(event, sensor, CONTROLLER, task, packet, ok, cost, cost * slot)
+                progressed = True
+                if ok:
+                    run.deliver(task, packet, sensor)
+                else:
+                    missing.append(entry)
+            pending = missing
+            if not (progressed and pending and run.live(slot)):
+                break
 
-    return run.finalize()
+        return run.finalize()
+    finally:
+        run.close()
 
 
 def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record):
     run = _Run(Protocol.HARQ, flows, record, seed, topology)
-    slot = packet_bits / chan.rate_bps
-    r_norm = chan.spectral_efficiency
-    snr = chan.snr_linear
-    max_rounds, order = harq.max_rounds, harq.diversity_order
+    try:
+        slot = packet_bits / chan.rate_bps
+        r_norm = chan.spectral_efficiency
+        snr = chan.snr_linear
+        max_rounds, order = harq.max_rounds, harq.diversity_order
 
-    # A block holds one round per packet the sensor carries; packets that
-    # need more rounds read on into the next block.
-    information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
+        # A block holds one round per packet the sensor carries; packets that
+        # need more rounds read on into the next block.
+        information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
 
-    for task, packet, sensor in run.layout:
-        if run.outcomes[task].dispatched:
-            continue
-        accumulated = 0.0
-        for rnd in range(1, max_rounds + 1):
-            if not run.fits(task, slot):
-                break
-            accumulated += next(information[sensor])
-            event = "transmit" if rnd == 1 else "retransmit"
-            if run.attempt(event, sensor, CONTROLLER, task, packet, accumulated > r_norm, 1, slot):
-                run.deliver(task, packet, sensor)
-                break
-            run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
+        for task, packet, sensor in run.layout:
+            if run.outcomes[task].dispatched:
+                continue
+            accumulated = 0.0
+            for rnd in range(1, max_rounds + 1):
+                if not run.fits(task, slot):
+                    break
+                accumulated += next(information[sensor])
+                event = "transmit" if rnd == 1 else "retransmit"
+                if run.attempt(event, sensor, CONTROLLER, task, packet, accumulated > r_norm, 1, slot):
+                    run.deliver(task, packet, sensor)
+                    break
+                run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
 
-    return run.finalize()
+        return run.finalize()
+    finally:
+        run.close()
 
 
 @functools.lru_cache(maxsize=64)
@@ -671,33 +743,36 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
 
     run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    nodes = [s.sources[0] for s in flows]
-    if len(set(nodes)) < n:
-        raise ValueError(f"node {max(run.carried, key=run.carried.get)} sends more than one flow; each cooperating node sends one")
-    fades = run.link_draws(_fades, 1, nodes, run.carried)
+    try:
+        nodes = [s.sources[0] for s in flows]
+        if len(set(nodes)) < n:
+            raise ValueError(f"node {max(run.carried, key=run.carried.get)} sends more than one flow; each cooperating node sends one")
+        fades = run.link_draws(_fades, 1, nodes, run.carried)
 
-    survivors: list[FlowSpec] = []
-    stragglers: list[FlowSpec] = []
-    for spec in flows:
-        sensor = spec.sources[0]
-        ok = run.attempt("transmit", sensor, CONTROLLER, spec.task_id, 0, phase1_ok(fades[sensor]), 1)
-        (survivors if ok else stragglers).append(spec)
-    run.wait(t1)
-    for spec in survivors:
-        run.deliver(spec.task_id, 0, spec.sources[0])
+        survivors: list[FlowSpec] = []
+        stragglers: list[FlowSpec] = []
+        for spec in flows:
+            sensor = spec.sources[0]
+            ok = run.attempt("transmit", sensor, CONTROLLER, spec.task_id, 0, phase1_ok(fades[sensor]), 1)
+            (survivors if ok else stragglers).append(spec)
+        run.wait(t1)
+        for spec in survivors:
+            run.deliver(spec.task_id, 0, spec.sources[0])
 
-    # Rescued stragglers arrive, and dispatch, at the end of phase 2.
-    run.wait(t2)
-    if survivors and stragglers:
-        p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
-        rescues = run.draws(_uniforms, len(stragglers), 4)
-        for spec in stragglers:
-            if run.attempt("retransmit", FLOOD, CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
-                run.deliver(spec.task_id, 0, spec.sources[0])
+        # Rescued stragglers arrive, and dispatch, at the end of phase 2.
+        run.wait(t2)
+        if survivors and stragglers:
+            p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
+            rescues = run.draws(_uniforms, len(stragglers), 4)
+            for spec in stragglers:
+                if run.attempt("retransmit", FLOOD, CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
+                    run.deliver(spec.task_id, 0, spec.sources[0])
 
-    # Void round: no node survived phase 1, so no relay exists; the
-    # fixed-schedule failure form excludes this stratum.
-    return run.finalize(void=not survivors)
+        # Void round: no node survived phase 1, so no relay exists; the
+        # fixed-schedule failure form excludes this stratum.
+        return run.finalize(void=not survivors)
+    finally:
+        run.close()
 
 
 def measure_cec(
@@ -743,21 +818,34 @@ def measure_cec(
 _PLAN_RUNS = 1024
 
 
+@contextmanager
+def _plan(seeds: range) -> Iterator[None]:
+    """A `seed_plan` over `seeds`, and a set-up memo that the runs inside share; both close with it."""
+    token = _SET_UP.set([None])
+    try:
+        with seed_plan(seeds):
+            yield
+    finally:
+        _SET_UP.reset(token)
+
+
 def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) -> MonteCarloEstimate:
     """Fraction of runs with a communication failure, as a proportion that unpacks as (p, ci99).
 
     The scenario callable receives a per-run seed derived from the master
     seed; runs are independent streams and may be distributed freely. The
     runs' stream seeding words are derived in bulk (a `seed_plan` per 1024
-    runs), which leaves every stream as it would be outside a plan. The 99%
-    half-width is the larger distance from p to the ends of the Wilson score
-    interval, so it stays positive when no run fails or every run does.
+    runs), which leaves every stream as it would be outside a plan. A run
+    whose protocol, topology object and flow objects are those of the run
+    before it in the same plan reuses that run's set-up. The 99% half-width
+    is the larger distance from p to the ends of the Wilson score interval,
+    so it stays positive when no run fails or every run does.
     """
     if runs < 1000:
         raise ValueError("runs must be >= 1000")
     base, failures = derive_seed(seed), 0
     for start in range(base, base + runs, _PLAN_RUNS):
         seeds = range(start, min(start + _PLAN_RUNS, base + runs))
-        with seed_plan(seeds):
+        with _plan(seeds):
             failures += sum(map(operator.attrgetter("any_communication_failure"), map(scenario, seeds)))
     return MonteCarloEstimate.proportion(failures, runs)

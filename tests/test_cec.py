@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ def test_case3_degenerate_flagged():
     with pytest.warns(DegenerateScheduleWarning):
         value = optimal_tcm_case3(0.4, cfg)
     assert value == pytest.approx(0.4)
+
+
+def test_reflexup_plan_warns_on_every_degenerate_call():
+    # The plan is computed once per (cec, t_cp); each call still warns, at its caller.
+    cfg = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.4)
+    for _ in range(3):
+        with pytest.warns(DegenerateScheduleWarning) as caught:
+            assert reflexup_plan(cfg, 0.4) == pytest.approx((0.4, 0.8))
+        assert len(caught) == 1 and caught[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateScheduleWarning):
+            reflexup_plan(cfg, 0.4)
+        assert reflexup_plan(cfg, 0.5) == reflexup_plan(cfg, 0.5)
 
 
 def test_case3_at_optimum_closed_form():

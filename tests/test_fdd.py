@@ -286,6 +286,20 @@ def test_generator_rejects_fault_variables_outside_the_plant():
     assert len(test) == 15
 
 
+@pytest.mark.parametrize("spec", [Drift(1.5, 1.0), MeanShift((1.5,), 4.0), VarianceBump(True, 4.0), MeanShift((2, False), 4.0)])
+def test_generator_rejects_fault_variables_that_are_not_integers(spec):
+    # 1.5 lies in range but indexes nothing, and True would fault variable 1.
+    with pytest.raises(ValueError, match="must be integers"):
+        generate_synthetic_te(10, 5, spec, seed=1, n_vars=8)
+
+
+def test_generator_takes_numpy_integer_fault_variables():
+    plain = generate_synthetic_te(10, 5, MeanShift((1, 3), 4.0), seed=1, n_vars=8)[1]
+    numpy = generate_synthetic_te(10, 5, MeanShift((np.int64(1), np.uint8(3)), 4.0), seed=1, n_vars=8)[1]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(plain, numpy))
+    generate_synthetic_te(10, 5, Drift(np.int32(7), 1.0), seed=1, n_vars=8)
+
+
 def test_drift_fault_eventually_flags():
     train, test = generate_synthetic_te(2000, 300, Drift(variable=2, slope=0.05), seed=17, n_vars=12)
     model = fit_pca(train, n_components=5)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import tempfile
 
@@ -237,3 +238,30 @@ def test_one_pass_view_matches_a_scan_per_series(rows, sort):
         with open(write_dataset(ds, out), "rb") as fh:
             assert fh.read() == _scan_csv(ds)
         assert os.listdir(out) == ["fig_prop.csv"]
+
+
+def _first_non_finite(rows):
+    return next((r for r in rows if not all(map(math.isfinite, (r[0], r[2], r[3])))), None)
+
+
+def test_check_names_the_first_non_finite_row():
+    rows = [(1.0, "a", 2.0, 0.1), (2.0, "a", math.nan, 0.1), (3.0, "b", 1.0, math.inf), (-math.inf, "b", 1.0, 0.0)]
+    with pytest.raises(RuntimeError) as raised:
+        FigureDataset("fig_x", "x", "y", rows).check()
+    assert str(raised.value) == "fig_x: non-finite row (2.0, a, nan, 0.1)"
+    # Finite values whose column sums overflow pass; so does an empty dataset.
+    FigureDataset("fig_x", "x", "y", [(1e308, "a", 1e308, -1e308), (1e308, "b", 1e308, -1e308)]).check()
+    FigureDataset("fig_x", "x", "y", []).check()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_ROWS)
+def test_check_fails_exactly_on_a_non_finite_row(rows):
+    ds = FigureDataset("fig_prop", "x", "y", rows)
+    bad = _first_non_finite(rows)
+    if bad is None:
+        ds.check()
+    else:
+        with pytest.raises(RuntimeError) as raised:
+            ds.check()
+        assert str(raised.value) == f"fig_prop: non-finite row ({bad[0]}, {bad[1]}, {bad[2]}, {bad[3]})"
