@@ -3,12 +3,12 @@
 All public interfaces take SNR in dB and convert to linear scale internally.
 Channel power gains |h|^2 are unit-mean exponential (Rayleigh envelope), drawn
 from splittable per-link RNG streams so that simulation traces replay exactly.
+A stream depends only on its seed and path: `spawn_streams` and a `SeedPlan`
+derive many streams' seeding words at once, and their holder picks which to use.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -23,7 +23,7 @@ __all__ = [
     "derive_seed",
     "spawn_stream",
     "spawn_streams",
-    "seed_plan",
+    "SeedPlan",
     "sample_fades",
     "link_capacity_bps",
 ]
@@ -115,17 +115,10 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent, reproducible generator for one (run, link, ...) coordinate.
 
     Distinct paths under the same master seed give statistically independent
-    streams, so parallel runs and per-link draws never share state. Inside a
-    `seed_plan` that covers `seed`, the PCG64 seeding words come from the
-    plan's bulk derivation; `spawn_streams` derives a run's links under one
-    path head in one pass. The generator is the same either way.
+    streams, so parallel runs and per-link draws never share state.
+    `spawn_streams` derives a run's links under one path head in one pass,
+    and `SeedPlan` many seeds at one path; the generator is the same either way.
     """
-    plan = _PLAN.get()
-    if plan is not None and type(seed) is int and plan.start <= seed < plan.stop:
-        rows = plan.rows.get(path)
-        if rows is None:
-            rows = plan.rows[path] = _path_words(plan.pool, path)
-        return _Generator(_PCG64(_Words((rows[seed - plan.start],))))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
@@ -133,17 +126,14 @@ def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]
     """The generators of paths (head, 0) ... (head, count - 1) under `seed`.
 
     Stream i is bit-identical to `spawn_stream(seed, head, i)`. For a plain
-    int seed in [0, 2**64) that no `seed_plan` covers, the seeding words of
-    all paths come from one `_seed_words` call (about 0.3-0.4 ms plus 3 µs
-    per stream, against about 20 µs per stream set up alone: the caller
-    decides when that pays); otherwise each stream is `spawn_stream`'s,
-    which reads a covering plan of 32 bytes per seed and derived path.
+    int seed in [0, 2**64), the seeding words of all paths come from one
+    `_seed_words` call (about 0.3-0.4 ms plus 3 µs per stream, against about
+    20 µs per stream set up alone: the caller decides when that pays);
+    otherwise each stream is `spawn_stream`'s.
     """
     if type(seed) is int and 0 <= seed < 1 << 64:
-        plan = _PLAN.get()
-        if plan is None or not plan.start <= seed < plan.stop:
-            rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
-            return [_Generator(_PCG64(_Words((row,)))) for row in rows]
+        rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
+        return [_Generator(_PCG64(_Words((row,)))) for row in rows]
     return [spawn_stream(seed, head, i) for i in range(count)]
 
 
@@ -259,10 +249,16 @@ class _Words(tuple, ISeedSequence):
         return self[0]
 
 
-class _SeedPlan:
-    """Seeding words for the seeds in [start, stop): `rows[path]` holds, in row
-    `seed - start`, the words of each seed at `path`, derived on the path's
-    first request from the seeds' `_seed_pool`, which the plan derives once."""
+class SeedPlan:
+    """The stream seeding words of the seeds in a range, derived in bulk.
+
+    `stream(seed, *path)` is `spawn_stream(seed, *path)` for any seed. For a
+    plain int seed the plan covers, the PCG64 words come from a table of all
+    its seeds at `path`, derived on the path's first request from the seeds'
+    `_seed_pool`, which the plan derives once: about 2-3 µs per stream
+    instead of about 25. A plan holds 32 bytes per seed and derived path, so
+    its caller sizes it.
+    """
 
     __slots__ = ("start", "stop", "pool", "rows")
 
@@ -270,34 +266,21 @@ class _SeedPlan:
         self.start = max(seeds.start, 0)
         self.stop = min(seeds.stop, 1 << 64)
         self.pool = _seed_pool(np.arange(self.start, self.stop, dtype=np.uint64))
+        # Row `seed - start` of rows[path] holds the words of `seed` at `path`.
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    def stream(self, seed: int, *path: int) -> np.random.Generator:
+        if type(seed) is int and self.start <= seed < self.stop:
+            rows = self.rows.get(path)
+            if rows is None:
+                rows = self.rows[path] = _path_words(self.pool, path)
+            return _Generator(_PCG64(_Words((rows[seed - self.start],))))
+        return spawn_stream(seed, *path)
 
 
 # The two constructors every stream goes through, bound once.
 _Generator = np.random.Generator
 _PCG64 = np.random.PCG64
-
-
-_PLAN: ContextVar[_SeedPlan | None] = ContextVar("cecbench_seed_plan", default=None)
-
-
-@contextmanager
-def seed_plan(seeds: range) -> Iterator[None]:
-    """Derive the stream seeding words of `seeds` in bulk for this context.
-
-    Within the `with` body, `spawn_stream(seed, *path)` and
-    `spawn_streams(seed, head, count)` for a seed in `seeds` take their PCG64
-    words from a table derived for all of `seeds` at once, in about 2-3 µs
-    per stream instead of about 25. A plan derives across runs, one path at a
-    time, and holds 32 bytes per seed and derived path, so its caller sizes
-    it; outside it, `spawn_streams` derives across one run's paths. The
-    streams are bit-identical to those built outside a plan.
-    """
-    token = _PLAN.set(_SeedPlan(seeds))
-    try:
-        yield
-    finally:
-        _PLAN.reset(token)
 
 
 def sample_fades(rng: np.random.Generator, size) -> np.ndarray:

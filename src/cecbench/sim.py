@@ -2,8 +2,10 @@
 
 One run owns its event log and RNG streams (split per link from the master
 seed), so identical seeds replay bit-identical traces. Each link's stream is
-set up with the link, by `spawn_stream` or, for many links under one path
-head (1: sensors, 2: relays), by one `spawn_streams` pass of equal streams. A stream
+set up with the link: inside `estimate_pfail` from the plan of the run's chunk
+of runs, the one scope that runs share (it also holds their set-up memo);
+outside, by `spawn_stream` or, for many links under one path head (1: sensors,
+2: relays), by one `spawn_streams` pass. All three give equal streams. A stream
 is read in blocks sized by the packets its link carries; a block holds the
 same values, in the same order, as the same number of draws taken one at a
 time, so the block size never changes a trace. Time advances in
@@ -17,16 +19,16 @@ import gc
 import math
 import operator
 import warnings
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, count, repeat
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
-from .channel import ChannelParams, derive_seed, seed_plan, spawn_stream, spawn_streams
+from .channel import ChannelParams, SeedPlan, derive_seed, spawn_stream, spawn_streams
 from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
@@ -79,12 +81,16 @@ class Topology:
     An empty member map is the star fallback where sensors reach the
     controller directly. Sensor names are distinct, and no node takes the
     name of a fixed node (CONTROLLER, EDGE) or of Occupy CoW's rescue source.
+    The member map is kept as a read-only copy with tuple groups, and the
+    sensors as a tuple, so no caller can change either past these checks.
     """
 
     members: Mapping[str, tuple[str, ...]]
     sensors: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", MappingProxyType({r: tuple(g) for r, g in self.members.items()}))
+        object.__setattr__(self, "sensors", tuple(self.sensors))
         if len(set(self.sensors)) != len(self.sensors):
             raise ValueError("sensor names must be distinct")
         reserved = {CONTROLLER, EDGE, FLOOD}.intersection([*self.sensors, *self.members])
@@ -266,11 +272,13 @@ class _SetUp(NamedTuple):
     # ReFlexUp only: the layout as (task, packet, sensor, relay), and each relay's share of it.
     relay_layout: tuple[tuple[int, int, str, str], ...]
     schedules: dict[str, tuple[tuple[int, int, str, str], ...]]
+    nodes: tuple[str, ...]  # Occupy CoW only: each flow's one node, in flow order
 
 
 def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _SetUp:
     """A run's set-up, from one pass over the flows: each (task, packet) goes to a source
-    sensor, round-robin over its flow's sources."""
+    sensor, round-robin over its flow's sources. Occupy CoW's flows are checked here too:
+    one single-packet flow from each of two or more distinct nodes."""
     specs: dict[int, FlowSpec] = {}
     layout: list[tuple[int, int, str]] = []
     carried = dict.fromkeys(topology.sensors, 0)
@@ -297,19 +305,35 @@ def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _S
             relay_layout.append(entry)
             shares[entry[3]].append(entry)
     schedules = {r: tuple(share) for r, share in shares.items()}
-    return _SetUp(protocol, topology, tuple(flows), specs, tuple(layout), carried, latest, tuple(relay_layout), schedules)
+    nodes: tuple[str, ...] = ()
+    if protocol is Protocol.OCCUPY_COW:
+        if any(f.packets_required != 1 or len(f.sources) != 1 for f in flows):
+            raise ValueError("the cooperative baseline expects one single-packet flow per node")
+        if len(flows) < 2:
+            raise ValueError("need n >= 2 cooperating nodes")
+        nodes = tuple(sensor for _, _, sensor in layout)
+        if len(set(nodes)) < len(nodes):
+            raise ValueError(f"node {max(carried, key=carried.get)} sends more than one flow; each cooperating node sends one")
+    return _SetUp(protocol, topology, tuple(flows), specs, tuple(layout), carried, latest, tuple(relay_layout), schedules, nodes)
 
 
-# The set-up memo of the runs inside `_plan`: a one-entry list holding the last run's
-# `_SetUp`, or None outside a plan, where nothing is kept.
-_SET_UP: ContextVar[list[_SetUp | None] | None] = ContextVar("cecbench_run_set_up", default=None)
+class _Plan(SeedPlan):
+    """One chunk of an estimate's runs: their seeds' stream words, and the set-up of the
+    last run, which the next run reuses when it has the same protocol, topology and flows."""
+
+    setup: _SetUp | None = None
+
+
+# The plan of the estimate whose runs are executing, or None outside an estimate, where
+# nothing is kept: the one scope that runs of a scenario share.
+_PLAN: ContextVar[_Plan | None] = ContextVar("cecbench_plan", default=None)
 
 
 class _Run:
     """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes.
 
     A run that records holds the cyclic garbage collector from construction
-    until `close`, which its runner calls in a `finally`; one that does not
+    until `close`, which its entry point calls in a `finally`; one that does not
     record leaves the collector alone. A run makes no reference cycles, but
     every recorded event is a tracked TraceEvent, and each full collection
     rescans all events recorded so far: without the pause the `trace`
@@ -320,11 +344,14 @@ class _Run:
     """
 
     __slots__ = (
-        "protocol", "record", "seed", "held", "events", "flows", "outcomes", "now", "slot",
-        "layout", "carried", "latest", "relay_layout", "schedules",
+        "protocol", "record", "seed", "stream", "tables", "held", "events", "flows", "outcomes", "now", "slot",
+        "layout", "carried", "latest", "relay_layout", "schedules", "nodes",
     )
 
-    def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology):
+    def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology,
+                 packet_bits: int = 176, p_timeout: float = 0.0):
+        if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
+            raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
         if not flows:
             raise ValueError("need at least one flow")
         self.protocol = protocol
@@ -333,53 +360,58 @@ class _Run:
         self.events: list[TraceEvent] = []
         self.now = 0.0
         self.slot = 0
+        # Inside an estimate every stream comes from its plan, which falls back to
+        # `spawn_stream` for a seed it does not cover; outside one, from `spawn_stream`, or
+        # from one `spawn_streams` table for `_TABLE_MIN` links or more under one path head.
+        plan = _PLAN.get()
+        self.stream = spawn_stream if plan is None else plan.stream
+        self.tables = plan is None
         # Held before the set-up, whose tuples would otherwise start collections.
         self.held = record and gc.isenabled()
         if self.held:
             gc.disable()
         try:
-            # Inside `_plan` a run reuses the last run's set-up when it has the same protocol,
+            # Inside an estimate a run reuses the last run's set-up when it has the same protocol,
             # the very same topology object and a flows list of the very same FlowSpec objects,
             # which are frozen; each run still builds its own outcomes, streams and readers.
-            memo = _SET_UP.get()
-            setup = memo[0] if memo else None
+            setup = None if plan is None else plan.setup
             if not (
                 setup is not None and setup.topology is topology and setup.protocol is protocol
                 and len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
             ):
                 setup = _set_up(protocol, flows, topology)
-                if memo:
-                    memo[0] = setup
+                if plan is not None:
+                    plan.setup = setup
         except BaseException:
             self.close()
             raise
-        _, _, _, self.flows, self.layout, self.carried, self.latest, self.relay_layout, self.schedules = setup
+        _, _, _, self.flows, self.layout, self.carried, self.latest, self.relay_layout, self.schedules, self.nodes = setup
         self.outcomes = outcomes = {}
         for task, f in self.flows.items():
             outcomes[task] = FlowOutcome(task, f.packets_required)
 
     def close(self) -> None:
-        """Restore the collector if this run holds it; its runner calls this in a `finally`."""
+        """Restore the collector if this run holds it; its entry point calls this in a `finally`."""
         if self.held:
             gc.enable()
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
         """The draws of the stream at `path`, set up now, in blocks of n."""
-        rng, scalar = spawn_stream(self.seed, *path), _SCALAR.get(take)
+        rng, scalar = self.stream(self.seed, *path), _SCALAR.get(take)
         if n == 1 and scalar:
             return iter(getattr(rng, scalar), None)
         return chain.from_iterable(map(take, repeat(rng), repeat(n)))
 
     def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
         """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node], all
-        set up now: from `_TABLE_MIN` nodes up in one `spawn_streams` pass, below it one by one.
-        Each reader is a C iterator, with no Python frame per draw but take's; a run's last block
-        may be left half read."""
-        seed, scalar = self.seed, _SCALAR.get(take)
-        table = spawn_streams(seed, head, len(nodes)) if len(nodes) >= _TABLE_MIN else None
+        set up now: outside an estimate from `_TABLE_MIN` nodes up in one `spawn_streams` pass,
+        otherwise one by one. Each reader is a C iterator, with no Python frame per draw but
+        take's; a run's last block may be left half read."""
+        seed, stream, scalar = self.seed, self.stream, _SCALAR.get(take)
+        table = spawn_streams(seed, head, len(nodes)) if self.tables and len(nodes) >= _TABLE_MIN else None
         readers = {}
         for i, v in enumerate(nodes):
-            rng = spawn_stream(seed, head, i) if table is None else table[i]
+            rng = stream(seed, head, i) if table is None else table[i]
             n = sizes[v]
             if n == 1 and scalar:
                 readers[v] = iter(getattr(rng, scalar), None)
@@ -518,13 +550,11 @@ def run_reflexup(
     """
     if not topology.members:
         raise ValueError("the two-phase protocol needs a relay topology")
-    if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
-        raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
-    local = chan_local if chan_local is not None else chan
-    slot_local = packet_bits / local.rate_bps
-    slot_up = packet_bits / chan.rate_bps
-    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology)
+    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology, packet_bits, p_timeout)
     try:
+        local = chan_local if chan_local is not None else chan
+        slot_local = packet_bits / local.rate_bps
+        slot_up = packet_bits / chan.rate_bps
         # Parameter calculation at the edge: reports in, window/slot out. The
         # per-flow deadlines carry the slot budget; t_p is kept on the trace.
         _, t_p = reflexup_plan(cec, t_cp)
@@ -631,86 +661,80 @@ def run_baseline(
     L-branch diversity. Occupy CoW: two fixed phases; stragglers are rescued
     by the flooding survivors with the conditional phase-2 failure p12.
     """
-    if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
-        raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
-    if protocol_tag == Protocol.SELECTIVE_REPEAT_ARQ:
-        return _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record_events)
-    if protocol_tag == Protocol.HARQ:
-        return _run_harq(topology, flows, chan, seed, packet_bits, harq or HarqParams(7, 2), record_events)
-    if protocol_tag == Protocol.OCCUPY_COW:
-        return _run_occupy_cow(topology, flows, chan, seed, packet_bits, oc_t1, oc_t2, record_events)
-    raise ValueError(f"run_baseline does not handle {protocol_tag}")
-
-
-def _run_selective_repeat(topology, flows, chan, seed, packet_bits, p_timeout, record):
-    run = _Run(Protocol.SELECTIVE_REPEAT_ARQ, flows, record, seed, topology)
+    if protocol_tag not in (Protocol.SELECTIVE_REPEAT_ARQ, Protocol.HARQ, Protocol.OCCUPY_COW):
+        raise ValueError(f"run_baseline does not handle {protocol_tag}")
+    run = _Run(protocol_tag, flows, record_events, seed, topology, packet_bits, p_timeout)
     try:
-        slot = packet_bits / chan.rate_bps
-        fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-        timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
-        attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
-        # The packets not yet delivered, in (task, packet) order.
-        pending = sorted(run.layout)
-
-        for round_no in count(1):
-            event = "transmit" if round_no == 1 else "retransmit"
-            progressed = False
-            missing = []
-            for entry in pending:
-                task, packet, sensor = entry
-                if run.outcomes[task].dispatched or not run.fits(task, slot):
-                    missing.append(entry)
-                    continue
-                if round_no > 1:
-                    run.log("nack", CONTROLLER, sensor, task, packet, "missing")
-                ok = attempt_ok(fades[sensor])
-                # A delivered packet occupies three airtimes (data, ack, turnaround);
-                # a lost one burns only its own slot before the timeout fires.
-                cost = 3 if ok else 1
-                run.attempt(event, sensor, CONTROLLER, task, packet, ok, cost, cost * slot)
-                progressed = True
-                if ok:
-                    run.deliver(task, packet, sensor)
-                else:
-                    missing.append(entry)
-            pending = missing
-            if not (progressed and pending and run.live(slot)):
-                break
-
-        return run.finalize()
+        if protocol_tag is Protocol.SELECTIVE_REPEAT_ARQ:
+            return _run_selective_repeat(run, topology, chan, packet_bits, p_timeout)
+        if protocol_tag is Protocol.HARQ:
+            return _run_harq(run, topology, chan, packet_bits, harq or HarqParams(7, 2))
+        return _run_occupy_cow(run, chan, packet_bits, oc_t1, oc_t2)
     finally:
         run.close()
 
 
-def _run_harq(topology, flows, chan, seed, packet_bits, harq: HarqParams, record):
-    run = _Run(Protocol.HARQ, flows, record, seed, topology)
-    try:
-        slot = packet_bits / chan.rate_bps
-        r_norm = chan.spectral_efficiency
-        snr = chan.snr_linear
-        max_rounds, order = harq.max_rounds, harq.diversity_order
+def _run_selective_repeat(run: _Run, topology, chan, packet_bits, p_timeout):
+    slot = packet_bits / chan.rate_bps
+    fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
+    timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
+    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+    # The packets not yet delivered, in (task, packet) order.
+    pending = sorted(run.layout)
 
-        # A block holds one round per packet the sensor carries; packets that
-        # need more rounds read on into the next block.
-        information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
-
-        for task, packet, sensor in run.layout:
-            if run.outcomes[task].dispatched:
+    for round_no in count(1):
+        event = "transmit" if round_no == 1 else "retransmit"
+        progressed = False
+        missing = []
+        for entry in pending:
+            task, packet, sensor = entry
+            if run.outcomes[task].dispatched or not run.fits(task, slot):
+                missing.append(entry)
                 continue
-            accumulated = 0.0
-            for rnd in range(1, max_rounds + 1):
-                if not run.fits(task, slot):
-                    break
-                accumulated += next(information[sensor])
-                event = "transmit" if rnd == 1 else "retransmit"
-                if run.attempt(event, sensor, CONTROLLER, task, packet, accumulated > r_norm, 1, slot):
-                    run.deliver(task, packet, sensor)
-                    break
-                run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
+            if round_no > 1:
+                run.log("nack", CONTROLLER, sensor, task, packet, "missing")
+            ok = attempt_ok(fades[sensor])
+            # A delivered packet occupies three airtimes (data, ack, turnaround);
+            # a lost one burns only its own slot before the timeout fires.
+            cost = 3 if ok else 1
+            run.attempt(event, sensor, CONTROLLER, task, packet, ok, cost, cost * slot)
+            progressed = True
+            if ok:
+                run.deliver(task, packet, sensor)
+            else:
+                missing.append(entry)
+        pending = missing
+        if not (progressed and pending and run.live(slot)):
+            break
 
-        return run.finalize()
-    finally:
-        run.close()
+    return run.finalize()
+
+
+def _run_harq(run: _Run, topology, chan, packet_bits, harq: HarqParams):
+    slot = packet_bits / chan.rate_bps
+    r_norm = chan.spectral_efficiency
+    snr = chan.snr_linear
+    max_rounds, order = harq.max_rounds, harq.diversity_order
+
+    # A block holds one round per packet the sensor carries; packets that
+    # need more rounds read on into the next block.
+    information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
+
+    for task, packet, sensor in run.layout:
+        if run.outcomes[task].dispatched:
+            continue
+        accumulated = 0.0
+        for rnd in range(1, max_rounds + 1):
+            if not run.fits(task, slot):
+                break
+            accumulated += next(information[sensor])
+            event = "transmit" if rnd == 1 else "retransmit"
+            if run.attempt(event, sensor, CONTROLLER, task, packet, accumulated > r_norm, 1, slot):
+                run.deliver(task, packet, sensor)
+                break
+            run.log("nack", CONTROLLER, sensor, task, packet, "undecoded")
+
+    return run.finalize()
 
 
 @functools.lru_cache(maxsize=64)
@@ -720,8 +744,8 @@ def _rescue_failure(n: int, packet_bits: int, chan: ChannelParams, t1: float, t2
     return occupycow_phase_probs(shape, chan, t1, t2).p12
 
 
-def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
-    """Two fixed phases; every participant carries exactly one packet.
+def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
+    """Two fixed phases; every participant carries exactly one packet (its set-up checks that).
 
     Phase-1 losses are sampled fades at the phase-1 session rate; the rescue
     draw uses the conditional failure p12 directly (it is a ratio of the two
@@ -729,50 +753,38 @@ def _run_occupy_cow(topology, flows, chan, seed, packet_bits, t1, t2, record):
     fails phase 1 leaves no relays and is treated as a void round, matching
     the fixed-schedule failure form and its enumeration oracle.
     """
-    for spec in flows:
-        if spec.packets_required != 1 or len(spec.sources) != 1:
-            raise ValueError("the cooperative baseline expects one single-packet flow per node")
-    n = len(flows)
-    if n < 2:
-        raise ValueError("need n >= 2 cooperating nodes")
+    n = len(run.nodes)
     t1 = t1 if t1 is not None else 2.0 * n * (packet_bits + 1) / chan.rate_bps
     t2 = t2 if t2 is not None else n * (packet_bits + 1) / chan.rate_bps
     if not (0 < t1 < math.inf and 0 < t2 < math.inf):
         raise ValueError("phase durations must be finite and > 0")
     # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
     phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
+    fades = run.link_draws(_fades, 1, run.nodes, run.carried)
 
-    run = _Run(Protocol.OCCUPY_COW, flows, record, seed, topology)
-    try:
-        nodes = [s.sources[0] for s in flows]
-        if len(set(nodes)) < n:
-            raise ValueError(f"node {max(run.carried, key=run.carried.get)} sends more than one flow; each cooperating node sends one")
-        fades = run.link_draws(_fades, 1, nodes, run.carried)
+    # Each layout entry is one node's flow: (task, 0, node).
+    survivors: list[tuple[int, int, str]] = []
+    stragglers: list[tuple[int, int, str]] = []
+    for entry in run.layout:
+        task, _, node = entry
+        ok = run.attempt("transmit", node, CONTROLLER, task, 0, phase1_ok(fades[node]), 1)
+        (survivors if ok else stragglers).append(entry)
+    run.wait(t1)
+    for task, _, node in survivors:
+        run.deliver(task, 0, node)
 
-        survivors: list[FlowSpec] = []
-        stragglers: list[FlowSpec] = []
-        for spec in flows:
-            sensor = spec.sources[0]
-            ok = run.attempt("transmit", sensor, CONTROLLER, spec.task_id, 0, phase1_ok(fades[sensor]), 1)
-            (survivors if ok else stragglers).append(spec)
-        run.wait(t1)
-        for spec in survivors:
-            run.deliver(spec.task_id, 0, spec.sources[0])
+    # Rescued stragglers arrive, and dispatch, at the end of phase 2.
+    run.wait(t2)
+    if survivors and stragglers:
+        p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
+        rescues = run.draws(_uniforms, len(stragglers), 4)
+        for task, _, node in stragglers:
+            if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, next(rescues) >= p12, 1):
+                run.deliver(task, 0, node)
 
-        # Rescued stragglers arrive, and dispatch, at the end of phase 2.
-        run.wait(t2)
-        if survivors and stragglers:
-            p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
-            rescues = run.draws(_uniforms, len(stragglers), 4)
-            for spec in stragglers:
-                if run.attempt("retransmit", FLOOD, CONTROLLER, spec.task_id, 0, next(rescues) >= p12, 1):
-                    run.deliver(spec.task_id, 0, spec.sources[0])
-
-        # Void round: no node survived phase 1, so no relay exists; the
-        # fixed-schedule failure form excludes this stratum.
-        return run.finalize(void=not survivors)
-    finally:
-        run.close()
+    # Void round: no node survived phase 1, so no relay exists; the
+    # fixed-schedule failure form excludes this stratum.
+    return run.finalize(void=not survivors)
 
 
 def measure_cec(
@@ -812,21 +824,10 @@ def measure_cec(
     )
 
 
-# Runs per `seed_plan` of an estimate. Deriving a plan for 1024 seeds takes about 0.55 ms,
+# Runs per `_Plan` of an estimate. Deriving a plan for 1024 seeds takes about 0.55 ms,
 # most of it fixed per-call cost, and it holds 32 bytes per seed and path, so memory stays
 # at one plan's rows however many runs the estimate makes.
 _PLAN_RUNS = 1024
-
-
-@contextmanager
-def _plan(seeds: range) -> Iterator[None]:
-    """A `seed_plan` over `seeds`, and a set-up memo that the runs inside share; both close with it."""
-    token = _SET_UP.set([None])
-    try:
-        with seed_plan(seeds):
-            yield
-    finally:
-        _SET_UP.reset(token)
 
 
 def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) -> MonteCarloEstimate:
@@ -834,18 +835,26 @@ def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) ->
 
     The scenario callable receives a per-run seed derived from the master
     seed; runs are independent streams and may be distributed freely. The
-    runs' stream seeding words are derived in bulk (a `seed_plan` per 1024
-    runs), which leaves every stream as it would be outside a plan. A run
-    whose protocol, topology object and flow objects are those of the run
-    before it in the same plan reuses that run's set-up. The 99% half-width
-    is the larger distance from p to the ends of the Wilson score interval,
-    so it stays positive when no run fails or every run does.
+    runs' stream seeding words are derived in bulk, one plan per 1024 runs,
+    which leaves every stream as it would be outside a plan. A run whose
+    protocol, topology object and flow objects are those of the run before
+    it in the same plan reuses that run's set-up. `runs` is an integer of at
+    least 1000. The 99% half-width is the larger distance from p to the ends
+    of the Wilson score interval, so it stays positive when no run fails or
+    every run does.
     """
+    try:
+        runs = operator.index(runs)
+    except TypeError:
+        raise ValueError(f"runs must be an integer, got {runs!r}") from None
     if runs < 1000:
         raise ValueError("runs must be >= 1000")
     base, failures = derive_seed(seed), 0
     for start in range(base, base + runs, _PLAN_RUNS):
         seeds = range(start, min(start + _PLAN_RUNS, base + runs))
-        with _plan(seeds):
+        token = _PLAN.set(_Plan(seeds))
+        try:
             failures += sum(map(operator.attrgetter("any_communication_failure"), map(scenario, seeds)))
+        finally:
+            _PLAN.reset(token)
     return MonteCarloEstimate.proportion(failures, runs)

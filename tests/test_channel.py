@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cecbench.channel import (
-    _PLAN,
     ChannelParams,
+    SeedPlan,
     _seed_words,
     _Words,
     db_to_linear,
@@ -13,7 +13,6 @@ from cecbench.channel import (
     link_capacity_bps,
     outage_probability,
     sample_fades,
-    seed_plan,
     spawn_stream,
     spawn_streams,
 )
@@ -184,29 +183,31 @@ def test_planned_stream_equals_unplanned_stream():
     start = 2**32 - 1324
     seeds = range(start, start + 3072)
     probes = list(range(start - 3, seeds.stop + 3, 97)) + [2**32 - 1, 2**32, start, seeds.stop - 1, start + 5]
-    with seed_plan(seeds):
-        for seed in probes:
-            for path in PATHS:
-                planned, plain = spawn_stream(seed, *path), _unplanned(seed, path)
-                assert planned.bit_generator.state == plain.bit_generator.state
-                assert planned.random(3).tolist() == plain.random(3).tolist()
-                assert planned.exponential(1.0) == plain.exponential(1.0)
-                assert planned.bit_generator.state == plain.bit_generator.state
+    plan = SeedPlan(seeds)
+    for seed in probes:
+        covered = seed in seeds
+        for path in PATHS:
+            planned, plain = plan.stream(seed, *path), _unplanned(seed, path)
+            assert isinstance(planned.bit_generator.seed_seq, _Words) == covered, (seed, path)
+            assert planned.bit_generator.state == plain.bit_generator.state
+            assert planned.random(3).tolist() == plain.random(3).tolist()
+            assert planned.exponential(1.0) == plain.exponential(1.0)
+            assert planned.bit_generator.state == plain.bit_generator.state
 
 
-def test_seed_plan_is_scoped():
-    with seed_plan(range(10, 20)):
-        assert isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
-        with seed_plan(range(100, 200)):
-            assert not isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
-        assert isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
-        # Outside the range, and for seeds that are not plain ints, the
-        # stream is set up as without a plan.
-        assert not isinstance(spawn_stream(20, 1).bit_generator.seed_seq, _Words)
-        assert not isinstance(spawn_stream(np.int64(12), 1).bit_generator.seed_seq, _Words)
-    assert not isinstance(spawn_stream(12, 1).bit_generator.seed_seq, _Words)
-    with pytest.raises(ValueError):
-        spawn_stream(-1, 1)
+def test_seed_plan_falls_back_outside_its_seeds():
+    # Seeds that are not plain ints in the plan's range take SeedSequence
+    # itself, a negative one included: the plan reads no row for it.
+    plan = SeedPlan(range(-5, 20))
+    assert (plan.start, plan.stop) == (0, 20)
+    assert isinstance(plan.stream(12, 1).bit_generator.seed_seq, _Words)
+    for seed in (20, np.int64(12), 2**64, 2**70):
+        stream = plan.stream(seed, 1)
+        assert isinstance(stream.bit_generator.seed_seq, np.random.SeedSequence)
+        assert stream.bit_generator.state == _unplanned(seed, (1,)).bit_generator.state
+    for stream in (plan.stream, spawn_stream):
+        with pytest.raises(ValueError):
+            stream(-1, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -231,15 +232,18 @@ def _assert_streams_equal(seed, head, count, table):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1])
 def test_spawn_streams_equal_spawn_stream(seed):
+    plan = SeedPlan(range(max(seed - 2, 0), seed + 3))
     for head in (1, 2):
-        # Outside any plan: one table per call, whatever the count.
+        # One table per call, whatever the count.
         for count in (1, 15, 16, 49):
             _assert_streams_equal(seed, head, count, table=True)
-        # Inside a plan that covers the seed, every path comes from the plan.
-        with seed_plan(range(max(seed - 2, 0), seed + 3)):
-            for count in (1, 32):
-                _assert_streams_equal(seed, head, count, table=True)
-                assert {(head, i) for i in range(count)} <= set(_PLAN.get().rows)
+        # A plan that covers the seed derives every path from its own rows.
+        for count in (1, 32):
+            for i in range(count):
+                planned = plan.stream(seed, head, i)
+                assert isinstance(planned.bit_generator.seed_seq, _Words)
+                assert planned.bit_generator.state == spawn_stream(seed, head, i).bit_generator.state, i
+            assert {(head, i) for i in range(count)} <= set(plan.rows)
 
 
 @pytest.mark.parametrize("seed", [np.int64(12), 2**64, 2**70])

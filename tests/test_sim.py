@@ -478,6 +478,15 @@ def test_estimate_pfail_rejects_few_runs():
         estimate_pfail(10, lambda s: None, seed=0)
 
 
+@pytest.mark.parametrize("runs", [1000.0, "2000", None])
+def test_estimate_pfail_rejects_runs_that_are_not_integers(runs):
+    # A float count failed with a TypeError from inside range(), and a string
+    # with one from the comparison against the minimum.
+    with pytest.raises(ValueError, match="runs must be an integer"):
+        estimate_pfail(runs, lambda s: _Failing(False), seed=0)
+    assert estimate_pfail(np.int64(1000), lambda s: _Failing(False), seed=0).trials == 1000
+
+
 def test_estimate_pfail_returns_a_proportion_record():
     runs = 1000
     est = estimate_pfail(runs, lambda s: _Failing(s % 3 == 0), seed=5)
@@ -523,7 +532,7 @@ def test_estimate_pfail_runs_equal_plain_runs(shape):
     seen, plans = [], set()
 
     def recorded(s):
-        plans.add((channel._PLAN.get().start, channel._PLAN.get().stop))
+        plans.add((sim._PLAN.get().start, sim._PLAN.get().stop))
         trace = scenario(s)
         seen.append((s, trace.events, trace.any_communication_failure))
         return trace
@@ -621,7 +630,7 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 FRAME_BUDGETS = {
     (SR, 10.0): 19000, (SR, 40.0): 19000,
     (HQ, 10.0): 17000, (HQ, 40.0): 17000,
-    (OC, 10.0): 41000, (OC, 40.0): 56315,
+    (OC, 10.0): 40000, (OC, 40.0): 55315,
     (Protocol.REFLEXUP, 10.0): 35180, (Protocol.REFLEXUP, 40.0): 35000,
 }
 
@@ -644,7 +653,8 @@ def test_frames_per_run_stay_within_budget(shape):
     # estimate, not by a generated __eq__ against an equal key an earlier test left.
     sim._padded_slot.cache_clear()
     sim._rescue_failure.cache_clear()
-    with sim._plan(seeds):
+    token = sim._PLAN.set(sim._Plan(seeds))
+    try:
         for s in seeds:  # warm: the plan's rows, the set-up memo and the runners' caches
             scenario(s)
         sys.setprofile(count)
@@ -653,6 +663,8 @@ def test_frames_per_run_stay_within_budget(shape):
                 scenario(s)
         finally:
             sys.setprofile(None)
+    finally:
+        sim._PLAN.reset(token)
     assert calls <= FRAME_BUDGETS[shape]
 
 
@@ -680,14 +692,14 @@ def test_runs_that_share_a_set_up_equal_plain_runs(case):
             trace = run_baseline(SR, topo, flows, LOSSY, seed=s)
         else:
             trace = run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=s, p_timeout=0.05)
-        setup = sim._SET_UP.get()[0]
+        setup = sim._PLAN.get().setup
         assert setup.topology is topo and setup.protocol is protocol
         assert len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
         seen.append((s, topo, list(flows), protocol, trace))
         return trace
 
     estimate_pfail(1000, scenario, seed=3)
-    assert sim._SET_UP.get() is None
+    assert sim._PLAN.get() is None
     assert len({(id(t), *map(id, f), p) for _, t, f, p, _ in seen}) > 1
     for s, topo, flows_then, protocol, trace in seen:
         if protocol == SR:
@@ -707,14 +719,14 @@ def test_estimate_pfail_keeps_no_set_up():
 
     def scenario(s):
         trace = run_reflexup(topo, flows, PERFECT, CEC_SMALL, seed=s, record_events=False)
-        shared.append(sim._SET_UP.get()[0].flows[0] is flows[0])
+        shared.append(sim._PLAN.get().setup.flows[0] is flows[0])
         return trace
 
     estimate_pfail(1000, scenario, seed=0)
     assert all(shared) and len(shared) == 1000
-    assert sim._SET_UP.get() is None
+    assert sim._PLAN.get() is None
     run_reflexup(topo, flows, PERFECT, CEC_SMALL, seed=0)
-    assert sim._SET_UP.get() is None  # outside an estimate nothing is kept
+    assert sim._PLAN.get() is None  # outside an estimate nothing is kept
     del flows, scenario
     assert spec() is None
 
@@ -724,40 +736,55 @@ def test_estimate_pfail_keeps_no_set_up():
 
     with pytest.raises(RuntimeError, match="scenario fault"):
         estimate_pfail(1000, raising, seed=0)
-    assert sim._SET_UP.get() is None
+    assert sim._PLAN.get() is None
 
 
 def test_estimate_pfail_leaves_no_seed_plan():
     inside = []
 
     def scenario(s):
-        inside.append(channel._PLAN.get() is not None)
+        inside.append(sim._PLAN.get() is not None)
         return _Failing(False)
 
     estimate_pfail(1000, scenario, seed=0)
     assert all(inside) and len(inside) == 1000
-    assert channel._PLAN.get() is None
+    assert sim._PLAN.get() is None
 
     def raising(s):
-        assert channel._PLAN.get() is not None
+        assert sim._PLAN.get() is not None
         raise RuntimeError("scenario fault")
 
     with pytest.raises(RuntimeError, match="scenario fault"):
         estimate_pfail(1000, raising, seed=0)
-    assert channel._PLAN.get() is None
+    assert sim._PLAN.get() is None
 
     # A fault inside the second of three plans leaves none open either.
     base = channel.derive_seed(0)
 
     def raising_later(s):
         if s == base + 1500:
-            assert channel._PLAN.get().start == base + 1024
+            assert sim._PLAN.get().start == base + 1024
             raise RuntimeError("scenario fault")
         return _Failing(False)
 
     with pytest.raises(RuntimeError, match="scenario fault"):
         estimate_pfail(3000, raising_later, seed=0)
-    assert channel._PLAN.get() is None
+    assert sim._PLAN.get() is None
+
+
+def test_spawn_stream_reads_no_plan_inside_an_estimate():
+    # An estimate's plan serves only the runs it sets up: `spawn_stream`,
+    # called from a scenario, still builds its stream from a SeedSequence.
+    seen = []
+
+    def scenario(s):
+        stream = spawn_stream(s, 1, 0)
+        seen.append(type(stream.bit_generator.seed_seq) is np.random.SeedSequence)
+        assert stream.bit_generator.state == sim._PLAN.get().stream(s, 1, 0).bit_generator.state
+        return _Failing(False)
+
+    estimate_pfail(1000, scenario, seed=0)
+    assert all(seen) and len(seen) == 1000
 
 
 Z99 = 2.5758293035489004
@@ -836,6 +863,33 @@ def test_topology_validation():
             sim.Topology(members={}, sensors=(name, "v2"))
         with pytest.raises(ValueError, match="reserved"):
             sim.Topology(members={name: ("v1",)}, sensors=("v1",))
+
+
+def test_topology_is_read_only():
+    # A member map changed in place skipped the partition check, and inside an
+    # estimate the reused set-up kept replaying the old relay schedules.
+    # A sensor list changed in place made an estimate's runs fail with a KeyError.
+    groups, sensors = {"s1": ["v1", "v2"], "s2": ["v3"]}, ["v1", "v2", "v3"]
+    topo = sim.Topology(members=groups, sensors=sensors)
+    groups["s1"].append("v3")
+    del groups["s2"]
+    sensors.append(sim.CONTROLLER)
+    assert dict(topo.members) == {"s1": ("v1", "v2"), "s2": ("v3",)}
+    assert topo.sensors == ("v1", "v2", "v3")
+    with pytest.raises(TypeError):
+        topo.members["s2"] = ("v1", "v2", "v3")
+    with pytest.raises(TypeError):
+        del topo.members["s1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.members = {}
+    # Equal to the same map given as a plain dict of lists, and it replays as before.
+    relay = relay_topology(10, 2)
+    plain = sim.Topology(members={r: list(g) for r, g in relay.members.items()}, sensors=relay.sensors)
+    assert plain == relay and star_topology(3).members == {}
+    flows = build_flows(relay, 2, deadline=1e-3)
+    a = run_reflexup(relay, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
+    b = run_reflexup(plain, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
+    assert a.events and a.events == b.events and a.flows == b.flows
 
 
 def test_flow_validation():
@@ -1202,6 +1256,20 @@ def test_only_the_run_core_writes_flow_outcomes():
         and any(getattr(t, "id", getattr(t, "attr", None)) in ("record", "record_events") for t in ast.walk(n.test))
     ]
     assert record_tests == []
+
+
+def test_only_the_simulator_creates_a_context_variable():
+    # Which runs of an estimate share derived state is decided in `sim` alone:
+    # it creates the package's only ContextVar, and `channel` opens no scope.
+    found = {}
+    for path in sorted(Path(sim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.name] = sum(
+            isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "ContextVar"
+            for n in ast.walk(tree)
+        )
+    assert {name: n for name, n in found.items() if n} == {"sim.py": 1}
+    assert "contextmanager" not in Path(channel.__file__).read_text(encoding="utf-8")
 
 
 def test_every_faded_hop_goes_through_one_test():
