@@ -7,12 +7,13 @@ tractable scheduling cases, and the Gaussian irregular-traffic extension.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from ._checks import integer, real
 
 __all__ = [
     "TaskProfile",
@@ -54,10 +55,9 @@ class TaskProfile:
     rb_set: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.data_bits <= 0:
-            raise ValueError("data_bits must be > 0")
-        if self.t_cp < 0 or self.t_cm < 0:
-            raise ValueError("t_cp and t_cm must be >= 0")
+        real("data_bits", self.data_bits, "(0, inf)")
+        real("t_cp", self.t_cp, "[0, inf)")
+        real("t_cm", self.t_cm, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,10 @@ class CecConfig:
     c0: float = 1.5
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.n_tasks), operator.index(self.k_rbs)
-        except TypeError:
-            raise ValueError(f"n_tasks and k_rbs must be integers, got {self!r}") from None
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        if self.k_rbs < 1:
-            raise ValueError("k_rbs must be >= 1")
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-        if self.n_tasks < self.k_rbs:
-            if not self.c < self.k_rbs - self.n_tasks:
-                raise ValueError(
-                    f"c={self.c} outside admissible range (0, K - N) = "
-                    f"(0, {self.k_rbs - self.n_tasks}) for N < K"
-                )
-        else:
-            # N >= K (the N == K boundary uses this branch): 0 < c <= 1.
-            if self.c > 1:
-                raise ValueError(f"c={self.c} outside admissible range (0, 1] for N >= K")
-        if self.c0 < 0:
-            raise ValueError("c0 must be >= 0")
+        integer("n_tasks", self.n_tasks, 1)
+        integer("k_rbs", self.k_rbs, 1)
+        real("c", self.c, f"(0, {self.k_rbs - self.n_tasks})" if self.n_tasks < self.k_rbs else "(0, 1]")
+        real("c0", self.c0, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -165,10 +147,9 @@ class TrafficScaling:
     t_cp0: float
 
     def __post_init__(self) -> None:
-        if self.std < 0:
-            raise ValueError("std must be >= 0")
-        if not self.mean > 0:
-            raise ValueError("mean must be > 0 to keep scaled times positive in expectation")
+        real("std", self.std, "[0, inf)")
+        # A positive mean keeps the scaled times positive in expectation.
+        real("mean", self.mean, "(0, inf)")
 
 
 class UccResult(NamedTuple):
@@ -185,8 +166,8 @@ def compute_uc(t_cp: float, t_cm: float, t_p: float | None = None) -> float:
     ran, so u_c = 0; likewise when the communication consumes the whole slot
     (t_cm >= t_p, if a slot length is supplied).
     """
-    if t_cp < 0 or t_cm < 0:
-        raise ValueError("times must be >= 0")
+    real("t_cp", t_cp, "[0, inf)")
+    real("t_cm", t_cm, "[0, inf)")
     if t_cm == 0.0:
         return 0.0
     if t_p is not None and t_cm >= t_p:
@@ -198,10 +179,8 @@ def compute_uc(t_cp: float, t_cm: float, t_p: float | None = None) -> float:
 
 def compute_urb(alloc: RbAllocation, task_id: int, t_cm: float, t_p: float) -> float:
     """RB utilization (|k(i)| / K) * (t_cm / t_p) of one task."""
-    if t_p <= 0:
-        raise ValueError("t_p must be > 0")
-    if t_cm < 0:
-        raise ValueError("t_cm must be >= 0")
+    real("t_p", t_p, "(0, inf)")
+    real("t_cm", t_cm, "[0, inf)")
     if t_cm > t_p:
         raise ValueError(f"t_cm={t_cm} exceeds the slot length t_p={t_p}")
     return (alloc.rb_count(task_id) / alloc.k_rbs) * (t_cm / t_p)
@@ -215,8 +194,8 @@ def compute_ucc(schedule: Iterable[tuple[float, float]]) -> UccResult:
     """
     pairs = list(schedule)
     for u_c, u_rb in pairs:
-        if not (0.0 <= u_c <= 1.0 and 0.0 <= u_rb <= 1.0):
-            raise ValueError(f"per-task utilizations must lie in [0, 1], got {(u_c, u_rb)}")
+        real("u_c", u_c, "[0, 1]")
+        real("u_rb", u_rb, "[0, 1]")
     value = math.fsum(u_c * u_rb for u_c, u_rb in pairs)
     uc_total = math.fsum(u_c for u_c, _ in pairs)
     urb_total = math.fsum(u_rb for _, u_rb in pairs)
@@ -239,18 +218,18 @@ def ucc_case1_bound(cfg: CecConfig) -> float:
 
 
 def _check_times(t_cp: float, t_cm=None) -> None:
-    """t_cp, and t_cm when given (a scalar or a numpy grid), must be > 0."""
-    if t_cm is not None and not (t_cm > 0 if np.ndim(t_cm) == 0 else (np.asarray(t_cm) > 0).all()):
-        raise ValueError(f"t_cm must be > 0, got {t_cm!r}")
-    if not t_cp > 0:
-        raise ValueError(f"t_cp must be > 0, got {t_cp!r}")
+    """t_cp, and t_cm when given (a scalar, or a numpy grid checked at its least and greatest
+    value, which are NaN when any value is), must be finite and > 0."""
+    if t_cm is not None:
+        for value in (t_cm.min(), t_cm.max()) if isinstance(t_cm, np.ndarray) else (t_cm,):
+            real("t_cm", value, "(0, inf)")
+    real("t_cp", t_cp, "(0, inf)")
 
 
 def _check_padding(cfg: CecConfig) -> None:
     # CecConfig admits c0 = 0 for the adaptive slot; a padded slot of
     # N*c0 = 0 has no optimum (T_cm = 0) for the closed forms to evaluate.
-    if not cfg.c0 > 0:
-        raise ValueError(f"the padded slot needs c0 > 0, got c0 = {cfg.c0!r}")
+    real("the padded slot's c0", cfg.c0, "(0, inf)")
 
 
 def ucc_case2(t_cm: float, t_cp: float, cfg: CecConfig):
@@ -321,12 +300,11 @@ def weighted_objective(tasks: Sequence[TaskProfile], cfg: CecConfig, t_p: float)
     W(i) = (1/K) * (T_p/T_cm(i) + T_p/T_cp(i))^-1, which stays below one for
     any task whose times fit in the slot.
     """
-    if t_p <= 0:
-        raise ValueError("t_p must be > 0")
+    real("t_p", t_p, "(0, inf)")
     total = 0.0
     for task in tasks:
-        if task.t_cm <= 0 or task.t_cp <= 0:
-            raise ValueError(f"task {task.task_id} must have positive times")
+        real(f"task {task.task_id}'s t_cm", task.t_cm, "(0, inf)")
+        real(f"task {task.task_id}'s t_cp", task.t_cp, "(0, inf)")
         weight = (1.0 / cfg.k_rbs) / (t_p / task.t_cm + t_p / task.t_cp)
         total += weight * len(task.rb_set)
     return total

@@ -39,9 +39,10 @@ class ChannelParams:
     """Operating point of one faded link.
 
     Attributes:
-        snr_db: average signal-to-noise ratio in dB (finite).
-        bandwidth_hz: channel bandwidth W in Hz (> 0).
-        rate_bps: target data rate R in bits/second (> 0).
+        snr_db: average signal-to-noise ratio in dB, in (-inf, inf).
+        bandwidth_hz: channel bandwidth W in Hz, in (0, inf).
+        rate_bps: target data rate R in bits/second, in (0, inf]: a rate that
+            overflows means certain outage.
     """
 
     snr_db: float
@@ -49,12 +50,14 @@ class ChannelParams:
     rate_bps: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
+        # `_checks.real` on each field, written out: the figures build a channel per
+        # `with_rate`, and three calls of the rule would each add a Python frame there.
+        if not -math.inf < self.snr_db < math.inf:
+            raise ValueError(f"snr_db must lie in (-inf, inf), got {self.snr_db!r}")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth_hz must lie in (0, inf), got {self.bandwidth_hz!r}")
         if not self.rate_bps > 0:
-            raise ValueError(f"rate_bps must be > 0, got {self.rate_bps!r}")
+            raise ValueError(f"rate_bps must lie in (0, inf], got {self.rate_bps!r}")
         # Kept on the instance, where a read finds it with no call. On Python 3.11 a
         # cached_property computed at the first read cost `figures` 2.5-4%: it takes a lock
         # there, and a sweep reads the SNR of most of the channels it builds, once.

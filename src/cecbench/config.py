@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._checks import integer, real
 from .cec import CecConfig, ucc_case3
 from .channel import ChannelParams, db_to_linear
 from .protocols import (
@@ -55,33 +56,13 @@ class ConfigError(ValueError):
 
 
 def _float(interval: str = "(-inf, inf)"):
-    """Parser of a finite number in `interval`, written like "(0, 1]"."""
-    low, high = (float(bound) for bound in interval[1:-1].split(","))
-    closed_low, closed_high = interval[0] == "[", interval[-1] == "]"
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("expected a finite number")
-        above = value >= low if closed_low else value > low
-        below = value <= high if closed_high else value < high
-        if not (above and below):
-            raise ValueError(f"expected a number in {interval}")
-        return value
-
-    return parse
+    """Parser of a number in `interval`, written like "(0, 1]". No config interval holds inf."""
+    return lambda text: real("the value", float(text), interval)
 
 
 def _int(minimum=None):
     """Parser of an integer, at least `minimum` when one is given."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if minimum is not None and value < minimum:
-            raise ValueError(f"expected an integer >= {minimum}")
-        return value
-
-    return parse
+    return lambda text: integer("the value", int(text), minimum)
 
 
 def _list(item):

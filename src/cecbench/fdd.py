@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import integer, real
 from .channel import spawn_stream
 
 __all__ = [
@@ -144,8 +145,7 @@ class VarianceBump:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise ValueError("factor must be > 0")
+        real("factor", self.factor, "(0, inf)")
 
 
 FaultSpec = MeanShift | Drift | VarianceBump
@@ -174,12 +174,10 @@ def fit_pca(
     # than the rest of the package together, and only fitting needs it.
     from scipy.special import fdtri, ndtri
 
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    real("alpha", alpha, "(0, 1)")
     x = _as_matrix(training)
     n, d = x.shape
-    if n_components < 1 or n_components > d:
-        raise ValueError(f"n_components must lie in [1, {d}], got {n_components}")
+    real("n_components", integer("n_components", n_components), f"[1, {d}]")
     if n < 10 * d:
         raise ValueError(f"need at least 10x dimension = {10 * d} training samples, got {n}")
     mean = x.mean(axis=0)
@@ -329,10 +327,8 @@ def generate_synthetic_te(
     followed by n_fault samples with the requested fault injected from the
     onset onward. Deterministic given the seed.
     """
-    if n_normal < 1:
-        raise ValueError("n_normal must be >= 1")
-    if n_fault < 0:
-        raise ValueError("n_fault must be >= 0")
+    integer("n_normal", n_normal, 1)
+    integer("n_fault", n_fault, 0)
     if n_fault > 0:
         if fault_spec is None:
             raise ValueError("a fault_spec is required when n_fault > 0")
@@ -342,11 +338,8 @@ def generate_synthetic_te(
             faulted = (fault_spec.variable,)
         else:
             raise ValueError(f"unknown fault spec {fault_spec!r}")
-        # bool is an int subclass, and True would fault variable 1.
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in faulted):
-            raise ValueError(f"fault variables {faulted} must be integers")
-        if not all(0 <= v < n_vars for v in faulted):
-            raise ValueError(f"fault variables {faulted} must lie in [0, {n_vars})")
+        for v in faulted:
+            real("fault variable", integer("fault variable", v), f"[0, {n_vars})")
     rng = spawn_stream(seed, 0xFDD)
     corr = _random_correlation(rng, n_vars, condition_number)
     chol = np.linalg.cholesky(corr)

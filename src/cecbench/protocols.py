@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from ._checks import integer, real
 from .cec import CecConfig, optimal_tcm_case3
 from .channel import ChannelParams, outage_probability, spawn_stream
 
@@ -66,17 +66,15 @@ class NetworkShape:
     packet_bits: int
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.n_total), operator.index(self.n_sensors)
-            operator.index(self.n_relays), operator.index(self.packet_bits)
-        except TypeError:
-            raise ValueError(f"node counts and packet_bits must be integers, got {self!r}") from None
+        integer("n_total", self.n_total)
+        integer("n_sensors", self.n_sensors)
+        integer("n_relays", self.n_relays)
+        integer("packet_bits", self.packet_bits, 1)
+        real("relay_fanout", self.relay_fanout, "[0, inf)")
         if self.n_total != self.n_sensors + self.n_relays:
             raise ValueError("n_total must equal n_sensors + n_relays")
         if self.n_relays > 0 and self.relay_fanout * self.n_relays < self.n_sensors - 1e-9:
             raise ValueError("relay_fanout * n_relays must cover all sensors")
-        if self.packet_bits <= 0:
-            raise ValueError("packet_bits must be > 0")
 
 
 def split_nodes(n_total: int, relay_sensor_ratio: float, packet_bits: int) -> NetworkShape:
@@ -84,10 +82,9 @@ def split_nodes(n_total: int, relay_sensor_ratio: float, packet_bits: int) -> Ne
 
     Sensors get round(n_total / (1 + ratio)) heads; the remainder are relays.
     """
-    if n_total < 2:
-        raise ValueError("need at least one sensor and one relay")
-    if relay_sensor_ratio <= 0:
-        raise ValueError("relay_sensor_ratio must be > 0")
+    # At least one sensor and one relay.
+    integer("n_total", n_total, 2)
+    real("relay_sensor_ratio", relay_sensor_ratio, "(0, inf)")
     n_sensors = round(n_total / (1.0 + relay_sensor_ratio))
     n_sensors = min(max(n_sensors, 1), n_total - 1)
     n_relays = n_total - n_sensors
@@ -108,14 +105,8 @@ class HarqParams:
     diversity_order: int
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.max_rounds), operator.index(self.diversity_order)
-        except TypeError:
-            raise ValueError(f"max_rounds and diversity_order must be integers, got {self!r}") from None
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.diversity_order < 1:
-            raise ValueError("diversity_order must be >= 1")
+        integer("max_rounds", self.max_rounds, 1)
+        integer("diversity_order", self.diversity_order, 1)
 
 
 @dataclass(frozen=True)
@@ -133,12 +124,11 @@ class OccupyCowParams:
     t2: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p12"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("phase durations must be > 0")
+        real("p1", self.p1, "[0, 1]")
+        real("p2", self.p2, "[0, 1]")
+        real("p12", self.p12, "[0, 1]")
+        real("t1", self.t1, "(0, inf)")
+        real("t2", self.t2, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -197,8 +187,8 @@ def srarq_latency(shape: NetworkShape, chan: ChannelParams) -> float:
 
 def srarq_pfail(p_timeout: float, p_error: float) -> float:
     """Per-attempt failure p_a + (1 - p_a) * p_b from timeouts and packet errors."""
-    if not 0.0 <= p_timeout <= 1.0 or not 0.0 <= p_error <= 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
+    real("p_timeout", p_timeout, "[0, 1]")
+    real("p_error", p_error, "[0, 1]")
     return p_timeout + (1.0 - p_timeout) * p_error
 
 
@@ -282,8 +272,8 @@ def _certified(
 ) -> MonteCarloEstimate | None:
     """`value` with its bound when every trial decodes within `rounds` rounds but with
     probability at most _CERTIFY_TOL; None when the trials must be drawn."""
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS} for a meaningful CI")
+    # Fewer trials give no meaningful CI.
+    integer("trials", trials, _MIN_TRIALS)
     bound = _harq_trivial_bound(chan, params, trials, rounds)
     return MonteCarloEstimate(value, 0.0, trials, bound) if bound <= _CERTIFY_TOL else None
 
@@ -354,8 +344,7 @@ def _sample_harq_rounds(
 
 def harq_latency(shape: NetworkShape, chan: ChannelParams, d_hat: float) -> float:
     """Average uplink time d_hat * N_G * m / R."""
-    if d_hat < 1:
-        raise ValueError("d_hat must be >= 1")
+    real("d_hat", d_hat, "[1, inf)")
     return d_hat * shape.n_total * shape.packet_bits / chan.rate_bps
 
 
@@ -373,8 +362,8 @@ def occupycow_phase_probs(
     Rayleigh outage at rate n_v*(m+1)/t_k (bandwidth-normalized, like every
     other rate term here).
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("phase durations must be > 0")
+    real("t1", t1, "(0, inf)")
+    real("t2", t2, "(0, inf)")
     bits = shape.n_sensors * (shape.packet_bits + 1)
     p1 = outage_probability(chan.with_rate(bits / t1))
     p2 = outage_probability(chan.with_rate(bits / t2))
@@ -394,8 +383,7 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
     mass under this form; the simulator and the enumeration oracle share that
     convention. Binomial masses are computed in the log domain.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 nodes")
+    integer("n", n, 2)
     if params.p1 in (0.0, 1.0):
         # All nodes fail phase 1 (the void stratum a = 0) or all succeed
         # (a = n, no stragglers): no stratum in the sum carries mass.
@@ -413,8 +401,7 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
 
 def occupycow_void_probability(n: int, params: OccupyCowParams) -> float:
     """Probability p1^n that no node survives phase 1: the void stratum `occupycow_pfail` leaves out."""
-    if n < 2:
-        raise ValueError("need n >= 2 nodes")
+    integer("n", n, 2)
     return params.p1**n
 
 
@@ -445,10 +432,9 @@ def reflexup_pfail(
 
         P_fail = 1 - (1 - P_phase1) * (1 - P_phase2)
     """
-    if t_vs <= 0:
-        raise ValueError("t_vs must be > 0")
+    real("t_vs", t_vs, "(0, inf)")
     rate1 = shape.packet_bits * (shape.relay_fanout + 1.0) / t_vs
-    rate2 = rate_phase2 if rate_phase2 is not None else rate1
+    rate2 = rate1 if rate_phase2 is None else real("rate_phase2", rate_phase2, "(0, inf]")
     p1 = srarq_pfail(p_timeout, outage_probability(chan.with_rate(rate1)))
     p2 = srarq_pfail(p_timeout, outage_probability(chan.with_rate(rate2)))
     return 1.0 - (1.0 - p1) * (1.0 - p2)
@@ -475,8 +461,8 @@ def reflexup_latency(
     """
     rate1 = rate_phase1 if rate_phase1 is not None else chan.rate_bps
     rate2 = rate_phase2 if rate_phase2 is not None else chan.rate_bps
-    if rate1 <= 0 or rate2 <= 0:
-        raise ValueError("phase rates must be > 0")
+    real("rate_phase1", rate1, "(0, inf]")
+    real("rate_phase2", rate2, "(0, inf]")
     bits1 = shape.n_sensors * shape.packet_bits
     bits2 = shape.n_relays * (shape.relay_fanout + 1.0) * shape.packet_bits
     floor = bits1 / rate1 + bits2 / rate2

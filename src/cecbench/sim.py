@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._checks import integer, real
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
 from .channel import ChannelParams, SeedPlan, derive_seed, spawn_stream, spawn_streams
 from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
@@ -116,8 +117,8 @@ def star_topology(n_sensors: int) -> Topology:
 
 def relay_topology(n_sensors: int, n_relays: int) -> Topology:
     """Round-robin sensor membership over relays (model III); sizes differ by <= 1."""
-    if n_relays < 1 or n_sensors < 1:
-        raise ValueError("need at least one relay and one sensor")
+    integer("n_sensors", n_sensors, 1)
+    integer("n_relays", n_relays, 1)
     sensors = tuple(f"v{i+1}" for i in range(n_sensors))
     groups: dict[str, list[str]] = {f"s{i+1}": [] for i in range(n_relays)}
     for i, sensor in enumerate(sensors):
@@ -136,17 +137,10 @@ class FlowSpec:
     deadline: float
 
     def __post_init__(self) -> None:
-        for name in ("task_id", "packets_required"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.packets_required < 1:
-            raise ValueError("packets_required must be >= 1")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if not 0 < self.deadline < math.inf:
-            raise ValueError(f"deadline must be finite and > 0, got {self.deadline!r}")
+        integer("task_id", self.task_id)
+        integer("packets_required", self.packets_required, 1)
+        real("epsilon", self.epsilon, "(0, 1]")
+        real("deadline", self.deadline, "(0, inf)")
         if not self.sources:
             raise ValueError("a flow needs at least one source sensor")
 
@@ -350,7 +344,9 @@ class _Run:
 
     def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology,
                  packet_bits: int = 176, p_timeout: float = 0.0):
-        if not (isinstance(packet_bits, (int, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
+        # `integer("packet_bits", packet_bits, 1)` and `real("p_timeout", p_timeout, "[0, 1]")`, written
+        # out: their two frames per run would count against the runners' frame budgets.
+        if not ((type(packet_bits) is int or isinstance(packet_bits, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
             raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
         if not flows:
             raise ValueError("need at least one flow")
@@ -756,8 +752,9 @@ def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
     n = len(run.nodes)
     t1 = t1 if t1 is not None else 2.0 * n * (packet_bits + 1) / chan.rate_bps
     t2 = t2 if t2 is not None else n * (packet_bits + 1) / chan.rate_bps
+    # `real` on each window, written out: it runs once per run, like `_Run.__init__`'s check.
     if not (0 < t1 < math.inf and 0 < t2 < math.inf):
-        raise ValueError("phase durations must be finite and > 0")
+        raise ValueError(f"Occupy CoW's windows t1 and t2 must lie in (0, inf), got {t1!r} and {t2!r}")
     # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
     phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
     fades = run.link_draws(_fades, 1, run.nodes, run.carried)
@@ -796,8 +793,7 @@ def measure_cec(
     (capped at the slot); tasks that never fit inside the slot get zero
     compute time. The RB share per task is the equal allocation at ratio c.
     """
-    if t_cp_per_task < 0:
-        raise ValueError("t_cp_per_task must be >= 0")
+    real("t_cp_per_task", t_cp_per_task, "[0, inf)")
     t_p = trace.t_p
     if len(trace.flows) * t_cp_per_task > t_p:
         raise ValueError(
@@ -843,12 +839,7 @@ def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) ->
     of the Wilson score interval, so it stays positive when no run fails or
     every run does.
     """
-    try:
-        runs = operator.index(runs)
-    except TypeError:
-        raise ValueError(f"runs must be an integer, got {runs!r}") from None
-    if runs < 1000:
-        raise ValueError("runs must be >= 1000")
+    runs = int(integer("runs", runs, 1000))
     base, failures = derive_seed(seed), 0
     for start in range(base, base + runs, _PLAN_RUNS):
         seeds = range(start, min(start + _PLAN_RUNS, base + runs))

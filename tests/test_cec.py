@@ -237,7 +237,7 @@ def test_case3_at_optimum_closed_form():
 @pytest.mark.parametrize("counts", [(2.5, 10), (2, 10.0), (np.float64(2.0), 10)])
 def test_config_counts_must_be_integers(counts):
     # A fractional count used to construct, then fail in allocate_rbs_equal.
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         CecConfig(*counts, c=1.0)
 
 

@@ -260,11 +260,11 @@ def _text_list(values):
     return st.lists(values, min_size=1, max_size=4).map(lambda vs: " ".join(map(repr, vs)))
 
 
-# Positive values span 24 decades, 1e-12 to 1e12; the others are 0 or
-# negative, which the config boundary must reject. Values near the ends of
-# the float range are not drawn: their products can still overflow or
-# underflow inside a figure, which exits 2.
-_SCALE = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+# Positive values span the float range: 1e-308 to 1e308 on a log scale, and
+# the subnormals, 5e-324 to 2.2e-308. The others are 0 or negative, which the
+# config boundary must reject. A product that overflows or underflows inside
+# a figure exits 2, so any config that does is a bug of the config boundary.
+_SCALE = st.one_of(st.floats(-308.0, 308.0).map(lambda e: 10.0**e), st.floats(5e-324, 2.2e-308))
 _SCALE_OR_NOT = st.one_of(_SCALE, st.floats(-1e3, 0.0))
 _COUNT = st.integers(-2, 1000)
 _KEYS = {
@@ -274,7 +274,7 @@ _KEYS = {
     ).map(" ".join),
     ("channel", "bandwidth_hz"): _text(_SCALE_OR_NOT),
     ("channel", "rate_bps"): _text(_SCALE_OR_NOT),
-    ("channel", "snr_db"): _text(st.floats(-400.0, 400.0)),
+    ("channel", "snr_db"): _text(st.floats(-4000.0, 4000.0)),
     ("topology", "relay_sensor_ratio"): _text(_SCALE_OR_NOT),
     ("protocol", "packet_bytes"): _text(st.integers(-1, 10**6)),
     ("protocol", "p_timeout"): _text(st.floats(-0.5, 1.5)),
@@ -287,7 +287,7 @@ _KEYS = {
     ("cec", "k_rbs"): _text(_COUNT),
     ("cec", "c"): _text(_SCALE_OR_NOT),
     ("cec", "c0"): _text(_SCALE_OR_NOT),
-    ("sweep", "snr_grid_db"): _text_list(st.floats(-400.0, 400.0)),
+    ("sweep", "snr_grid_db"): _text_list(st.floats(-4000.0, 4000.0)),
     ("sweep", "n_g_grid"): _text_list(_COUNT),
     ("sweep", "task_grid"): _text_list(_COUNT),
     ("sweep", "t_cp_fig9"): _text(_SCALE_OR_NOT),

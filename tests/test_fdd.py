@@ -289,7 +289,7 @@ def test_generator_rejects_fault_variables_outside_the_plant():
 @pytest.mark.parametrize("spec", [Drift(1.5, 1.0), MeanShift((1.5,), 4.0), VarianceBump(True, 4.0), MeanShift((2, False), 4.0)])
 def test_generator_rejects_fault_variables_that_are_not_integers(spec):
     # 1.5 lies in range but indexes nothing, and True would fault variable 1.
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         generate_synthetic_te(10, 5, spec, seed=1, n_vars=8)
 
 

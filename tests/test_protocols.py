@@ -86,7 +86,7 @@ def test_shape_invariants():
 def test_model_counts_must_be_integers(build):
     # A fractional count used to construct, then raise TypeError in the
     # sampler (HARQ's rounds) or yield a fractional relay count (split_nodes).
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         build()
 
 

@@ -150,6 +150,40 @@ def test_every_retransmit_is_preceded_by_matching_nack():
     assert retx_count > 0  # the lossy channel must have exercised the path
 
 
+def _tight_reflexup(deadline_slots):
+    """Two 4-packet tasks over two relays: a loss-free local link, the LOSSY uplink, and a
+    deadline of `deadline_slots` slots, each one packet's airtime on either link."""
+    topo = relay_topology(4, 2)
+    flows = build_flows(topo, 2, deadline=deadline_slots * 176 / LOSSY.rate_bps)
+    local = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=LOSSY.rate_bps)
+    return run_reflexup(topo, flows, LOSSY, CecConfig(2, 8, 1.0, 0.05), seed=0, chan_local=local)
+
+
+def test_reflexup_skips_phase_one_hops_past_the_deadline():
+    # Phase 1 takes four one-slot waves, two per task. At a 2-slot deadline task 1's hops,
+    # in waves 2 and 3, cannot end in time: each is skipped, with no attempt or event.
+    trace = _tight_reflexup(2)
+    task0, task1 = trace.flows[0], trace.flows[1]
+    assert (task1.attempts, task1.skipped, task1.first_attempt_time) == (0, 4, None)
+    assert not any(e.task_id == 1 for e in trace.events)
+    # Task 0's packets all reach their relays, but no uplink slot ends by the deadline.
+    assert (task0.attempts, task0.delivered, task0.skipped) == (4, 0, 4)
+    assert trace.slots == 4 and all(o.communication_failure for o in trace.flows.values())
+
+
+def test_reflexup_repair_round_without_an_attempt_ends_the_run():
+    # At 13.25 slots phase 2 ends at slot 12 with three packets lost on the uplink. A repair
+    # bundle takes two slots, which the deadline no longer admits: the round nacks each
+    # missing packet and attempts none. The run ends there; it would otherwise repeat the
+    # same round forever.
+    trace = _tight_reflexup(13.25)
+    tail = [(e.event_type, e.task_id, e.packet_id) for e in trace.events[-3:]]
+    assert tail == [("nack", 0, 2), ("nack", 0, 3), ("nack", 1, 2)]
+    assert not any(e.event_type == "retransmit" for e in trace.events)
+    assert trace.slots == 12
+    assert [(o.delivered, o.skipped) for o in trace.flows.values()] == [(2, 2), (3, 1)]
+
+
 # -------------------------------------------------------------- conservation
 
 
