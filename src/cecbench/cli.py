@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the INI experiment config")
     run.add_argument("--out", help="output directory (overrides the config)")
     run.add_argument("--seed", help="master seed (overrides the config)")
-    run.add_argument("--trials", help="Monte-Carlo trial count (overrides the config)")
+    run.add_argument("--trials", help="trial count a HARQ certificate is stated for (overrides the config)")
     run.add_argument(
         "--figure",
         help="build only this figure (overrides the config list): " + ", ".join(FIGURE_TAGS),

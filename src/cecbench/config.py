@@ -333,7 +333,7 @@ def _baseline_times(cfg: ExperimentConfig) -> list[tuple[Protocol, int, float]]:
 
     Every baseline's time grows with the network, so that size bounds the
     times fig9-fig11 charge. HARQ is charged its full round budget, which
-    bounds its sampled expected rounds. Empty when the size or the channel
+    bounds its expected rounds d_hat. Empty when the size or the channel
     fails its own checks (say, an SNR whose linear value overflows), which
     report it.
     """

@@ -89,8 +89,8 @@ def _harq_rounds(cfg: ExperimentConfig, tag: str) -> MonteCarloEstimate | None:
     """HARQ's expected-round estimate d_hat for one figure; None without HARQ.
 
     d_hat depends on the channel, Q and L, never on the network size, so one
-    estimate, drawn with the seed of the figure's first sweep point, serves
-    every point of the n_g sweep.
+    estimate serves every point of the n_g sweep. It is passed the seed of
+    the figure's first sweep point, which changes no value.
     """
     if Protocol.HARQ not in cfg.protocols:
         return None

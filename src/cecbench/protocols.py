@@ -1,4 +1,4 @@
-"""Closed-form and Monte-Carlo latency/reliability models for the uplink protocols.
+"""Closed-form and lattice-bracketed latency/reliability models for the uplink protocols.
 
 Four schemes are covered: Selective Repeat ARQ, HARQ with mutual-information
 accumulation, the two-phase Occupy CoW relaying scheme, and the two-phase
@@ -9,6 +9,8 @@ bits.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -17,7 +19,7 @@ import numpy as np
 
 from ._checks import integer, real
 from .cec import CecConfig, optimal_tcm_case3
-from .channel import ChannelParams, outage_probability, spawn_stream
+from .channel import ChannelParams, outage_probability
 
 __all__ = [
     "Protocol",
@@ -133,13 +135,13 @@ class OccupyCowParams:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """A Monte-Carlo value over `trials` trials with its standard error.
+    """An estimate over `trials` trials with its 99% half-width `ci99`; unpacks as (value, ci99).
 
-    A proportion carries its `failures` count, and its stderr is the z = 1
-    Wilson half-width; a mean carries its standard error. `bound` is None
-    when the trials were drawn. A number means nothing was drawn: the value
-    is the one sampling returns unless an event of probability at most
-    `bound` occurs, and stderr is 0. Unpacks as (value, ci99).
+    A sampled proportion carries its `failures`; its stderr is the z = 1 Wilson
+    half-width, its ci99 the one at _Z99. Otherwise stderr is a certain error
+    bound and so is ci99: a lattice bracket's half-width, or 0 when `bound` is
+    a number, the value being what a `trials`-trial sample returns unless an
+    event of probability at most `bound` occurs.
     """
 
     value: float
@@ -156,9 +158,9 @@ class MonteCarloEstimate:
 
     @property
     def ci99(self) -> float:
-        """99% half-width: the Wilson half-width at _Z99 for a proportion, _Z99 * stderr otherwise."""
+        """99% half-width: the Wilson half-width at _Z99 for a proportion, stderr otherwise."""
         if self.failures is None:
-            return _Z99 * self.stderr
+            return self.stderr
         return _wilson_half_width(self.value, self.trials, _Z99)
 
     def __iter__(self) -> Iterator[float]:
@@ -196,40 +198,35 @@ def srarq_pfail(p_timeout: float, p_error: float) -> float:
 # HARQ
 # --------------------------------------------------------------------------
 
-_CHUNK = 200_000
-# An estimate is certified, and nothing drawn, when the probability that
-# sampling returns anything but the trivial value is at most this.
+# An estimate is certified, and nothing computed, when the probability that a
+# `trials`-trial sample returns anything but the trivial value is at most this.
 _CERTIFY_TOL = 1e-6
 # Factor on the exact branch threshold, so that one fade above the slackened
-# threshold also clears R/W in the float arithmetic of _harq_round_totals:
+# threshold also clears R/W in the float arithmetic of _round_information:
 # with g = 2^(L*R/W) - 1, log2(1 + 2g) exceeds log2(1 + g) by a factor of at
 # least 1024/1023 whenever 2g is finite, far above the few-ulp rounding.
 _CERTIFY_SLACK = 2.0
 # Floor on snr * threshold (64 machine epsilons), where 1 + snr * h itself
 # rounds; it matters only for L*R/W below about 1e-14.
 _CERTIFY_FLOOR = 2.0**-46
+# Lattice steps over [0, L*R/W]: harq_pfail sums directly, O(steps^2) a round, so
+# a tiny outage keeps its relative precision; d_hat needs only absolute error and
+# convolves by FFT. _FFT_ERROR is d_hat's allowance per P_q for the FFT's rounding,
+# at most 3.3e-15 against the direct sums at -30 to 30 dB, R/W 0.01-2 and L 1-4.
+_PFAIL_STEPS, _ROUNDS_STEPS, _FFT_ERROR = 2048, 16383, 1e-12
+_LN2 = math.log(2.0)
 
 
 def _round_information(rng: np.random.Generator, snr: float, shape: tuple[int, ...]) -> np.ndarray:
     """Per-round information: log2(1 + snr*h) of the last axis's L fades, in place, summed, / L.
 
-    That is ndarray.mean's arithmetic. The simulator and the estimators share this
-    kernel, because np.log2 and math.log2 differ in the last bit on a few inputs.
+    That is ndarray.mean's arithmetic: the simulator's HARQ rounds, which the certification's slack covers.
     """
     fades = rng.exponential(1.0, size=shape)
     fades *= snr
     fades += 1.0
     np.log2(fades, out=fades)
     return fades.sum(axis=-1) / shape[-1]
-
-
-def _harq_round_totals(
-    chan: ChannelParams, params: HarqParams, trials: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Cumulative per-round information of `trials` trials, in (n, Q) chunks of n <= _CHUNK."""
-    for done in range(0, trials, _CHUNK):
-        shape = (min(_CHUNK, trials - done), params.max_rounds, params.diversity_order)
-        yield np.cumsum(_round_information(rng, chan.snr_linear, shape), axis=1)
 
 
 def _harq_branch_threshold(chan: ChannelParams, diversity: int) -> float | None:
@@ -241,7 +238,7 @@ def _harq_branch_threshold(chan: ChannelParams, diversity: int) -> float | None:
     _CERTIFY_FLOOR/snr), or None when 2^(L*R/W) overflows or snr is 0.
     """
     try:
-        excess = math.expm1(diversity * chan.spectral_efficiency * math.log(2.0))
+        excess = math.expm1(diversity * chan.spectral_efficiency * _LN2)
     except OverflowError:
         return None
     slackened = _CERTIFY_SLACK * excess
@@ -271,31 +268,55 @@ def _certified(
     chan: ChannelParams, params: HarqParams, trials: int, rounds: int, value: float
 ) -> MonteCarloEstimate | None:
     """`value` with its bound when every trial decodes within `rounds` rounds but with
-    probability at most _CERTIFY_TOL; None when the trials must be drawn."""
+    probability at most _CERTIFY_TOL; None when the estimate must be computed."""
     # Fewer trials give no meaningful CI.
     integer("trials", trials, _MIN_TRIALS)
     bound = _harq_trivial_bound(chan, params, trials, rounds)
     return MonteCarloEstimate(value, 0.0, trials, bound) if bound <= _CERTIFY_TOL else None
 
 
-def harq_pfail(chan: ChannelParams, params: HarqParams, trials: int, seed: int = 0) -> MonteCarloEstimate:
-    """Monte-Carlo outage after Q mutual-information-accumulating rounds.
+def _harq_bracket(
+    chan: ChannelParams, params: HarqParams, rounds: int, steps: int, fft: bool = False
+) -> np.ndarray:
+    """Rows lo and hi, lo <= P_q <= hi, for P_q = P(X_1 + ... + X_qL <= L*R/W), X = log2(1 + snr*h), q = 1..rounds.
 
-    Estimates P(sum over Q rounds of the L-branch average log2(1 + snr*|h|^2)
-    <= R/W), a proportion. When the bound on any trial failing is at most
-    _CERTIFY_TOL, returns 0 with that bound and draws nothing.
+    D_n, the sum of n fades' bin indices on `steps` equal steps of [0, L*R/W],
+    comes from X's exact bin masses by truncated convolution, a round at a time.
+    Rounding each X down gives P_q <= P(D_qL <= steps); rounding it up gives
+    P_q >= P(D_qL <= steps - qL), the top bin landing on L*R/W and still counting.
+    Direct sums add only non-negative terms, so a tiny P_q keeps its relative
+    precision; the FFT's length 2 * (steps + 1) leaves no wrap-around.
     """
-    certified = _certified(chan, params, trials, params.max_rounds, 0.0)
-    return certified or _sample_harq_pfail(chan, params, trials, seed)
+    order, snr = params.diversity_order, chan.snr_linear
+    top = order * chan.spectral_efficiency
+    if snr == 0.0 or top == math.inf:  # every X is 0, or R/W is infinite: nothing decodes
+        return np.ones((2, rounds))
+    edges = np.linspace(0.0, top, steps + 1)
+    lower, width = edges[:-1], np.diff(edges)
+    # With F(x) = -expm1(-g(x)) and g(x) = expm1(x ln 2)/snr, a bin's mass F(b) - F(a) is
+    # exp(-g(a)) * -expm1(-2^a expm1((b - a) ln 2)/snr), exact to a few ulps however small.
+    with np.errstate(over="ignore"):
+        mass = np.exp(-np.expm1(lower * _LN2) / snr) * -np.expm1(-np.exp2(lower) * np.expm1(width * _LN2) / snr)
+
+    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n = 2 * (steps + 1)
+        return (np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n) if fft else np.convolve(a, b))[: steps + 1]
+
+    per_round = functools.reduce(convolve, [mass] * order)
+    bounds = np.zeros((2, rounds))
+    for q, below in enumerate(map(np.cumsum, itertools.accumulate([per_round] * rounds, convolve)), 1):
+        bounds[:, q - 1] = (below[steps - q * order] if q * order <= steps else 0.0), below[-1]
+    return np.clip(bounds, 0.0, 1.0)
 
 
-def _sample_harq_pfail(
-    chan: ChannelParams, params: HarqParams, trials: int, seed: int
-) -> MonteCarloEstimate:
-    failures = 0
-    for totals in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 0)):
-        failures += int((totals[:, -1] <= chan.spectral_efficiency).sum())
-    return MonteCarloEstimate.proportion(failures, trials)
+def harq_pfail(chan: ChannelParams, params: HarqParams, trials: int, seed: int = 0) -> MonteCarloEstimate:
+    """Outage P_Q after Q mutual-information-accumulating rounds (see _harq_bracket): 0 with its
+    bound when a `trials`-trial sample certifiably sees no failure, else the lattice bracket's
+    midpoint with its half-width. `seed` changes no value."""
+    if certified := _certified(chan, params, trials, params.max_rounds, 0.0):
+        return certified
+    lo, hi = _harq_bracket(chan, params, params.max_rounds, _PFAIL_STEPS)
+    return MonteCarloEstimate(float(lo[-1] + hi[-1]) / 2, float(hi[-1] - lo[-1]) / 2, trials)
 
 
 def _wilson_half_width(p: float, n: int, z: float) -> float:
@@ -310,36 +331,14 @@ def _wilson_half_width(p: float, n: int, z: float) -> float:
 
 
 def harq_expected_rounds(chan: ChannelParams, params: HarqParams, trials: int, seed: int = 0) -> MonteCarloEstimate:
-    """Monte-Carlo mean of the first decoding round, capped at Q.
-
-    When the bound on any trial missing round 1 is at most _CERTIFY_TOL,
-    returns 1 with that bound and draws nothing.
-    """
-    certified = _certified(chan, params, trials, 1, 1.0)
-    return certified or _sample_harq_rounds(chan, params, trials, seed)
-
-
-def _sample_harq_rounds(
-    chan: ChannelParams, params: HarqParams, trials: int, seed: int
-) -> MonteCarloEstimate:
-    total = 0.0
-    total_sq = 0.0
-    for cum in _harq_round_totals(chan, params, trials, spawn_stream(seed, 0x4A, 1)):
-        decoded = cum > chan.spectral_efficiency
-        # First decoding round (1-based); undecoded packets stay at the cap Q.
-        first = np.where(
-            decoded.any(axis=1), decoded.argmax(axis=1) + 1, params.max_rounds
-        ).astype(float)
-        total += float(first.sum())
-        total_sq += float((first**2).sum())
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    if var == 0.0:
-        # Every trial decoded in the same round v of [1, Q]. The share in any
-        # other round is 0 of n, whose z = 1 Wilson upper end is 1/(n+1), and
-        # a trial there moves the mean by at most max(v - 1, Q - v).
-        return MonteCarloEstimate(mean, max(mean - 1.0, params.max_rounds - mean) / (trials + 1), trials)
-    return MonteCarloEstimate(mean, math.sqrt(var / trials), trials)
+    """Mean first decoding round, capped at Q: d_hat = 1 + sum of P_q over q < Q. 1 with its bound
+    when a `trials`-trial sample certifiably decodes in round 1, else the FFT lattice bracket's
+    midpoint with its half-width plus _FFT_ERROR a round. `seed` changes no value."""
+    if certified := _certified(chan, params, trials, 1, 1.0):
+        return certified
+    lo, hi = _harq_bracket(chan, params, params.max_rounds - 1, _ROUNDS_STEPS, fft=True)
+    half_width = float(hi.sum() - lo.sum()) / 2 + _FFT_ERROR * len(lo)
+    return MonteCarloEstimate(1.0 + float(lo.sum() + hi.sum()) / 2, half_width, trials)
 
 
 def harq_latency(shape: NetworkShape, chan: ChannelParams, d_hat: float) -> float:

@@ -111,6 +111,7 @@ class Topology:
 
 def star_topology(n_sensors: int) -> Topology:
     """Sensors talk to the controller directly (model II)."""
+    integer("n_sensors", n_sensors, 1)
     sensors = tuple(f"v{i+1}" for i in range(n_sensors))
     return Topology(members={}, sensors=sensors)
 
@@ -157,7 +158,8 @@ def build_flows(
     By default every sensor contributes one packet per task, which matches
     the per-cycle traffic the relay-session arithmetic assumes.
     """
-    packets = packets_per_task if packets_per_task is not None else len(topology.sensors)
+    integer("n_tasks", n_tasks, 1)
+    packets = len(topology.sensors) if packets_per_task is None else integer("packets_per_task", packets_per_task, 1)
     return [
         FlowSpec(
             task_id=i,
@@ -497,13 +499,17 @@ def _attempt_test(
     return attempt_ok
 
 
+# Both caches are keyed on plain fields, not on the frozen dataclasses, whose generated
+# __hash__ and __eq__ would each add a Python frame to every hit.
 @functools.lru_cache(maxsize=64)
-def _padded_slot(cec: CecConfig, t_cp: float) -> tuple[float, float, tuple[warnings.WarningMessage, ...]]:
+def _padded_slot(
+    n_tasks: int, k_rbs: int, c: float, c0: float, t_cp: float
+) -> tuple[float, float, tuple[warnings.WarningMessage, ...]]:
     """`reflexup_plan`'s window and slot, computed once per (cec, t_cp), with the warnings raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        target = optimal_tcm_case3(t_cp, cec)
-    return target, cec.n_tasks * cec.c0 + target, tuple(caught)
+        target = optimal_tcm_case3(t_cp, CecConfig(n_tasks, k_rbs, c, c0))
+    return target, n_tasks * c0 + target, tuple(caught)
 
 
 def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
@@ -512,7 +518,7 @@ def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
     Computed once per (cec, t_cp); every call re-issues the warnings of the
     computation (`DegenerateScheduleWarning` when N*c0 == t_cp) at its caller.
     """
-    target, t_p, caught = _padded_slot(cec, t_cp)
+    target, t_p, caught = _padded_slot(cec.n_tasks, cec.k_rbs, cec.c, cec.c0, t_cp)
     for w in caught:
         warnings.warn(w.message, w.category, stacklevel=2)
     return target, t_p
@@ -734,10 +740,12 @@ def _run_harq(run: _Run, topology, chan, packet_bits, harq: HarqParams):
 
 
 @functools.lru_cache(maxsize=64)
-def _rescue_failure(n: int, packet_bits: int, chan: ChannelParams, t1: float, t2: float) -> float:
+def _rescue_failure(
+    n: int, packet_bits: int, snr_db: float, bandwidth_hz: float, rate_bps: float, t1: float, t2: float
+) -> float:
     """Occupy CoW's conditional phase-2 failure p12, computed once per channel and windows."""
     shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
-    return occupycow_phase_probs(shape, chan, t1, t2).p12
+    return occupycow_phase_probs(shape, ChannelParams(snr_db, bandwidth_hz, rate_bps), t1, t2).p12
 
 
 def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
@@ -773,7 +781,7 @@ def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
     run.wait(t2)
     if survivors and stragglers:
-        p12 = _rescue_failure(n, packet_bits, chan, t1, t2)
+        p12 = _rescue_failure(n, packet_bits, chan.snr_db, chan.bandwidth_hz, chan.rate_bps, t1, t2)
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for task, _, node in stragglers:
             if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, next(rescues) >= p12, 1):

@@ -284,6 +284,23 @@ def test_criterion_8_complexity_scaling():
     report.ok(8)
 
 
+def test_criterion_8_counted_work_scaling():
+    # Criterion 8's three configs, run once each. Doubling tasks or nodes must scale
+    # the attempts and the events of a run within [1.5x, 3x]: counts that, unlike
+    # the wall clock above, do not drift with the machine's load.
+    perfect = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=200e3)
+    configs = {"base": (12, 360, 72), "double_nodes": (12, 720, 144), "double_tasks": (24, 360, 72)}
+    work = {}
+    for key, (n_tasks, n_v, n_s) in configs.items():
+        cec = CecConfig(n_tasks=n_tasks, k_rbs=4 * n_tasks, c=1.0, c0=0.05)
+        topo = relay_topology(n_v, n_s)
+        trace = run_reflexup(topo, build_flows(topo, n_tasks, deadline=1e9), perfect, cec, seed=1, t_cp=0.005)
+        work[key] = np.array([sum(out.attempts for out in trace.flows.values()), len(trace.events)])
+    for key in ("double_nodes", "double_tasks"):
+        ratio = work[key] / work["base"]
+        assert ((1.5 <= ratio) & (ratio <= 3.0)).all(), (key, ratio, work)
+
+
 def test_criterion_9_deterministic_outputs(tmp_path):
     report.start(9, "same config and seed reproduce byte-identical CSV outputs")
     config = tmp_path / "exp.ini"

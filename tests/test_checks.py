@@ -48,6 +48,7 @@ SHAPE = split_nodes(250, 0.2, 176)
 OC_PARAMS = OccupyCowParams(0.1, 0.1, 0.5, 1e-3, 1e-3)
 HARQ = HarqParams(7, 2)
 TRAINING = generate_synthetic_te(100, 0, None, seed=1, n_vars=4)[0]
+STAR = star_topology(2)
 TRACE = run_reflexup(relay_topology(2, 1), build_flows(relay_topology(2, 1), 1, deadline=1.0), CHAN, CFG, seed=0)
 
 # Each numeric argument that goes through a rule, by test id: (the name its error starts
@@ -123,6 +124,9 @@ COUNTS = {
     "fault variable": ("fault variable", lambda v: generate_synthetic_te(10, 5, MeanShift((1, v), 4.0), seed=1, n_vars=4)),
     "relay_topology n_sensors": ("n_sensors", lambda v: relay_topology(v, 1)),
     "relay_topology n_relays": ("n_relays", lambda v: relay_topology(4, v)),
+    "star_topology n_sensors": ("n_sensors", lambda v: star_topology(v)),
+    "build_flows n_tasks": ("n_tasks", lambda v: build_flows(STAR, v, 1.0)),
+    "build_flows packets_per_task": ("packets_per_task", lambda v: build_flows(STAR, 1, 1.0, packets_per_task=v)),
     "task_id": ("task_id", lambda v: FlowSpec(v, ("v1",), 1, 1.0, 1.0)),
     "packets_required": ("packets_required", lambda v: FlowSpec(0, ("v1",), v, 1.0, 1.0)),
     "runs": ("runs", lambda v: estimate_pfail(v, lambda s: None, seed=0)),
@@ -158,7 +162,20 @@ def test_every_count_rejects_bools_and_non_integers(key, value):
 def test_counts_take_numpy_integers():
     assert HarqParams(np.int64(7), np.uint8(2)) == HARQ
     assert relay_topology(np.int32(4), np.int64(2)) == relay_topology(4, 2)
+    assert star_topology(np.int64(2)) == STAR
+    assert build_flows(STAR, np.int32(2), 1.0, packets_per_task=np.int64(2)) == build_flows(STAR, 2, 1.0)
     assert estimate_pfail(np.int64(1000), lambda s: TRACE, seed=0).trials == 1000
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("n_sensors", lambda: star_topology(-2)), ("n_sensors", lambda: star_topology(0)),
+     ("n_tasks", lambda: build_flows(STAR, 0, 1.0)), ("packets_per_task", lambda: build_flows(STAR, 1, 1.0, packets_per_task=0))],
+)
+def test_topology_and_flow_counts_start_at_one(name, call):
+    # An empty star has no sensor, as a relay topology never had; a flow list needs a task.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, "):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -183,8 +200,6 @@ def _accepts(call, value) -> bool:
         return False
     return True
 
-
-STAR = star_topology(2)
 OC_FLOWS = [FlowSpec(i, (f"v{i + 1}",), 1, 1.0, 1.0) for i in range(2)]
 PERFECT = ChannelParams(600, 20e6, 200e3)
 OC = Protocol.OCCUPY_COW

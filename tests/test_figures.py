@@ -56,7 +56,7 @@ def test_no_harq_estimate_without_harq(harq_calls):
 
 def test_fig11_harq_series_shares_one_estimate():
     # At the default 20 MHz, 10 dB still gives d_hat = 1 exactly; a 200 kHz band
-    # (R/W = 1) makes the channel lossy enough for d_hat to vary by seed.
+    # (R/W = 1) makes the channel lossy enough for d_hat to exceed 1.
     cfg = default_config()
     cfg.snr_db = 10.0
     cfg.trials = 10_000
@@ -74,8 +74,8 @@ def test_fig11_harq_series_shares_one_estimate():
 
 
 def test_fig11_harq_ci99_is_positive_without_spread():
-    # At 30 dB every sampled trial decodes in round 1, yet d_hat does not
-    # certify, so it is a sample and carries a nonzero error.
+    # At 30 dB a sample of trials would decode in round 1, yet d_hat does not
+    # certify, so it is a lattice bracket and carries a nonzero half-width.
     cfg = default_config()
     cfg.snr_db = 30.0
     ds = build_figure(cfg, "fig11_tcm")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from cecbench import protocols
@@ -10,6 +12,7 @@ from cecbench.cec import CecConfig
 from cecbench.channel import ChannelParams, outage_probability
 from cecbench.protocols import (
     HarqParams,
+    MonteCarloEstimate,
     NetworkShape,
     OccupyCowParams,
     harq_expected_rounds,
@@ -25,14 +28,7 @@ from cecbench.protocols import (
     srarq_latency,
     srarq_pfail,
 )
-from cecbench.protocols import (
-    _CERTIFY_TOL,
-    _harq_branch_threshold,
-    _harq_round_totals,
-    _harq_trivial_bound,
-    _sample_harq_pfail,
-    _sample_harq_rounds,
-)
+from cecbench.protocols import _CERTIFY_TOL, _harq_bracket, _harq_branch_threshold, _harq_trivial_bound
 
 TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
 M_BITS = 176
@@ -139,6 +135,31 @@ def test_srarq_pfail_values():
 STRESSED = ChannelParams(snr_db=3, bandwidth_hz=1e6, rate_bps=2e6)  # R/W = 2
 
 
+def _undecoded_rounds(chan, params, trials, seed):
+    """How many rounds each of `trials` packets stays undecoded (Q for an outage), drawn
+    with the simulator's kernel, 100k packets at a time."""
+    rng, counts = np.random.default_rng(seed), []
+    for done in range(0, trials, 100_000):
+        shape = (min(100_000, trials - done), params.max_rounds, params.diversity_order)
+        info = np.cumsum(protocols._round_information(rng, chan.snr_linear, shape), axis=1)
+        counts.append((info <= chan.spectral_efficiency).sum(axis=1))
+    return np.concatenate(counts)
+
+
+def _sampled_rounds(undecoded, max_rounds):
+    """A sample's d_hat and its 99% half-width, as the sampled estimator gave them: the
+    standard error, or, with no spread, max(v - 1, Q - v)/(n + 1)."""
+    first = np.minimum(undecoded + 1, max_rounds).astype(float)
+    mean, n = float(first.mean()), len(first)
+    stderr = float(first.std()) / math.sqrt(n) or max(mean - 1.0, max_rounds - mean) / (n + 1)
+    return mean, protocols._Z99 * stderr
+
+
+def _meets(est, center, half_width):
+    """Does [value - ci99, value + ci99] meet [center - half_width, center + half_width]?"""
+    return abs(est.value - center) <= est.ci99 + half_width
+
+
 def test_harq_pfail_vanishes_with_many_rounds():
     est = harq_pfail(TABLE_CHAN.with_snr(10), HarqParams(7, 2), 100_000, seed=1)
     assert est.value <= 1e-4
@@ -150,11 +171,11 @@ def test_harq_pfail_saturates_at_low_snr():
 
 
 def test_harq_pfail_error_is_positive_without_failures():
-    # A sampled estimate that sees no failure reported a standard error of 0;
-    # the z = 1 Wilson half-width at p = 0 is 1/(n + 1).
-    est = harq_pfail(ChannelParams(20.0, 20e6, 200e3), HarqParams(1, 1), 10_000, seed=0)
-    assert (est.value, est.bound) == (0.0, None)
-    assert est.stderr == pytest.approx(1 / 10_001)
+    # A 10k-trial sample sees no outage here and could report only 0 with the
+    # Wilson error 1/(n + 1); the bracket reports the outage itself, with a positive error.
+    est = harq_pfail(ChannelParams(20.0, 20e6, 200e3), HarqParams(1, 2), 10_000)
+    assert (_undecoded_rounds(ChannelParams(20.0, 20e6, 200e3), HarqParams(1, 2), 10_000, 0) == 0).all()
+    assert est.bound is None and 0 < est.ci99 < est.value < 1e-8
 
 
 def test_harq_pfail_rejects_small_trials():
@@ -165,23 +186,23 @@ def test_harq_pfail_rejects_small_trials():
 
 
 @pytest.mark.parametrize("snr_db", [3.0, 40.0])
-def test_harq_round_totals_match_reference_expression(snr_db, monkeypatch):
-    # Drawn in chunks of 1200 trials, the last one short, from one stream.
-    monkeypatch.setattr(protocols, "_CHUNK", 1200)
+def test_harq_round_totals_match_reference_expression(snr_db):
+    # The simulator's rounds: cumulative sums of the per-round L-branch mean.
     chan = STRESSED.with_snr(snr_db)
-    params = HarqParams(7, 2)
     fades = np.random.default_rng(11).exponential(1.0, size=(5000, 7, 2))
     expected = np.cumsum(np.log2(1.0 + chan.snr_linear * fades).mean(axis=2), axis=1)
-    chunks = list(_harq_round_totals(chan, params, 5000, np.random.default_rng(11)))
-    assert [len(c) for c in chunks] == [1200, 1200, 1200, 1200, 200]
-    assert np.array_equal(np.concatenate(chunks), expected)
+    totals = np.cumsum(protocols._round_information(np.random.default_rng(11), chan.snr_linear, (5000, 7, 2)), axis=1)
+    assert np.array_equal(totals, expected)
 
 
 def test_harq_single_round_matches_outage_closed_form():
-    # With Q = L = 1 the accumulated form collapses to the plain outage.
+    # With Q = L = 1 the accumulated form collapses to the plain outage, and the
+    # bracket is exact: every bin of [0, R/W] counts at either end. It holds the
+    # closed form to within rounding.
     p_exact = outage_probability(STRESSED)
-    est = harq_pfail(STRESSED, HarqParams(1, 1), 200_000, seed=5)
-    assert abs(est.value - p_exact) <= 3 * math.sqrt(p_exact * (1 - p_exact) / est.trials)
+    (lo,), (hi,) = _harq_bracket(STRESSED, HarqParams(1, 1), 1, protocols._PFAIL_STEPS)
+    assert lo * (1 - 1e-12) <= p_exact <= hi * (1 + 1e-12)
+    assert harq_pfail(STRESSED, HarqParams(1, 1), 200_000).value == pytest.approx(p_exact, rel=1e-12)
 
 
 def test_harq_two_rounds_matches_quadrature_oracle():
@@ -194,9 +215,9 @@ def test_harq_two_rounds_matches_quadrature_oracle():
         bound = (2**r / (1 + snr * x) - 1) / snr
         return math.exp(-x) * (1 - math.exp(-bound)) if bound > 0 else 0.0
 
-    oracle, _ = integrate.quad(inner, 0, (2**r - 1) / snr, limit=200)
-    est = harq_pfail(STRESSED, HarqParams(2, 1), 400_000, seed=6)
-    assert abs(est.value - oracle) <= 3 * est.stderr + 1e-9
+    oracle, error = integrate.quad(inner, 0, (2**r - 1) / snr, limit=200, epsabs=1e-13)
+    est = harq_pfail(STRESSED, HarqParams(2, 1), 400_000)
+    assert error < 1e-10 < est.ci99 and abs(est.value - oracle) <= est.ci99 - error
 
 
 def test_harq_expected_rounds_limits():
@@ -207,8 +228,7 @@ def test_harq_expected_rounds_limits():
 
 
 def test_harq_expected_rounds_table_midpoint():
-    # At the 30 dB evaluation point the first round essentially always
-    # decodes; pinned Monte-Carlo value.
+    # At the 30 dB evaluation point the first round essentially always decodes.
     est = harq_expected_rounds(TABLE_CHAN.with_snr(30), HarqParams(7, 2), 1_000_000, seed=7)
     assert est.value == pytest.approx(1.0, rel=0.01)
     assert 1.0 <= est.value <= 7.0
@@ -221,6 +241,59 @@ def test_harq_expected_rounds_monotone_in_snr():
         for snr in (0, 6, 12)
     ]
     assert values[0] > values[1] > values[2]
+
+
+# --------------------------------------------------- HARQ lattice bracket
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    snr_db=st.floats(-30.0, 30.0),
+    r_norm=st.floats(0.01, 2.0),
+    max_rounds=st.integers(1, 7),
+    diversity=st.integers(1, 4),
+)
+def test_brackets_meet_a_million_trial_sample(snr_db, r_norm, max_rounds, diversity):
+    chan, params = ChannelParams(snr_db, 1e6, r_norm * 1e6), HarqParams(max_rounds, diversity)
+    undecoded = _undecoded_rounds(chan, params, 1_000_000, seed=17)
+    outages = int((undecoded == max_rounds).sum())
+    assert _meets(harq_pfail(chan, params, 1_000_000), *MonteCarloEstimate.proportion(outages, 1_000_000))
+    assert _meets(harq_expected_rounds(chan, params, 1_000_000), *_sampled_rounds(undecoded, max_rounds))
+
+
+@pytest.mark.parametrize("snr_db, r_norm, diversity", [(-20.0, 0.1, 2), (3.0, 2.0, 2), (0.0, 0.5, 4), (10.0, 2.0, 1)])
+def test_outage_falls_in_rounds_and_snr(snr_db, r_norm, diversity):
+    params = HarqParams(7, diversity)
+    brackets = [
+        _harq_bracket(ChannelParams(snr, 1e6, r_norm * 1e6), params, 7, 512) for snr in (snr_db, snr_db + 1, snr_db + 3)
+    ]
+    for lo, hi in brackets:
+        assert (lo <= hi).all() and (np.diff(lo) <= 0).all() and (np.diff(hi) <= 0).all()
+    for (lo, hi), (lo_up, hi_up) in itertools.pairwise(brackets):
+        assert (lo_up <= lo).all() and (hi_up <= hi).all()
+
+
+@pytest.mark.parametrize("fft", [False, True])
+def test_bracket_narrows_as_the_lattice_doubles(fft):
+    # A lattice of 2N steps refines one of N: its bracket nests inside, to within
+    # the sums' rounding, and is narrower.
+    chan, params = STRESSED.with_snr(-10), HarqParams(7, 2)
+    brackets = [_harq_bracket(chan, params, 7, steps, fft) for steps in (256, 512, 1024, 2048)]
+    for (lo, hi), (fine_lo, fine_hi) in itertools.pairwise(brackets):
+        assert (fine_lo >= lo - 1e-12).all() and (fine_hi <= hi + 1e-12).all()
+        assert (fine_hi - fine_lo).sum() < 0.6 * (hi - lo).sum()
+
+
+@pytest.mark.parametrize(
+    "chan, diversity",
+    [(ChannelParams(-20, 1e6, 0.1e6), 2), (ChannelParams(3, 1e6, 2e6), 2), (ChannelParams(0, 1e6, 0.01e6), 2),
+     (ChannelParams(-20, 1e6, 0.1e6), 4), (ChannelParams(-10, 1e6, 0.5e6), 4), (ChannelParams(0, 1e6, 2e6), 4)],
+)
+def test_rounds_bracket_is_no_wider_than_a_sample(chan, diversity):
+    # d_hat's half-width is at most the 99% half-width of a 1e5-trial sample of the same point.
+    params = HarqParams(7, diversity)
+    est = harq_expected_rounds(chan, params, 100_000)
+    assert est.bound is None and est.ci99 <= _sampled_rounds(_undecoded_rounds(chan, params, 100_000, 0), 7)[1]
 
 
 # ------------------------------------------------- HARQ certification
@@ -242,41 +315,38 @@ class _FixedFades:
 def test_certified_rounds_equal_sampled_at_default_point():
     certified = harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed=0)
     assert certified.bound is not None and certified.bound <= _CERTIFY_TOL
+    assert (certified.value, certified.stderr, certified.trials) == (1.0, 0.0, 100_000)
     for seed in range(20):
-        sampled = _sample_harq_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
-        assert sampled.bound is None
-        assert (sampled.value, sampled.trials) == (certified.value, certified.trials) == (1.0, 100_000)
-        # A sampled mean of no spread carries (Q - 1)/(n + 1); a certified one, its bound.
-        assert (sampled.stderr, certified.stderr) == (pytest.approx(6 / 100_001), 0.0)
+        assert (_undecoded_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed) == 0).all()
         assert harq_expected_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed) == certified
 
 
 def test_certified_pfail_equals_sampled_at_default_point():
     certified = harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed=0)
     assert certified.bound is not None and certified.bound <= _CERTIFY_TOL
+    assert (certified.value, certified.stderr, certified.trials) == (0.0, 0.0, 100_000)
     for seed in range(20):
-        sampled = _sample_harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed)
-        assert sampled.bound is None
-        assert (sampled.value, sampled.trials) == (certified.value, certified.trials) == (0.0, 100_000)
-        # A sampled zero carries its z = 1 Wilson half-width; a certified one, its bound.
-        assert (sampled.stderr, certified.stderr) == (pytest.approx(1 / 100_001), 0.0)
+        assert (_undecoded_rounds(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed) < 7).all()
 
 
 @pytest.mark.parametrize("snr_db", [30.0, 20.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sampled_rounds_without_spread_keep_an_error(snr_db, seed):
     # Every sampled trial decodes in round 1, but the point does not certify:
-    # the error is that of 0 of n trials needing a second round, times Q - 1.
-    est = harq_expected_rounds(ChannelParams(snr_db, 20e6, 200e3), HarqParams(7, 2), 100_000, seed=seed)
-    assert (est.value, est.bound) == (1.0, None)
-    assert est.stderr == pytest.approx(6 / 100_001)
-    assert tuple(est) == (1.0, est.ci99) and est.ci99 == pytest.approx(protocols._Z99 * 6 / 100_001)
+    # d_hat sits just above 1, and its half-width is positive yet below the
+    # sample's (Q - 1)/(n + 1) rule.
+    chan = ChannelParams(snr_db, 20e6, 200e3)
+    undecoded = _undecoded_rounds(chan, DEFAULT_HARQ, 100_000, seed)
+    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000, seed=seed)
+    assert (undecoded == 0).all() and est.bound is None
+    assert tuple(est) == (est.value, est.ci99) and 0 < est.ci99 < _sampled_rounds(undecoded, 7)[1]
+    assert 1.0 < est.value - est.ci99 and est.value + est.ci99 < 1.0 + 1e-6
 
 
 def test_rounds_without_spread_at_the_cap():
-    # Every trial stuck at Q: the error mirrors the all-in-round-1 one.
-    est = _sample_harq_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 10_000, seed=4)
-    assert (est.value, est.stderr) == (7.0, pytest.approx(6 / 10_001))
+    # Every packet stuck at Q: d_hat is Q, off by no more than the FFT's allowance.
+    est = harq_expected_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 10_000, seed=4)
+    assert (est.value, est.ci99) == (7.0, 6 * protocols._FFT_ERROR)
 
 
 def test_proportion_ci99_is_the_wilson_half_width_at_99():
@@ -299,7 +369,7 @@ def test_certified_estimates_have_no_99_percent_error():
 @pytest.mark.parametrize("diversity", [1, 2, 3, 7])
 def test_fade_above_branch_threshold_decodes_round_one(diversity):
     # One branch just above the slackened threshold and the others at 0 must
-    # clear R/W in the sampled arithmetic, at every branch position.
+    # clear R/W in the simulator's arithmetic, at every branch position.
     checked = 0
     for snr_db, r_norm in itertools.product(
         (-30.0, 0.0, 10.0, 40.0, 90.0), (1e-17, 1e-12, 1e-6, 0.01, 0.5, 2.0, 30.0, 300.0)
@@ -311,8 +381,8 @@ def test_fade_above_branch_threshold_decodes_round_one(diversity):
             continue
         fades = np.zeros((diversity, 1, diversity))
         fades[np.arange(diversity), 0, np.arange(diversity)] = np.nextafter(threshold, np.inf)
-        totals = next(_harq_round_totals(chan, HarqParams(1, diversity), diversity, _FixedFades(fades)))
-        assert (totals[:, 0] > chan.spectral_efficiency).all(), (snr_db, r_norm)
+        info = protocols._round_information(_FixedFades(fades), chan.snr_linear, fades.shape)
+        assert (info[:, 0] > chan.spectral_efficiency).all(), (snr_db, r_norm)
         checked += 1
     assert checked >= 30
 
@@ -322,10 +392,9 @@ def test_round_one_failure_rate_within_branch_bound():
     # p_b^L = 0.019 at the exact threshold.
     chan = ChannelParams(snr_db=20.0, bandwidth_hz=1e6, rate_bps=2e6)
     params = HarqParams(1, 2)
-    trials = 200_000
-    fades = np.random.default_rng(21).exponential(1.0, size=(trials, 1, 2))
-    totals = next(_harq_round_totals(chan, params, trials, _FixedFades(fades)))
-    undecoded = totals[:, 0] <= chan.spectral_efficiency
+    fades = np.random.default_rng(21).exponential(1.0, size=(200_000, 1, 2))
+    info = protocols._round_information(_FixedFades(fades), chan.snr_linear, fades.shape)
+    undecoded = info[:, 0] <= chan.spectral_efficiency
     exact_threshold = (2.0 ** (2 * 2.0) - 1.0) / chan.snr_linear
     exact_branch = -math.expm1(-exact_threshold)
     assert 0 < undecoded.mean() <= exact_branch**2
@@ -336,18 +405,25 @@ def test_round_one_failure_rate_within_branch_bound():
 
 @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
 def test_uncertifiable_points_still_sample(snr_db):
+    # Where no certificate holds, d_hat is the FFT bracket's midpoint, and it meets
+    # a 1e5-trial sample.
     chan = TABLE_CHAN.with_snr(snr_db)
     assert _harq_trivial_bound(chan, DEFAULT_HARQ, 100_000, 1) > _CERTIFY_TOL
     est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000, seed=3)
-    assert est.bound is None
-    assert est == _sample_harq_rounds(chan, DEFAULT_HARQ, 100_000, 3)
+    lo, hi = _harq_bracket(chan, DEFAULT_HARQ, 6, protocols._ROUNDS_STEPS, fft=True)
+    assert est.bound is None and est.value == 1.0 + float(lo.sum() + hi.sum()) / 2
+    assert _meets(est, *_sampled_rounds(_undecoded_rounds(chan, DEFAULT_HARQ, 100_000, 3), 7))
 
 
 def test_lossy_pfail_still_samples():
+    # Where outages occur, harq_pfail is the direct bracket's midpoint, and it
+    # meets the Wilson interval of a 1e5-trial sample.
     chan = TABLE_CHAN.with_snr(-27.0)
     est = harq_pfail(chan, DEFAULT_HARQ, 20_000, seed=4)
-    assert est.bound is None and est.value > 0.0
-    assert est == _sample_harq_pfail(chan, DEFAULT_HARQ, 20_000, 4)
+    (lo, hi) = (b[-1] for b in _harq_bracket(chan, DEFAULT_HARQ, 7, protocols._PFAIL_STEPS))
+    assert est.bound is None and (est.value, est.ci99) == ((lo + hi) / 2, (hi - lo) / 2) and est.value > 0.0
+    outages = int((_undecoded_rounds(chan, DEFAULT_HARQ, 100_000, 4) == 7).sum())
+    assert _meets(est, *MonteCarloEstimate.proportion(outages, 100_000))
 
 
 @pytest.mark.parametrize(
