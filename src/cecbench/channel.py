@@ -266,8 +266,9 @@ class SeedPlan:
     __slots__ = ("start", "stop", "pool", "rows")
 
     def __init__(self, seeds: range) -> None:
-        self.start = max(seeds.start, 0)
         self.stop = min(seeds.stop, 1 << 64)
+        # In [0, stop]: a range at or above 2**64 covers nothing and falls back.
+        self.start = min(max(seeds.start, 0), self.stop)
         self.pool = _seed_pool(np.arange(self.start, self.stop, dtype=np.uint64))
         # Row `seed - start` of rows[path] holds the words of `seed` at `path`.
         self.rows: dict[tuple[int, ...], np.ndarray] = {}

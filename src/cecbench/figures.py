@@ -16,8 +16,8 @@ from operator import itemgetter
 import numpy as np
 
 from .cec import optimal_tcm_case3, ucc_case3, ucc_case3_at_optimum
-from .channel import ChannelParams, derive_seed
-from .config import FIGURE_TAGS, ExperimentConfig
+from .channel import ChannelParams
+from .config import ExperimentConfig
 from .protocols import (
     HarqParams,
     MonteCarloEstimate,
@@ -80,26 +80,16 @@ class FigureDataset:
                 raise RuntimeError(f"{self.tag}: non-finite row ({x}, {s}, {y}, {ci})")
 
 
-def _point_seed(master_seed: int, tag: str, index: int) -> int:
-    """Deterministic per-sweep-point seed derived from (master seed, point)."""
-    return derive_seed(master_seed, FIGURE_TAGS.index(tag), index)
-
-
-def _harq_rounds(cfg: ExperimentConfig, tag: str) -> MonteCarloEstimate | None:
+def _harq_rounds(cfg: ExperimentConfig) -> MonteCarloEstimate | None:
     """HARQ's expected-round estimate d_hat for one figure; None without HARQ.
 
     d_hat depends on the channel, Q and L, never on the network size, so one
-    estimate serves every point of the n_g sweep. It is passed the seed of
-    the figure's first sweep point, which changes no value.
+    estimate serves every point of the n_g sweep. Its seed changes no value,
+    so none is passed.
     """
     if Protocol.HARQ not in cfg.protocols:
         return None
-    return harq_expected_rounds(
-        cfg.channel(),
-        HarqParams(cfg.harq_max_rounds, cfg.harq_diversity),
-        cfg.trials,
-        _point_seed(cfg.seed, tag, 0),
-    )
+    return harq_expected_rounds(cfg.channel(), HarqParams(cfg.harq_max_rounds, cfg.harq_diversity), cfg.trials)
 
 
 def protocol_latency(
@@ -163,7 +153,7 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
     """
     cec = cfg.cec()
     u_steered = ucc_case3_at_optimum(t_cp, cec)
-    rounds = _harq_rounds(cfg, tag)
+    rounds = _harq_rounds(cfg)
     chan = cfg.channel()
     rows = []
     for n_g in sorted(cfg.n_g_grid):
@@ -197,7 +187,7 @@ def _check_reflexup_dominates(ds: FigureDataset) -> None:
 
 def build_fig11(cfg: ExperimentConfig) -> FigureDataset:
     """Uplink latency vs network size, one series per protocol."""
-    rounds = _harq_rounds(cfg, "fig11_tcm")
+    rounds = _harq_rounds(cfg)
     chan = cfg.channel()
     rows = []
     sizes = sorted(cfg.n_g_grid)

@@ -557,6 +557,8 @@ def run_reflexup(
         local = chan_local if chan_local is not None else chan
         slot_local = packet_bits / local.rate_bps
         slot_up = packet_bits / chan.rate_bps
+        if not (slot_local and slot_up):  # an infinite rate: a lost packet would be re-sent forever in no time
+            raise ValueError(f"rate_bps must be finite, got {local.rate_bps} (local) and {chan.rate_bps} (uplink)")
         # Parameter calculation at the edge: reports in, window/slot out. The
         # per-flow deadlines carry the slot budget; t_p is kept on the trace.
         _, t_p = reflexup_plan(cec, t_cp)
@@ -678,6 +680,8 @@ def run_baseline(
 
 def _run_selective_repeat(run: _Run, topology, chan, packet_bits, p_timeout):
     slot = packet_bits / chan.rate_bps
+    if not slot:  # an infinite rate: a lost packet would be re-sent forever in no time
+        raise ValueError(f"rate_bps must be finite for Selective Repeat, got {chan.rate_bps}")
     fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
     timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
     attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)

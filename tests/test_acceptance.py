@@ -5,6 +5,7 @@ conftest); tolerances are pinned here, not deferred.
 """
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from cecbench.config import default_config
 from cecbench.figures import build_figure
 from cecbench.fdd import MeanShift, fit_pca, generate_synthetic_te, score_stream
 from cecbench.protocols import (
-    HarqParams,
-    NetworkShape,
     Protocol,
     harq_pfail,
     occupycow_pfail,
@@ -34,19 +33,10 @@ from cecbench.protocols import (
     split_nodes,
     srarq_pfail,
 )
-from cecbench.sim import (
-    FlowSpec,
-    build_flows,
-    estimate_pfail,
-    relay_topology,
-    run_baseline,
-    run_reflexup,
-    star_topology,
-)
+from cecbench.sim import build_flows, estimate_pfail, relay_topology, run_reflexup
+from scenarios import HARQ, M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, TABLE_CHAN, Z99
+from scenarios import cecbench_frames, channel_at, scenario
 
-Z99 = 2.5758293035489004
-M_BITS = 176
-TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
 SNR_POINTS = (10.0, 20.0, 30.0, 40.0, 60.0)
 
 
@@ -111,86 +101,27 @@ def test_criterion_3_case1_bound():
     report.ok(3)
 
 
-def _sr_point(snr: float, runs: int) -> tuple[float, float]:
-    chan = TABLE_CHAN.with_snr(snr)
-    analytic = srarq_pfail(1e-4, outage_probability(chan))
-    topo = star_topology(1)
-    slot = M_BITS / chan.rate_bps
-    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=1.5 * slot)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_baseline(
-            Protocol.SELECTIVE_REPEAT_ARQ, topo, flows, chan, seed=s,
-            p_timeout=1e-4, record_events=False,
-        ),
-        seed=int(snr),
-    )
-    return p_hat, analytic
-
-
-def _harq_point(snr: float, runs: int) -> tuple[float, float]:
-    chan = TABLE_CHAN.with_snr(snr)
-    analytic = harq_pfail(chan, HarqParams(7, 2), 1_000_000, seed=int(snr)).value
-    topo = star_topology(1)
-    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=10.0)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_baseline(
-            Protocol.HARQ, topo, flows, chan, seed=s,
-            harq=HarqParams(7, 2), record_events=False,
-        ),
-        seed=100 + int(snr),
-    )
-    return p_hat, analytic
-
-
-def _oc_point(snr: float, runs: int) -> tuple[float, float]:
-    n, t1, t2 = 6, 5e-6, 2.5e-6
-    chan = TABLE_CHAN.with_snr(snr)
-    shape = NetworkShape(n + 1, n, 1, float(n), M_BITS)
-    analytic = occupycow_pfail(n, occupycow_phase_probs(shape, chan, t1, t2))
-    topo = star_topology(n)
-    flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(n)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_baseline(
-            Protocol.OCCUPY_COW, topo, flows, chan, seed=s,
-            oc_t1=t1, oc_t2=t2, record_events=False,
-        ),
-        seed=200 + int(snr),
-    )
-    return p_hat, analytic
-
-
-def _reflexup_point(snr: float, runs: int) -> tuple[float, float]:
-    t_vs = 1e-5
-    shape = NetworkShape(2, 1, 1, 1.0, M_BITS)
-    session_rate = M_BITS * (shape.relay_fanout + 1) / t_vs
-    chan = ChannelParams(snr_db=snr, bandwidth_hz=20e6, rate_bps=session_rate)
-    analytic = reflexup_pfail(shape, chan, t_vs=t_vs, p_timeout=1e-4)
-    topo = relay_topology(1, 1)
-    cec = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.05)
-    slot = M_BITS / session_rate
-    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=2.4 * slot)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_reflexup(
-            topo, flows, chan, cec, seed=s, t_cp=0.005,
-            p_timeout=1e-4, record_events=False,
-        ),
-        seed=300 + int(snr),
-    )
-    return p_hat, analytic
+# Criterion 4's table: each protocol's seed base, run count and analytic failure
+# probability on its shape's channel.
+CRITERION_4 = {
+    Protocol.SELECTIVE_REPEAT_ARQ: (0, 100_000, lambda chan: srarq_pfail(P_TIMEOUT, outage_probability(chan))),
+    Protocol.HARQ: (100, 20_000, lambda chan: harq_pfail(chan, HARQ, 1_000_000, seed=int(chan.snr_db)).value),
+    Protocol.OCCUPY_COW: (
+        200, 30_000, lambda chan: occupycow_pfail(OC_NODES, occupycow_phase_probs(OC_SHAPE, chan, OC_T1, OC_T2))
+    ),
+    Protocol.REFLEXUP: (300, 100_000, lambda chan: reflexup_pfail(RFU_SHAPE, chan, t_vs=RFU_T_VS, p_timeout=P_TIMEOUT)),
+}
 
 
 def test_criterion_4_analytic_vs_simulation():
     report.start(4, "empirical failure rates inside the 99% CI of the analytic values")
     points = []
     for snr in SNR_POINTS:
-        points.append(("selective_repeat", snr, 100_000, _sr_point(snr, 100_000)))
-        points.append(("harq", snr, 20_000, _harq_point(snr, 20_000)))
-        points.append(("occupy_cow", snr, 30_000, _oc_point(snr, 30_000)))
-        points.append(("reflexup", snr, 100_000, _reflexup_point(snr, 100_000)))
+        for protocol, (seed_base, runs, analytic) in CRITERION_4.items():
+            chan = channel_at(protocol, snr)
+            p_analytic = analytic(chan)
+            p_hat, _ = estimate_pfail(runs, scenario(protocol, chan), seed=seed_base + int(snr))
+            points.append((protocol.value, snr, runs, (p_hat, p_analytic)))
     # The cooperative formula must itself match the n <= 6 exhaustive oracle
     # (exactness is asserted in the protocol tests; re-checked here at n = 6).
     for protocol, snr, runs, (p_hat, analytic) in points:
@@ -255,27 +186,27 @@ def test_criterion_7_fdd_calibration():
     report.ok(7)
 
 
+# Criterion 8's configs, as (tasks, sensors, relays), on a channel that loses nothing.
+CRITERION_8 = {"base": (12, 360, 72), "double_nodes": (12, 720, 144), "double_tasks": (24, 360, 72)}
+PERFECT = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=200e3)
+
+
+def _criterion_8_setup(n_tasks, n_v, n_s):
+    cec = CecConfig(n_tasks=n_tasks, k_rbs=4 * n_tasks, c=1.0, c0=0.05)
+    topo = relay_topology(n_v, n_s)
+    return cec, topo, build_flows(topo, n_tasks, deadline=1e9)
+
+
 def test_criterion_8_complexity_scaling():
     report.start(8, "doubling tasks or nodes scales the run time within [1.5x, 3x]")
-    perfect = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=200e3)
-
-    def setup(n_tasks, n_v, n_s):
-        cec = CecConfig(n_tasks=n_tasks, k_rbs=4 * n_tasks, c=1.0, c0=0.05)
-        topo = relay_topology(n_v, n_s)
-        return cec, topo, build_flows(topo, n_tasks, deadline=1e9)
-
-    configs = {
-        "base": setup(12, 360, 72),
-        "double_nodes": setup(12, 720, 144),
-        "double_tasks": setup(24, 360, 72),
-    }
+    configs = {key: _criterion_8_setup(*config) for key, config in CRITERION_8.items()}
     for cec, topo, flows in configs.values():  # warm caches and allocators
-        run_reflexup(topo, flows, perfect, cec, seed=1, t_cp=0.005)
+        run_reflexup(topo, flows, PERFECT, cec, seed=1, t_cp=0.005)
     samples = {k: [] for k in configs}
     for _ in range(5):
         for key, (cec, topo, flows) in configs.items():
             t0 = time.perf_counter()
-            run_reflexup(topo, flows, perfect, cec, seed=1, t_cp=0.005)
+            run_reflexup(topo, flows, PERFECT, cec, seed=1, t_cp=0.005)
             samples[key].append(time.perf_counter() - t0)
     median = {k: sorted(v)[len(v) // 2] for k, v in samples.items()}
     for key in ("double_nodes", "double_tasks"):
@@ -286,16 +217,14 @@ def test_criterion_8_complexity_scaling():
 
 def test_criterion_8_counted_work_scaling():
     # Criterion 8's three configs, run once each. Doubling tasks or nodes must scale
-    # the attempts and the events of a run within [1.5x, 3x]: counts that, unlike
-    # the wall clock above, do not drift with the machine's load.
-    perfect = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=200e3)
-    configs = {"base": (12, 360, 72), "double_nodes": (12, 720, 144), "double_tasks": (24, 360, 72)}
+    # the attempts, the events and the Python frames entered in cecbench code of a
+    # run within [1.5x, 3x]: counts that, unlike the wall clock above, do not drift
+    # with the machine's load.
     work = {}
-    for key, (n_tasks, n_v, n_s) in configs.items():
-        cec = CecConfig(n_tasks=n_tasks, k_rbs=4 * n_tasks, c=1.0, c0=0.05)
-        topo = relay_topology(n_v, n_s)
-        trace = run_reflexup(topo, build_flows(topo, n_tasks, deadline=1e9), perfect, cec, seed=1, t_cp=0.005)
-        work[key] = np.array([sum(out.attempts for out in trace.flows.values()), len(trace.events)])
+    for key, config in CRITERION_8.items():
+        cec, topo, flows = _criterion_8_setup(*config)
+        trace, frames = cecbench_frames(partial(run_reflexup, topo, flows, PERFECT, cec, seed=1, t_cp=0.005))
+        work[key] = np.array([sum(out.attempts for out in trace.flows.values()), len(trace.events), frames])
     for key in ("double_nodes", "double_tasks"):
         ratio = work[key] / work["base"]
         assert ((1.5 <= ratio) & (ratio <= 3.0)).all(), (key, ratio, work)

@@ -210,6 +210,21 @@ def test_seed_plan_falls_back_outside_its_seeds():
             stream(-1, 1)
 
 
+def test_seed_plan_beyond_2_64_equals_spawn_stream():
+    # A plan covers only the seeds below 2**64, and falls back to spawn_stream
+    # for the rest, also when its whole range lies above.
+    above = (range(2**70, 2**70 + 3), range(2**64, 2**64 + 3))
+    straddling = (range(2**64 - 2, 2**64 + 2), range(2**64 - 1, 2**70))
+    for seeds in above + straddling:
+        plan = SeedPlan(seeds)
+        assert plan.start <= plan.stop == 2**64
+        for seed in [*seeds[:4], seeds[-1]]:
+            for path in PATHS:
+                planned = plan.stream(seed, *path)
+                assert isinstance(planned.bit_generator.seed_seq, _Words) == (seed < 2**64), (seed, path)
+                assert planned.bit_generator.state == spawn_stream(seed, *path).bit_generator.state, (seed, path)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_seed_words_vary_the_last_path_word(seed):
     # One seed's paths (head, 0) ... (head, count - 1) in one call.

@@ -11,7 +11,7 @@ from cecbench import figures
 from cecbench.cec import ucc_case3_at_optimum
 from cecbench.cli import main
 from cecbench.config import default_config
-from cecbench.figures import FigureDataset, _point_seed, build_figure, summarize, write_dataset
+from cecbench.figures import FigureDataset, build_figure, summarize, write_dataset
 from cecbench.protocols import (
     HarqParams,
     Protocol,
@@ -24,24 +24,24 @@ from cecbench.protocols import (
 
 @pytest.fixture
 def harq_calls(monkeypatch):
-    """Seeds passed to harq_expected_rounds by the figure builders."""
-    seeds = []
+    """The channel of each harq_expected_rounds call by the figure builders, which pass no seed."""
+    calls = []
 
-    def counting(chan, params, trials, seed=0):
-        seeds.append(seed)
-        return harq_expected_rounds(chan, params, trials, seed)
+    def counting(chan, params, trials):
+        calls.append(chan)
+        return harq_expected_rounds(chan, params, trials)
 
     monkeypatch.setattr(figures, "harq_expected_rounds", counting)
-    return seeds
+    return calls
 
 
 def test_default_run_estimates_harq_rounds_once_per_figure(tmp_path, harq_calls):
     config = tmp_path / "default.ini"
     config.write_text("")
     assert main(["run", str(config), "--out", str(tmp_path / "a")]) == 0
-    # fig9, fig10 and fig11 each draw one estimate, at their first sweep point.
-    assert harq_calls == [_point_seed(0, tag, 0) for tag in ("fig9_ucc", "fig10_ucc", "fig11_tcm")]
-    # A second run draws its estimates again: nothing is cached across runs.
+    # fig9, fig10 and fig11 each make one estimate.
+    assert len(harq_calls) == 3
+    # A second run makes its estimates again: nothing is cached across runs.
     assert main(["run", str(config), "--out", str(tmp_path / "b")]) == 0
     assert len(harq_calls) == 6
 
@@ -63,7 +63,7 @@ def test_fig11_harq_series_shares_one_estimate():
     cfg.bandwidth_hz = 200e3
     chan = cfg.channel()
     params = HarqParams(cfg.harq_max_rounds, cfg.harq_diversity)
-    d_hat = harq_expected_rounds(chan, params, cfg.trials, _point_seed(cfg.seed, "fig11_tcm", 0))
+    d_hat = harq_expected_rounds(chan, params, cfg.trials)
     assert d_hat.value > 1.0 and d_hat.bound is None
     ds = build_figure(cfg, "fig11_tcm")
     harq = ds.series(Protocol.HARQ.value)

@@ -30,8 +30,7 @@ from cecbench.protocols import (
 )
 from cecbench.protocols import _CERTIFY_TOL, _harq_bracket, _harq_branch_threshold, _harq_trivial_bound
 
-TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
-M_BITS = 176
+from scenarios import M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, TABLE_CHAN
 
 
 def _shape(n_sensors, n_relays, fanout=None, m=M_BITS):
@@ -536,12 +535,11 @@ def test_occupycow_void_probability_at_criterion4_shape():
     # Criterion 4's Occupy CoW shape (six nodes, t1 = 5 us, t2 = 2.5 us): the
     # void stratum holds almost all the mass at 10-25 dB, which is why the
     # analytic failure there is near zero.
-    shape = _shape(6, 1, fanout=6.0)
     void = {}
     for snr in (10.0, 20.0, 25.0):
-        params = occupycow_phase_probs(shape, TABLE_CHAN.with_snr(snr), 5e-6, 2.5e-6)
-        void[snr] = occupycow_void_probability(6, params)
-        assert void[snr] == params.p1**6
+        params = occupycow_phase_probs(OC_SHAPE, TABLE_CHAN.with_snr(snr), OC_T1, OC_T2)
+        void[snr] = occupycow_void_probability(OC_NODES, params)
+        assert void[snr] == params.p1**OC_NODES
     assert void[10.0] == 1.0
     assert round(void[20.0], 6) == 0.999999
     assert round(void[25.0], 3) == 0.959

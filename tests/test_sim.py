@@ -4,7 +4,6 @@ import gc
 import hashlib
 import math
 import operator
-import sys
 import weakref
 from functools import partial
 from pathlib import Path
@@ -48,6 +47,7 @@ from cecbench.sim import (
     run_reflexup,
     star_topology,
 )
+import scenarios
 
 PERFECT = ChannelParams(snr_db=600, bandwidth_hz=20e6, rate_bps=200e3)
 DEAD = ChannelParams(snr_db=-300, bandwidth_hz=20e6, rate_bps=200e3)
@@ -385,8 +385,8 @@ def test_run_baseline_rejects_reflexup_tag():
 def _entry_points():
     star, relays = star_topology(2), relay_topology(2, 1)
     star_flows, relay_flows = build_flows(star, 1, deadline=1.0), build_flows(relays, 1, deadline=1.0)
-    runners = {tag.value: partial(run_baseline, tag, star, star_flows, PERFECT, seed=0) for tag in (SR, HQ)}
-    runners["reflexup"] = partial(run_reflexup, relays, relay_flows, PERFECT, CEC_SMALL, seed=0)
+    runners = {tag.value: partial(run_baseline, tag, star, star_flows, chan=PERFECT, seed=0) for tag in (SR, HQ)}
+    runners["reflexup"] = partial(run_reflexup, relays, relay_flows, chan=PERFECT, cec=CEC_SMALL, seed=0)
     return runners
 
 
@@ -410,6 +410,17 @@ def test_runs_reject_timeout_probabilities_outside_the_unit_interval(p_timeout):
             run(p_timeout=p_timeout)
         for edge in (0.0, 1.0):
             assert run(p_timeout=edge).flows[0].dispatched == (edge == 0.0 or name == "harq"), (name, edge)
+
+
+@pytest.mark.parametrize(
+    "runner, channel_arg", [("selective_repeat_arq", "chan"), ("reflexup", "chan"), ("reflexup", "chan_local")]
+)
+def test_runs_reject_an_infinite_rate(runner, channel_arg):
+    # At an infinite rate an attempt takes no airtime and always fades out, so no
+    # deadline would end Selective Repeat's or ReFlexUp's retransmissions. HARQ's
+    # runs end after Q rounds.
+    with pytest.raises(ValueError, match="rate_bps"):
+        _entry_points()[runner](**{channel_arg: ChannelParams(snr_db=10, bandwidth_hz=20e6, rate_bps=math.inf)})
 
 
 # -------------------------------------------------------------- measure_cec
@@ -530,38 +541,22 @@ def test_estimate_pfail_returns_a_proportion_record():
     assert (p, hw) == (est.value, est.ci99)
 
 
-def _criterion4_shapes():
-    # The four scenario shapes of criterion 4 (tests/test_acceptance.py), on
-    # channels where a large share of runs fail, so that both outcomes and
-    # many different draws occur.
-    m_bits = 176
-    star1, star6, relay = star_topology(1), star_topology(6), relay_topology(1, 1)
-    sr_chan = ChannelParams(snr_db=-20, bandwidth_hz=20e6, rate_bps=200e3)
-    sr_flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=1.5 * m_bits / sr_chan.rate_bps)]
-    harq_chan = ChannelParams(snr_db=-9, bandwidth_hz=20e6, rate_bps=20e6)
-    harq_flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=10.0)]
-    oc_chan = ChannelParams(snr_db=35, bandwidth_hz=20e6, rate_bps=200e3)
-    oc_flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(6)]
-    session_rate = m_bits * 2 / 1e-5
-    rfu_chan = ChannelParams(snr_db=10, bandwidth_hz=20e6, rate_bps=session_rate)
-    rfu_flows = [FlowSpec(0, relay.sensors, 1, 1.0, deadline=2.4 * m_bits / session_rate)]
-    cec = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.05)
-    return {
-        "selective_repeat": lambda s: run_baseline(SR, star1, sr_flows, sr_chan, seed=s, p_timeout=1e-4),
-        "harq": lambda s: run_baseline(HQ, star1, harq_flows, harq_chan, seed=s, harq=HarqParams(7, 2)),
-        "occupy_cow": lambda s: run_baseline(OC, star6, oc_flows, oc_chan, seed=s, oc_t1=5e-6, oc_t2=2.5e-6),
-        "reflexup": lambda s: run_reflexup(
-            relay, rfu_flows, rfu_chan, cec, seed=s, t_cp=0.005, p_timeout=1e-4
-        ),
-    }
+# Criterion 4's four shapes on channels where a large share of runs fail, so
+# that both outcomes and many different draws occur.
+LOSSY_SHAPES = {
+    "selective_repeat": (SR, scenarios.channel_at(SR, -20)),
+    "harq": (HQ, ChannelParams(snr_db=-9, bandwidth_hz=20e6, rate_bps=20e6)),
+    "occupy_cow": (OC, scenarios.channel_at(OC, 35)),
+    "reflexup": (Protocol.REFLEXUP, scenarios.channel_at(Protocol.REFLEXUP, 10)),
+}
 
 
-@pytest.mark.parametrize("shape", sorted(_criterion4_shapes()))
+@pytest.mark.parametrize("shape", sorted(LOSSY_SHAPES))
 def test_estimate_pfail_runs_equal_plain_runs(shape):
     # estimate_pfail derives its runs' stream seeds in bulk, one plan per
     # 1024 runs; each run must replay, event for event, as the same scenario
     # called outside a plan, on both sides of each plan boundary.
-    scenario = _criterion4_shapes()[shape]
+    scenario = scenarios.scenario(*LOSSY_SHAPES[shape], record_events=True)
     runs, seed = 2100, 17
     seen, plans = [], set()
 
@@ -582,28 +577,6 @@ def test_estimate_pfail_runs_equal_plain_runs(shape):
     failures = sum(failed for _, _, failed in plain)
     assert 0 < failures < runs
     assert p == failures / runs
-
-
-def _pfail_shape(protocol, snr):
-    """Criterion 4's scenario for one protocol at `snr` dB, unrecorded, as the `pfail` benchmark runs it."""
-    m_bits = 176
-    chan = ChannelParams(snr_db=snr, bandwidth_hz=20e6, rate_bps=200e3)
-    if protocol in (SR, HQ):
-        topo = star_topology(1)
-        deadline = 1.5 * m_bits / chan.rate_bps if protocol == SR else 10.0
-        flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=deadline)]
-        kw = {"p_timeout": 1e-4} if protocol == SR else {"harq": HarqParams(7, 2)}
-        return lambda s: run_baseline(protocol, topo, flows, chan, seed=s, record_events=False, **kw)
-    if protocol == OC:
-        topo = star_topology(6)
-        flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(6)]
-        return lambda s: run_baseline(OC, topo, flows, chan, seed=s, oc_t1=5e-6, oc_t2=2.5e-6, record_events=False)
-    session_rate = m_bits * 2 / 1e-5
-    chan = ChannelParams(snr_db=snr, bandwidth_hz=20e6, rate_bps=session_rate)
-    topo = relay_topology(1, 1)
-    cec = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.05)
-    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=2.4 * m_bits / session_rate)]
-    return lambda s: run_reflexup(topo, flows, chan, cec, seed=s, t_cp=0.005, p_timeout=1e-4, record_events=False)
 
 
 # Digests of estimate_pfail's unrecorded in-plan runs on criterion 4's shapes
@@ -633,7 +606,7 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
     seed_base = {SR: 0, HQ: 100, OC: 200, Protocol.REFLEXUP: 300}[protocol]
     snrs = PLAN_PATH_SNRS[protocol]
     for snr in snrs + snrs[:1]:
-        scenario = _pfail_shape(protocol, snr)
+        scenario = scenarios.scenario(protocol, scenarios.channel_at(protocol, snr))
         h = hashlib.sha256()
 
         def digested(s):
@@ -673,31 +646,17 @@ FRAME_BUDGETS = {
 
 @pytest.mark.parametrize("shape", sorted(FRAME_BUDGETS, key=lambda k: (k[0].value, k[1])), ids=lambda k: f"{k[0].value}-{k[1]:g}db")
 def test_frames_per_run_stay_within_budget(shape):
-    scenario = _pfail_shape(*shape)
-    package = str(Path(sim.__file__).parent)
+    protocol, snr = shape
+    scenario = scenarios.scenario(protocol, scenarios.channel_at(protocol, snr))
     seeds = range(5000, 6000)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and (
-            frame.f_code.co_filename.startswith(package) or frame.f_globals.get("__name__", "").startswith("cecbench")
-        ):
-            calls += 1
 
     token = sim._PLAN.set(sim._Plan(seeds))
     try:
-        for s in seeds:  # warm: the plan's rows, the set-up memo and the runners' caches
-            scenario(s)
-        sys.setprofile(count)
-        try:
-            for s in seeds:
-                scenario(s)
-        finally:
-            sys.setprofile(None)
+        list(map(scenario, seeds))  # warm: the plan's rows, the set-up memo and the runners' caches
+        _, frames = scenarios.cecbench_frames(lambda: list(map(scenario, seeds)))
     finally:
         sim._PLAN.reset(token)
-    assert calls <= FRAME_BUDGETS[shape]
+    assert frames <= FRAME_BUDGETS[shape]
 
 
 @pytest.mark.parametrize("case", ["appended_flow", "equal_spec", "two_topologies", "two_protocols"])
@@ -819,41 +778,26 @@ def test_spawn_stream_reads_no_plan_inside_an_estimate():
     assert all(seen) and len(seen) == 1000
 
 
-Z99 = 2.5758293035489004
-
-
 def test_lossy_points_match_analytic():
     # Criterion 4's HARQ and Occupy CoW shapes at points where runs do fail.
     # Criterion 4's own HARQ points all have an analytic value of 0, and its
     # Occupy CoW points at 10 and 20 dB 0 and 8.9e-7, so they compare nothing.
-    m_bits, runs = 176, 20_000
-    chan = ChannelParams(snr_db=-27.0, bandwidth_hz=20e6, rate_bps=200e3)
-    ref = harq_pfail(chan, HarqParams(7, 2), 200_000, seed=27)
+    runs = 20_000
+    chan = scenarios.channel_at(HQ, -27.0)
+    ref = harq_pfail(chan, scenarios.HARQ, 200_000, seed=27)
     assert ref.bound is None and 0.005 < ref.value < 0.02
-    star1 = star_topology(1)
-    flows = [FlowSpec(0, star1.sensors, 1, 1.0, deadline=10.0)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_baseline(HQ, star1, flows, chan, seed=s, harq=HarqParams(7, 2), record_events=False),
-        seed=127,
-    )
+    p_hat, _ = estimate_pfail(runs, scenarios.scenario(HQ, chan), seed=127)
     # The reference is a lattice bracket: widen by its half-width.
-    band = Z99 * math.sqrt(ref.value * (1.0 - ref.value) / runs) + ref.ci99
+    band = scenarios.Z99 * math.sqrt(ref.value * (1.0 - ref.value) / runs) + ref.ci99
     assert abs(p_hat - ref.value) <= band, (p_hat, ref)
 
-    n, t1, t2, runs = 6, 5e-6, 2.5e-6, 10_000
-    chan = chan.with_snr(25.0)
-    probs = occupycow_phase_probs(NetworkShape(n + 1, n, 1, float(n), m_bits), chan, t1, t2)
-    analytic = occupycow_pfail(n, probs)
-    assert 0.03 < analytic < 0.05 and probs.p1**n > 0.9  # most rounds are void
-    star = star_topology(n)
-    flows = [FlowSpec(i, (f"v{i+1}",), 1, 1.0, deadline=1.0) for i in range(n)]
-    p_hat, _ = estimate_pfail(
-        runs,
-        lambda s: run_baseline(OC, star, flows, chan, seed=s, oc_t1=t1, oc_t2=t2, record_events=False),
-        seed=225,
-    )
-    assert abs(p_hat - analytic) <= Z99 * math.sqrt(analytic * (1.0 - analytic) / runs), p_hat
+    runs = 10_000
+    chan = scenarios.channel_at(OC, 25.0)
+    probs = occupycow_phase_probs(scenarios.OC_SHAPE, chan, scenarios.OC_T1, scenarios.OC_T2)
+    analytic = occupycow_pfail(scenarios.OC_NODES, probs)
+    assert 0.03 < analytic < 0.05 and probs.p1**scenarios.OC_NODES > 0.9  # most rounds are void
+    p_hat, _ = estimate_pfail(runs, scenarios.scenario(OC, chan), seed=225)
+    assert abs(p_hat - analytic) <= scenarios.Z99 * math.sqrt(analytic * (1.0 - analytic) / runs), p_hat
 
 
 # ------------------------------------------------------------------- exports
