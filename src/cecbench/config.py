@@ -28,6 +28,7 @@ from .protocols import (
     harq_latency,
     occupycow_latency,
     occupycow_phase_probs,
+    reflexup_latency,
     split_nodes,
     srarq_latency,
 )
@@ -113,7 +114,8 @@ class ExperimentConfig:
     key's section, default and parser, and nothing else does. The methods
     `channel`, `cec` and `shape` are the one mapping from keys to the model
     objects that the sweeps and the validation build, with `oc_windows` and
-    `fig7_grids` the times they sweep.
+    `fig7_grids` the times they sweep and `uplink_time` the time each
+    protocol is charged.
     """
 
     figures: tuple[str, ...] = _key(
@@ -193,6 +195,20 @@ class ExperimentConfig:
                 f" / rate_bps = {base!r} s, are {t1!r} and {t2!r} s, not finite and > 0"
             )
         return t1, t2
+
+    def uplink_time(
+        self, protocol: Protocol, shape: NetworkShape, chan: ChannelParams, d_hat: float | None, t_cp: float | None
+    ) -> float:
+        """`protocol`'s uplink time on the network `shape` over the link `chan`: HARQ's at `d_hat`
+        expected rounds, Occupy CoW's over its `oc_windows`, ReFlexUp's steered toward the
+        padded-slot optimum at `t_cp`. Only HARQ reads `d_hat` and only ReFlexUp `t_cp`."""
+        if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
+            return srarq_latency(shape, chan)
+        if protocol == Protocol.HARQ:
+            return harq_latency(shape, chan, d_hat)
+        if protocol == Protocol.OCCUPY_COW:
+            return occupycow_latency(occupycow_phase_probs(shape, chan, *self.oc_windows(shape.n_sensors)))
+        return reflexup_latency(shape, chan, self.cec(), t_cp).t_cm
 
     def fig7_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """fig7's t_cm and t_cp grids: `points` even steps up to each axis' `max`."""
@@ -337,20 +353,16 @@ def _baseline_times(cfg: ExperimentConfig) -> list[tuple[Protocol, int, float]]:
     fails its own checks (say, an SNR whose linear value overflows), which
     report it.
     """
-    n_g, times = max(cfg.n_g_grid), []
+    n_g = max(cfg.n_g_grid)
     try:
         shape, chan = cfg.shape(n_g), cfg.channel()
-        for protocol in cfg.protocols:
-            if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
-                times.append((protocol, n_g, srarq_latency(shape, chan)))
-            elif protocol == Protocol.HARQ:
-                times.append((protocol, n_g, harq_latency(shape, chan, cfg.harq_max_rounds)))
-            elif protocol == Protocol.OCCUPY_COW:
-                t1, t2 = cfg.oc_windows(shape.n_sensors)
-                times.append((protocol, n_g, occupycow_latency(occupycow_phase_probs(shape, chan, t1, t2))))
+        return [
+            (protocol, n_g, cfg.uplink_time(protocol, shape, chan, cfg.harq_max_rounds, None))
+            for protocol in cfg.protocols
+            if protocol != Protocol.REFLEXUP
+        ]
     except (ValueError, ArithmeticError):
         return []
-    return times
 
 
 def _check_uplink_times(times: list[tuple[Protocol, int, float]]) -> None:

@@ -16,21 +16,8 @@ from operator import itemgetter
 import numpy as np
 
 from .cec import optimal_tcm_case3, ucc_case3, ucc_case3_at_optimum
-from .channel import ChannelParams
 from .config import ExperimentConfig
-from .protocols import (
-    HarqParams,
-    MonteCarloEstimate,
-    NetworkShape,
-    Protocol,
-    harq_expected_rounds,
-    harq_latency,
-    occupycow_latency,
-    occupycow_phase_probs,
-    reflexup_latency,
-    reflexup_pfail,
-    srarq_latency,
-)
+from .protocols import HarqParams, MonteCarloEstimate, Protocol, harq_expected_rounds, reflexup_pfail
 
 __all__ = ["FigureDataset", "build_figure", "run_experiment", "write_dataset", "summarize"]
 
@@ -92,33 +79,6 @@ def _harq_rounds(cfg: ExperimentConfig) -> MonteCarloEstimate | None:
     return harq_expected_rounds(cfg.channel(), HarqParams(cfg.harq_max_rounds, cfg.harq_diversity), cfg.trials)
 
 
-def protocol_latency(
-    cfg: ExperimentConfig,
-    protocol: Protocol,
-    shape: NetworkShape,
-    chan: ChannelParams,
-    t_cp: float,
-    rounds: MonteCarloEstimate | None,
-) -> tuple[float, float]:
-    """(t_cm, ci99) of one protocol on the network `shape` over the link `chan`.
-
-    The caller builds `shape` once per network size and `chan` once per
-    figure, and passes both to every protocol. `rounds` is the figure's HARQ
-    estimate from _harq_rounds; only HARQ reads it.
-    """
-    if protocol == Protocol.SELECTIVE_REPEAT_ARQ:
-        return srarq_latency(shape, chan), 0.0
-    if protocol == Protocol.HARQ:
-        scale = shape.n_total * shape.packet_bits / chan.rate_bps
-        return harq_latency(shape, chan, rounds.value), rounds.ci99 * scale
-    if protocol == Protocol.OCCUPY_COW:
-        t1, t2 = cfg.oc_windows(shape.n_sensors)
-        return occupycow_latency(occupycow_phase_probs(shape, chan, t1, t2)), 0.0
-    if protocol == Protocol.REFLEXUP:
-        return reflexup_latency(shape, chan, cfg.cec(), t_cp).t_cm, 0.0
-    raise ValueError(protocol)
-
-
 def build_fig7(cfg: ExperimentConfig) -> FigureDataset:
     """Padded-slot efficiency surface over (t_cm, t_cp), one series per t_cp.
 
@@ -154,6 +114,7 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
     cec = cfg.cec()
     u_steered = ucc_case3_at_optimum(t_cp, cec)
     rounds = _harq_rounds(cfg)
+    d_hat = None if rounds is None else rounds.value
     chan = cfg.channel()
     rows = []
     for n_g in sorted(cfg.n_g_grid):
@@ -162,8 +123,7 @@ def build_fig_ucc_vs_size(cfg: ExperimentConfig, tag: str, t_cp: float) -> Figur
             if protocol == Protocol.REFLEXUP:
                 u = u_steered
             else:
-                t_cm, _ = protocol_latency(cfg, protocol, shape, chan, t_cp, rounds)
-                u = ucc_case3(t_cm, t_cp, cec)
+                u = ucc_case3(cfg.uplink_time(protocol, shape, chan, d_hat, t_cp), t_cp, cec)
             rows.append((float(n_g), protocol.value, float(u), 0.0))
     ds = FigureDataset(tag, "n_g", "u_cc", rows)
     _check_reflexup_dominates(ds)
@@ -188,6 +148,7 @@ def _check_reflexup_dominates(ds: FigureDataset) -> None:
 def build_fig11(cfg: ExperimentConfig) -> FigureDataset:
     """Uplink latency vs network size, one series per protocol."""
     rounds = _harq_rounds(cfg)
+    d_hat = None if rounds is None else rounds.value
     chan = cfg.channel()
     rows = []
     sizes = sorted(cfg.n_g_grid)
@@ -195,7 +156,9 @@ def build_fig11(cfg: ExperimentConfig) -> FigureDataset:
     sensors = [shape.n_sensors for shape in shapes]
     for n_g, shape in zip(sizes, shapes):
         for protocol in cfg.protocols:
-            t_cm, ci = protocol_latency(cfg, protocol, shape, chan, cfg.t_cp_fig11, rounds)
+            t_cm, ci = cfg.uplink_time(protocol, shape, chan, d_hat, cfg.t_cp_fig11), 0.0
+            if protocol == Protocol.HARQ:  # linear in d_hat, so d_hat's half-width scales alike
+                ci = rounds.ci99 * (shape.n_total * shape.packet_bits / chan.rate_bps)
             rows.append((float(n_g), protocol.value, float(t_cm), float(ci)))
     ds = FigureDataset("fig11_tcm", "n_g", "t_cm_s", rows)
     for name, pts in ds.grouped().items():

@@ -105,7 +105,7 @@ def test_criterion_3_case1_bound():
 # probability on its shape's channel.
 CRITERION_4 = {
     Protocol.SELECTIVE_REPEAT_ARQ: (0, 100_000, lambda chan: srarq_pfail(P_TIMEOUT, outage_probability(chan))),
-    Protocol.HARQ: (100, 20_000, lambda chan: harq_pfail(chan, HARQ, 1_000_000, seed=int(chan.snr_db)).value),
+    Protocol.HARQ: (100, 20_000, lambda chan: harq_pfail(chan, HARQ, 1_000_000).value),
     Protocol.OCCUPY_COW: (
         200, 30_000, lambda chan: occupycow_pfail(OC_NODES, occupycow_phase_probs(OC_SHAPE, chan, OC_T1, OC_T2))
     ),

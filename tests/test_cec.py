@@ -137,6 +137,8 @@ def test_case1_equality_at_unit_utilizations():
     cfg = CecConfig(n_tasks=17, k_rbs=100, c=2.0)
     ones = [1.0] * cfg.n_tasks
     assert ucc_case1(ones, ones, cfg) == pytest.approx(cfg.c, rel=1e-12)
+    with pytest.raises(ValueError, match="equal length"):
+        ucc_case1(ones, ones[1:], cfg)
 
 
 # ------------------------------------------------------------- cases II / III
@@ -388,6 +390,15 @@ def test_rb_allocation_rejects_partial_pool():
     ind[0, 0] = 1
     with pytest.raises(ValueError):
         RbAllocation(ind)
+
+
+@pytest.mark.parametrize(
+    "indicator, message",
+    [(np.ones(3, dtype=int), "2-D"), (np.array([[1, 0], [0, 2]]), "0/1"), (np.array([[0.5, 0.5]]), "0/1")],
+)
+def test_rb_allocation_rejects_malformed_indicator(indicator, message):
+    with pytest.raises(ValueError, match=message):
+        RbAllocation(indicator)
 
 
 # -------------------------------------------------------------------- config

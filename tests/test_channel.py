@@ -225,6 +225,20 @@ def test_seed_plan_beyond_2_64_equals_spawn_stream():
                 assert planned.bit_generator.state == spawn_stream(seed, *path).bit_generator.state, (seed, path)
 
 
+def test_seed_plan_takes_multi_word_path_words():
+    # SeedSequence splits a path word into 32-bit words, little-endian, so a
+    # word at or above 2**32 hashes in as two or more; a negative one it rejects.
+    plan = SeedPlan(range(10))
+    for path in [(2**32,), (1, 2**32 + 7), (2**64,), (3, 2**64 + 2**32 + 1, 5), (2**100 - 1,)]:
+        planned = plan.stream(4, *path)
+        assert isinstance(planned.bit_generator.seed_seq, _Words), path
+        assert planned.bit_generator.state == spawn_stream(4, *path).bit_generator.state, path
+    for stream in (plan.stream, spawn_stream):
+        for path in [(-1,), (1, -2**40)]:
+            with pytest.raises(ValueError):
+                stream(4, *path)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_seed_words_vary_the_last_path_word(seed):
     # One seed's paths (head, 0) ... (head, count - 1) in one call.

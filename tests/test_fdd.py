@@ -45,6 +45,8 @@ def test_fit_requires_enough_samples():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         fit_pca(_samples(rng.normal(size=(30, 5))), n_components=2)
+    with pytest.raises(ValueError, match="^no samples$"):
+        fit_pca([])
 
 
 def test_fit_rejects_constant_columns():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecbench import figures
+from cecbench import config, figures
 from cecbench.cec import ucc_case3_at_optimum
 from cecbench.cli import main
 from cecbench.config import default_config
@@ -142,19 +142,25 @@ def test_reflexup_is_charged_its_optimum_where_the_transfer_overruns_it():
     assert ds.series(Protocol.REFLEXUP.value) == [(float(n), u_star) for n in sizes]
 
 
-# One patch per figure sanity check, each of which breaks the shape it guards.
+# One patch per figure sanity check, each of which breaks the shape it guards:
+# (the module whose name it replaces, the name, the patch). fig9-fig11 charge
+# each protocol its uplink time through `ExperimentConfig.uplink_time`, so a
+# protocol's latency model is replaced where `config` looks it up.
 SANITY_BREAKS = {
     "fig7_surface": (
+        figures,
         "optimal_tcm_case3",
         lambda real: lambda t_cp, cec: 1.5 * real(t_cp, cec),
     ),
-    "fig9_ucc": ("ucc_case3_at_optimum", lambda real: lambda t_cp, cec: 0.0),
-    "fig11_tcm": ("srarq_latency", lambda real: lambda shape, chan: 1.0),
+    "fig9_ucc": (figures, "ucc_case3_at_optimum", lambda real: lambda t_cp, cec: 0.0),
+    "fig11_tcm": (config, "srarq_latency", lambda real: lambda shape, chan: 1.0),
     "fig12_ucc_snr_tasks": (
+        figures,
         "ucc_case3_at_optimum",
         lambda real: lambda t_cp, cec: float(cec.n_tasks),
     ),
     "fig13_pfail": (
+        figures,
         "reflexup_pfail",
         lambda real: lambda shape, chan, t_vs, p_timeout: chan.snr_db / 100,
     ),
@@ -163,15 +169,26 @@ SANITY_BREAKS = {
 
 @pytest.mark.parametrize("tag", sorted(SANITY_BREAKS))
 def test_figure_sanity_checks_fire(monkeypatch, tag):
-    name, patch = SANITY_BREAKS[tag]
-    monkeypatch.setattr(figures, name, patch(getattr(figures, name)))
+    module, name, patch = SANITY_BREAKS[tag]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
     with pytest.raises(RuntimeError, match=tag.split("_")[0]):
         build_figure(default_config(), tag)
 
 
+def test_fig11_reflexup_check_fires(monkeypatch):
+    # ReFlexUp's latency may plateau at its steering target as the network
+    # grows, but never drop; here it falls as 1 / n_g.
+    real = config.reflexup_latency
+    monkeypatch.setattr(
+        config, "reflexup_latency", lambda shape, *args: real(shape, *args)._replace(t_cm=1.0 / shape.n_total)
+    )
+    with pytest.raises(RuntimeError, match="^fig11: adaptive-protocol latency decreased with size$"):
+        build_figure(default_config(), "fig11_tcm")
+
+
 def test_cli_exits_2_when_a_sanity_check_fires(tmp_path, monkeypatch, capsys):
-    name, patch = SANITY_BREAKS["fig11_tcm"]
-    monkeypatch.setattr(figures, name, patch(getattr(figures, name)))
+    module, name, patch = SANITY_BREAKS["fig11_tcm"]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
     config = tmp_path / "default.ini"
     config.write_text("")
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -88,7 +88,7 @@ def test_model_counts_must_be_integers(build):
 def test_model_counts_accept_numpy_integers():
     harq = HarqParams(np.int64(7), np.int32(2))
     chan = ChannelParams(-9.0, 20e6, 20e6)
-    assert harq_pfail(chan, harq, 10_000, seed=1) == harq_pfail(chan, HarqParams(7, 2), 10_000, seed=1)
+    assert harq_pfail(chan, harq, 10_000) == harq_pfail(chan, HarqParams(7, 2), 10_000)
     shape = split_nodes(np.int64(250), 0.2, np.int64(M_BITS))
     assert (shape.n_sensors, shape.n_relays) == (208, 42)
 
@@ -160,12 +160,12 @@ def _meets(est, center, half_width):
 
 
 def test_harq_pfail_vanishes_with_many_rounds():
-    est = harq_pfail(TABLE_CHAN.with_snr(10), HarqParams(7, 2), 100_000, seed=1)
+    est = harq_pfail(TABLE_CHAN.with_snr(10), HarqParams(7, 2), 100_000)
     assert est.value <= 1e-4
 
 
 def test_harq_pfail_saturates_at_low_snr():
-    est = harq_pfail(STRESSED.with_snr(-100), HarqParams(3, 2), 20_000, seed=2)
+    est = harq_pfail(STRESSED.with_snr(-100), HarqParams(3, 2), 20_000)
     assert est.value == pytest.approx(1.0)
 
 
@@ -220,15 +220,15 @@ def test_harq_two_rounds_matches_quadrature_oracle():
 
 
 def test_harq_expected_rounds_limits():
-    fast = harq_expected_rounds(STRESSED.with_snr(100), HarqParams(7, 2), 20_000, seed=3)
+    fast = harq_expected_rounds(STRESSED.with_snr(100), HarqParams(7, 2), 20_000)
     assert fast.value == pytest.approx(1.0)
-    stuck = harq_expected_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 20_000, seed=4)
+    stuck = harq_expected_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 20_000)
     assert stuck.value == pytest.approx(7.0)
 
 
 def test_harq_expected_rounds_table_midpoint():
     # At the 30 dB evaluation point the first round essentially always decodes.
-    est = harq_expected_rounds(TABLE_CHAN.with_snr(30), HarqParams(7, 2), 1_000_000, seed=7)
+    est = harq_expected_rounds(TABLE_CHAN.with_snr(30), HarqParams(7, 2), 1_000_000)
     assert est.value == pytest.approx(1.0, rel=0.01)
     assert 1.0 <= est.value <= 7.0
 
@@ -236,7 +236,7 @@ def test_harq_expected_rounds_table_midpoint():
 def test_harq_expected_rounds_monotone_in_snr():
     params = HarqParams(7, 2)
     values = [
-        harq_expected_rounds(STRESSED.with_snr(snr), params, 50_000, seed=8).value
+        harq_expected_rounds(STRESSED.with_snr(snr), params, 50_000).value
         for snr in (0, 6, 12)
     ]
     assert values[0] > values[1] > values[2]
@@ -321,7 +321,7 @@ def test_certified_rounds_equal_sampled_at_default_point():
 
 
 def test_certified_pfail_equals_sampled_at_default_point():
-    certified = harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000, seed=0)
+    certified = harq_pfail(TABLE_CHAN, DEFAULT_HARQ, 100_000)
     assert certified.bound is not None and certified.bound <= _CERTIFY_TOL
     assert (certified.value, certified.stderr, certified.trials) == (0.0, 0.0, 100_000)
     for seed in range(20):
@@ -336,7 +336,7 @@ def test_sampled_rounds_without_spread_keep_an_error(snr_db, seed):
     # sample's (Q - 1)/(n + 1) rule.
     chan = ChannelParams(snr_db, 20e6, 200e3)
     undecoded = _undecoded_rounds(chan, DEFAULT_HARQ, 100_000, seed)
-    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000, seed=seed)
+    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000)
     assert (undecoded == 0).all() and est.bound is None
     assert tuple(est) == (est.value, est.ci99) and 0 < est.ci99 < _sampled_rounds(undecoded, 7)[1]
     assert 1.0 < est.value - est.ci99 and est.value + est.ci99 < 1.0 + 1e-6
@@ -344,7 +344,7 @@ def test_sampled_rounds_without_spread_keep_an_error(snr_db, seed):
 
 def test_rounds_without_spread_at_the_cap():
     # Every packet stuck at Q: d_hat is Q, off by no more than the FFT's allowance.
-    est = harq_expected_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 10_000, seed=4)
+    est = harq_expected_rounds(STRESSED.with_snr(-100), HarqParams(7, 2), 10_000)
     assert (est.value, est.ci99) == (7.0, 6 * protocols._FFT_ERROR)
 
 
@@ -408,7 +408,7 @@ def test_uncertifiable_points_still_sample(snr_db):
     # a 1e5-trial sample.
     chan = TABLE_CHAN.with_snr(snr_db)
     assert _harq_trivial_bound(chan, DEFAULT_HARQ, 100_000, 1) > _CERTIFY_TOL
-    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000, seed=3)
+    est = harq_expected_rounds(chan, DEFAULT_HARQ, 100_000)
     lo, hi = _harq_bracket(chan, DEFAULT_HARQ, 6, protocols._ROUNDS_STEPS, fft=True)
     assert est.bound is None and est.value == 1.0 + float(lo.sum() + hi.sum()) / 2
     assert _meets(est, *_sampled_rounds(_undecoded_rounds(chan, DEFAULT_HARQ, 100_000, 3), 7))
@@ -418,7 +418,7 @@ def test_lossy_pfail_still_samples():
     # Where outages occur, harq_pfail is the direct bracket's midpoint, and it
     # meets the Wilson interval of a 1e5-trial sample.
     chan = TABLE_CHAN.with_snr(-27.0)
-    est = harq_pfail(chan, DEFAULT_HARQ, 20_000, seed=4)
+    est = harq_pfail(chan, DEFAULT_HARQ, 20_000)
     (lo, hi) = (b[-1] for b in _harq_bracket(chan, DEFAULT_HARQ, 7, protocols._PFAIL_STEPS))
     assert est.bound is None and (est.value, est.ci99) == ((lo + hi) / 2, (hi - lo) / 2) and est.value > 0.0
     outages = int((_undecoded_rounds(chan, DEFAULT_HARQ, 100_000, 4) == 7).sum())
@@ -436,9 +436,9 @@ def test_lossy_pfail_still_samples():
 def test_unbounded_point_neither_raises_nor_certifies(chan):
     assert _harq_branch_threshold(chan, 2) is None
     assert _harq_trivial_bound(chan, DEFAULT_HARQ, 10_000, 1) == math.inf
-    rounds = harq_expected_rounds(chan, DEFAULT_HARQ, 10_000, seed=5)
+    rounds = harq_expected_rounds(chan, DEFAULT_HARQ, 10_000)
     assert rounds.bound is None and rounds.value == 7.0
-    pfail = harq_pfail(chan, DEFAULT_HARQ, 10_000, seed=5)
+    pfail = harq_pfail(chan, DEFAULT_HARQ, 10_000)
     assert pfail.bound is None and pfail.value == 1.0
 
 

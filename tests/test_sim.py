@@ -373,6 +373,9 @@ def test_only_recording_runs_hold_the_collector(monkeypatch):
     with pytest.raises(ValueError, match="sends more than one flow"):
         run_baseline(OC, star, [FlowSpec(i, ("v1",), 1, 1.0, 1.0) for i in range(2)], LOSSY, seed=0)
     assert gc.isenabled()
+    with pytest.raises(ValueError, match="need n >= 2 cooperating nodes"):
+        run_baseline(OC, star, [FlowSpec(0, ("v1",), 1, 1.0, 1.0)], LOSSY, seed=0)
+    assert gc.isenabled()
 
 
 def test_run_baseline_rejects_reflexup_tag():
@@ -784,7 +787,7 @@ def test_lossy_points_match_analytic():
     # Occupy CoW points at 10 and 20 dB 0 and 8.9e-7, so they compare nothing.
     runs = 20_000
     chan = scenarios.channel_at(HQ, -27.0)
-    ref = harq_pfail(chan, scenarios.HARQ, 200_000, seed=27)
+    ref = harq_pfail(chan, scenarios.HARQ, 200_000)
     assert ref.bound is None and 0.005 < ref.value < 0.02
     p_hat, _ = estimate_pfail(runs, scenarios.scenario(HQ, chan), seed=127)
     # The reference is a lattice bracket: widen by its half-width.
@@ -833,6 +836,8 @@ def test_topology_validation():
         sim.Topology(members={}, sensors=("v1", "v1"))
     with pytest.raises(ValueError):
         sim.Topology(members={"s1": ("v1",), "s2": ("v1",)}, sensors=("v1",))
+    with pytest.raises(ValueError, match="cannot be both relay and sensor"):
+        sim.Topology(members={"v1": ("v2",)}, sensors=("v1", "v2"))
     # A sensor named "C" was accepted, and its SR trace reported a ("C", "C") link.
     for name in (sim.CONTROLLER, sim.EDGE, sim.FLOOD):
         with pytest.raises(ValueError, match="reserved"):
@@ -1117,6 +1122,17 @@ def test_unrecorded_golden_runs_match_recorded_ones():
             assert [getattr(unrecorded.flows[task], f) for f in OUTCOME_FIELDS] == fields, (name, task)
         summary = (recorded.duration, recorded.slots, recorded.t_p)
         assert (unrecorded.duration, unrecorded.slots, unrecorded.t_p) == summary, name
+
+
+def test_golden_traces_log_the_published_event_types():
+    # `EVENT_TYPES` publishes the trace schema's event types: every event the
+    # runners log has one, and the golden traces between them log each.
+    logged = set()
+    for name, case in sorted(GOLDEN_CASES.items()):
+        types = {ev.event_type for ev in case().events}
+        assert types <= set(sim.EVENT_TYPES), (name, types - set(sim.EVENT_TYPES))
+        logged |= types
+    assert logged == set(sim.EVENT_TYPES)
 
 
 def _trace_shape_cases():
