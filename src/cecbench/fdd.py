@@ -170,9 +170,8 @@ def fit_pca(
     T-squared limit from the F distribution and the SPE limit from the
     Jackson-Mudholkar approximation over the residual eigenvalue moments.
     """
-    # Imported here, not at module level: scipy.special takes longer to import
-    # than the rest of the package together, and only fitting needs it.
-    from scipy.special import fdtri, ndtri
+    # Imported here, not at module level: only fitting needs the quantiles.
+    from ._quantiles import f_isf, norm_isf
 
     real("alpha", alpha, "(0, 1)")
     x = _as_matrix(training)
@@ -204,7 +203,7 @@ def fit_pca(
 
     k = n_components
     t2_limit = (
-        k * (n**2 - 1) / (n * (n - k)) * float(fdtri(k, n - k, 1.0 - alpha))
+        k * (n**2 - 1) / (n * (n - k)) * f_isf(k, n - k, alpha)
     )
 
     theta1 = float(residual.sum())
@@ -222,12 +221,15 @@ def fit_pca(
         h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
         if h0 <= 0:
             h0 = 1e-6  # standard guard for pathological residual spectra
-        c_alpha = float(ndtri(1.0 - alpha))
-        spe_limit = theta1 * (
+        c_alpha = norm_isf(alpha)
+        base = (
             c_alpha * math.sqrt(2.0 * theta2 * h0**2) / theta1
             + 1.0
             + theta2 * h0 * (h0 - 1.0) / theta1**2
-        ) ** (1.0 / h0)
+        )
+        # For alpha near 1 the normal approximation falls below 0, and a
+        # fractional power of it would be complex; the limit is then 0.
+        spe_limit = theta1 * max(base, 0.0) ** (1.0 / h0)
 
     return PcaModel(
         mean=mean,
@@ -365,10 +367,12 @@ def generate_synthetic_te(
             center = base_mean[v]
             tail[:, v] = center + (tail[:, v] - center) * math.sqrt(fault_spec.factor)
 
-    training = [ProcessSample(float(t), train[t]) for t in range(n_normal)]
-    test_stream = [
-        ProcessSample(float(n_normal + t), test[t]) for t in range(n_normal + n_fault)
-    ]
+    for x in (train, test):
+        if not np.isfinite(x).all():
+            raise ValueError("all readings must be finite")
+    # Both matrices are checked; each row is a 1-D float64 view.
+    training = [_trusted_sample(float(t), row) for t, row in enumerate(train)]
+    test_stream = [_trusted_sample(float(n_normal + t), row) for t, row in enumerate(test)]
     return training, test_stream
 
 

@@ -345,11 +345,44 @@ def test_readme_key_table_matches_the_schema():
     assert table == schema
 
 
-def test_import_does_not_load_scipy():
+# Runs with every scipy import refused: the package needs numpy only.
+_WITHOUT_SCIPY = """
+import os, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, RefuseScipy())
+import cecbench
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+from cecbench import cli, fdd
+
+tmp = sys.argv[1]
+train, test = fdd.generate_synthetic_te(300, 30, fdd.MeanShift((0, 3), 8.0), seed=5, n_vars=8)
+model = fdd.fit_pca(train, n_components=3)
+results = fdd.score_stream(model, test)
+flagged = [s for s, r in zip(test, results) if r.fault_flag]
+assert flagged and all(fdd.residual_contributions(model, s) for s in flagged)
+fdd.write_detections(results, os.path.join(tmp, "detections.csv"))
+cfg = os.path.join(tmp, "empty.ini")
+open(cfg, "w").close()
+print(cli.main(["run", cfg, "--out", os.path.join(tmp, "results")]))
+"""
+
+
+def test_import_does_not_load_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cecbench.__file__))
-    code = "import sys, cecbench; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "0", out.stdout
+    assert len((tmp_path / "detections.csv").read_text().splitlines()) == 331
+    assert sorted(os.listdir(tmp_path / "results")) == sorted(f"{tag}.csv" for tag in FIGURE_TAGS)

@@ -1,15 +1,19 @@
 import copy
 import dataclasses
+import functools
 import hashlib
+import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc, fdtrc, fdtri, ndtr, ndtri
 
-from cecbench import fdd
+from cecbench import _quantiles, fdd
 from cecbench.fdd import (
     CsvParseError,
     CsvSchema,
@@ -109,6 +113,107 @@ def test_fit_is_deterministic():
     b = fit_pca(train, n_components=4)
     assert np.array_equal(a.loadings, b.loadings)
     assert a.spe_limit == b.spe_limit
+
+
+# ---------------------------------------------------------- control limits
+
+
+@functools.cache
+def _log_beta_half(b):
+    """ln B(1/2, b) for an integer or half-integer b, by B(1/2, j + 1) = B(1/2, j) j / (j + 1/2).
+
+    scipy's betaln(0.5, b) is off by 3.5e-11 at b = 5e4.
+    """
+    j0 = 1.0 if b % 1 == 0 else 0.5
+    steps = math.fsum(math.log1p(0.5 / (j0 + i)) for i in range(int(b - j0)))
+    return math.log(2.0 if j0 == 1 else math.pi) - steps
+
+
+def _f_log_sf(k, dfd, f):
+    """ln P(F(k, dfd) > f), the reference for _quantiles.f_isf.
+
+    scipy's fdtrc is no reference here: it rounds 1 - x, which costs up to
+    2.7e-12 relative at dfd = 1e5, and near alpha = 1e-300 its incomplete beta
+    underflows for k >= 8. Instead, with x = k f / (k f + dfd) ~ Beta(a, b),
+    the upper tail Q_a grows by one positive term per unit step of a:
+    Q_(a+1) = Q_a + x^a (1 - x)^b / (a B(a, b)). It starts from Q_1 = (1 - x)^b
+    for even k and from scipy's Q_(1/2) for odd k. Whichever of x and 1 - x is
+    below 1/2 is kept exact.
+    """
+    a, b = k / 2, dfd / 2
+    x, y = k * f / (k * f + dfd), dfd / (k * f + dfd)
+    log_x, log_y = (math.log(x), math.log1p(-x)) if x < 0.5 else (math.log1p(-y), math.log(y))
+    if k % 2 == 0:
+        a0, logs = 1.0, [b * log_y]
+        log_term = math.log(b) + log_x + b * log_y
+    else:
+        a0, log_term = 0.5, 0.5 * log_x + b * log_y + math.log(2.0) - _log_beta_half(b)
+        q = betaincc(0.5, b, x) if x < 0.5 else betainc(b, 0.5, y)
+        if q >= sys.float_info.min:
+            logs = [math.log(q)]
+        else:
+            # scipy's Q_(1/2) underflowed. It lies between (1 - x)^b / (b B(1/2, b))
+            # and x^(-1/2) times that: take the midpoint, and check its share below.
+            log_low = b * log_y - math.log(b) - _log_beta_half(b)
+            logs = [log_low + math.log1p(math.exp(-0.5 * log_x)) - math.log(2.0)]
+            log_half_width = log_low + math.log(math.expm1(-0.5 * log_x) / 2)
+    while a0 < a:
+        logs.append(log_term)
+        log_term += math.log((a0 + b) / (a0 + 1)) + log_x
+        a0 += 1
+    top = max(logs)
+    log_sf = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    if k % 2 and q < sys.float_info.min:
+        assert log_half_width - log_sf < math.log(1e-13), (k, dfd, f)
+    return log_sf
+
+
+QUANTILE_ALPHAS = (1e-300, 1e-100, 1e-17, 1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 26, 51, 52])
+def test_f_quantile_matches_scipy(k):
+    for dfd in (9 * k, 1000, 10**4, 10**5):
+        for alpha in QUANTILE_ALPHAS:
+            f = _quantiles.f_isf(k, dfd, alpha)
+            assert abs(math.expm1(_f_log_sf(k, dfd, f) - math.log(alpha))) <= 1e-12, (dfd, alpha)
+            if alpha >= 1e-3:
+                assert f == pytest.approx(fdtri(k, dfd, 1 - alpha), rel=1e-12), (dfd, alpha)
+
+
+@pytest.mark.parametrize("alpha", QUANTILE_ALPHAS)
+def test_normal_quantile_matches_scipy(alpha):
+    z = _quantiles.norm_isf(alpha)
+    assert ndtr(-z) == pytest.approx(alpha, rel=1e-12)
+    if alpha >= 1e-3:
+        assert z == pytest.approx(ndtri(1 - alpha), rel=1e-12)
+    # The SPE limit at the reference alpha is the one scipy gave, bit for bit.
+    assert _quantiles.norm_isf(0.01) == ndtri(0.99)
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 1e-300])
+def test_tiny_alpha_gives_finite_limits(alpha):
+    # 1 - alpha rounds to 1.0 here; the limits come from alpha itself.
+    train, test = generate_synthetic_te(400, 40, MeanShift((0, 1), 1e4), seed=31, n_vars=10)
+    n, k = len(train), 3
+    model = fit_pca(train, n_components=k, alpha=alpha)
+    f = _quantiles.f_isf(k, n - k, alpha)
+    assert model.t2_limit == k * (n**2 - 1) / (n * (n - k)) * f
+    assert fdtrc(k, n - k, f) == pytest.approx(alpha, rel=1e-12)
+    assert ndtr(-_quantiles.norm_isf(alpha)) == pytest.approx(alpha, rel=1e-12)
+    loose = fit_pca(train, n_components=k, alpha=0.01)
+    assert loose.t2_limit < model.t2_limit < math.inf
+    assert loose.spe_limit < model.spe_limit < math.inf
+    assert any(r.fault_flag for r in score_stream(model, test[n:]))
+
+
+def test_alpha_near_one_gives_real_limits():
+    # The Jackson-Mudholkar base is negative here, and a fractional power of it complex.
+    train, test = generate_synthetic_te(400, 0, None, seed=31, n_vars=10)
+    model = fit_pca(train, n_components=3, alpha=1 - 2**-53)
+    assert type(model.spe_limit) is float and type(model.t2_limit) is float
+    assert 0.0 <= model.spe_limit < fit_pca(train, n_components=3, alpha=0.5).spe_limit
+    assert all(r.fault_flag for r in score_stream(model, test))
 
 
 # ------------------------------------------------------------------- scoring
@@ -293,6 +398,14 @@ def test_generator_rejects_fault_variables_that_are_not_integers(spec):
     # 1.5 lies in range but indexes nothing, and True would fault variable 1.
     with pytest.raises(ValueError, match="must be an integer"):
         generate_synthetic_te(10, 5, spec, seed=1, n_vars=8)
+
+
+@pytest.mark.parametrize(
+    "spec", [MeanShift((2,), math.inf), MeanShift((0, 4), math.nan), Drift(5, -math.inf)]
+)
+def test_generator_rejects_non_finite_draws(spec):
+    with pytest.raises(ValueError, match="^all readings must be finite$"):
+        generate_synthetic_te(20, 5, spec, seed=1, n_vars=6)
 
 
 def test_generator_takes_numpy_integer_fault_variables():
@@ -488,10 +601,14 @@ def _monitor_pipeline_digest(directory, seed):
 
 
 # Taken before the trusted-row, slots and writer changes to fdd.py; each of
-# them must leave every byte of the pipeline's output as it was.
+# them must leave every byte of the pipeline's output as it was. Re-recorded
+# once since, when fit_pca's F quantile moved from scipy's fdtri to
+# _quantiles.f_isf: t2_limit went from 34.70338182779599 to 34.703381827796
+# (exact: 34.7033818277959758), and with the old t2_limit put back into the
+# fitted model the pipeline gave the old digests, 6458c0f3… and 0b5dbe08….
 MONITOR_DIGESTS = {
-    7011: "6458c0f3c93df03dd8bb16654f16ee9fd771f8d6cdbd002898135749e4766b85",
-    7012: "0b5dbe08cd8fe255d677f1d2bbbc740f07e02c1e7a6847fe1ac57ee41ee815f1",
+    7011: "aa9f28df63769ea36045e51170b65912848620efe20038f9c4c962000ff31e89",
+    7012: "2e10111de0f80520924ff554ae36f650e40c8380d2b867013748c76fb91f4926",
 }
 
 
@@ -507,16 +624,17 @@ def test_bulk_rows_equal_checked_rows(tmp_path):
     _, test = generate_synthetic_te(30, 5, MeanShift((1,), 3.0), seed=29, n_vars=7)
     path = tmp_path / "plant.csv"
     path.write_text("".join(",".join(repr(float(v)) for v in s.values) + "\n" for s in test))
-    samples = ingest_csv(path)
     matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    assert len(samples) == len(matrix)
-    for t, (sample, row) in enumerate(zip(samples, matrix)):
-        checked = ProcessSample(float(t), row)
-        assert type(sample) is ProcessSample
-        assert type(sample.timestamp) is float and sample.timestamp == checked.timestamp
-        assert sample.values.dtype == checked.values.dtype
-        assert sample.values.shape == checked.values.shape
-        assert sample.values.tobytes() == checked.values.tobytes()
+    # The generator's rows are trusted too; its test stream starts at t = 30.
+    for samples, t0 in ((ingest_csv(path), 0), (test, 30)):
+        assert len(samples) == len(matrix)
+        for t, (sample, row) in enumerate(zip(samples, matrix), start=t0):
+            checked = ProcessSample(float(t), row)
+            assert type(sample) is ProcessSample
+            assert type(sample.timestamp) is float and sample.timestamp == checked.timestamp
+            assert sample.values.dtype == checked.values.dtype
+            assert sample.values.shape == checked.values.shape
+            assert sample.values.tobytes() == checked.values.tobytes()
 
 
 @pytest.mark.parametrize("values", [[1.0, float("nan")], [float("inf")], [[1.0, 2.0]]])
