@@ -3,15 +3,14 @@
 All public interfaces take SNR in dB and convert to linear scale internally.
 Channel power gains |h|^2 are unit-mean exponential (Rayleigh envelope), drawn
 from splittable per-link RNG streams so that simulation traces replay exactly.
-A stream depends only on its seed and path: `spawn_streams` and a `SeedPlan`
-derive many streams' seeding words at once, and their holder picks which to use.
+A stream depends only on its seed and path: `spawn_stream` sets one up alone,
+and a `SeedPlan` derives the seeding words of many seeds and paths at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -22,7 +21,6 @@ __all__ = [
     "outage_probability",
     "derive_seed",
     "spawn_stream",
-    "spawn_streams",
     "SeedPlan",
     "sample_fades",
     "link_capacity_bps",
@@ -119,25 +117,9 @@ def spawn_stream(seed: int, *path: int) -> np.random.Generator:
 
     Distinct paths under the same master seed give statistically independent
     streams, so parallel runs and per-link draws never share state.
-    `spawn_streams` derives a run's links under one path head in one pass,
-    and `SeedPlan` many seeds at one path; the generator is the same either way.
+    `SeedPlan` derives many seeds and paths in bulk; the generator is the same.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
-
-
-def spawn_streams(seed: int, head: int, count: int) -> list[np.random.Generator]:
-    """The generators of paths (head, 0) ... (head, count - 1) under `seed`.
-
-    Stream i is bit-identical to `spawn_stream(seed, head, i)`. For a plain
-    int seed in [0, 2**64), the seeding words of all paths come from one
-    `_seed_words` call (about 0.3-0.4 ms plus 3 µs per stream, against about
-    20 µs per stream set up alone: the caller decides when that pays);
-    otherwise each stream is `spawn_stream`'s.
-    """
-    if type(seed) is int and 0 <= seed < 1 << 64:
-        rows = _seed_words([seed], (head, np.arange(count, dtype=np.uint32)))
-        return [_Generator(_PCG64(_Words((row,)))) for row in rows]
-    return [spawn_stream(seed, head, i) for i in range(count)]
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -147,23 +129,48 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_steps(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) constants of successive SeedSequence hash steps."""
-    while True:
-        nxt = init * mult & _MASK32
-        yield np.uint32(init), np.uint32(nxt)
-        init = nxt
+def _steps(init: int, mult: int, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) uint32 arrays of hash steps first ... first + n - 1: step k xors
+    with init * mult**k and multiplies by init * mult**(k + 1), mod 2**32."""
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + n + 1)], np.uint32)
+    return consts[:-1], consts[1:]
 
 
-def _hash(value: np.ndarray, steps: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
-    xor, mult = next(steps)
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
+def _hash(value, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """numpy's `hashmix` of `value` at the steps of `xor` and `mult`, broadcast against them."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return value ^ (value >> np.uint32(16))
+    """numpy's `mix` of the hashes y into the pool words x; y is overwritten."""
+    y *= _MIX_MULT_R
+    value = x * _MIX_MULT_L - y
+    value ^= value >> 16
+    return value
+
+
+# The hash groups of SeedSequence's pool mixing, each a set of independent hashes done as one
+# set of array operations over the pool axis: the four seed words hashed in; then for each
+# source word, its three hashes mixed into the other pool words (`_CROSS`: source, the other
+# words, their steps); the four hashes of each path word (`_path_steps`); and the eight hashes
+# of `generate_state`, which cycles over the pool twice. `_seed_pool` mixes with the pool axis
+# first, where each pool word of all seeds is one contiguous row, so its steps are columns.
+_SEED_STEPS = tuple(c[:, None] for c in _steps(_INIT_A, _MULT_A, 0, 4))
+_CROSS = tuple(
+    (src, [d for d in range(4) if d != src], *(c[:, None] for c in _steps(_INIT_A, _MULT_A, 4 + 3 * src, 3)))
+    for src in range(4)
+)
+_STATE_STEPS = _steps(_INIT_B, _MULT_B, 0, 8)
+
+
+@cache
+def _path_steps(n_words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The steps of each word of an n_words-word path: four each, after the seed words' sixteen."""
+    xor, mult = _steps(_INIT_A, _MULT_A, 16, 4 * n_words)
+    return tuple(zip(xor.reshape(-1, 4), mult.reshape(-1, 4)))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -176,67 +183,48 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _seed_words(seeds, path: tuple) -> np.ndarray:
-    """PCG64 seeding words of many seeds in [0, 2**64) at one spawn-key path.
+def _seed_pool(seeds) -> np.ndarray:
+    """The pool of each of a sequence of seeds in [0, 2**64) after its seed words are mixed in,
+    before any path word: a (len(seeds), 4) uint32 array.
 
-    Row i equals `SeedSequence(seeds[i], spawn_key=path).generate_state(4,
-    np.uint64)`. A path element may instead be a uint32 array that
-    broadcasts against `seeds`; row i then takes its i-th entry as that path
-    word, so one seed's paths (head, 0), (head, 1), ... take one call. The
-    hash constants do not depend on the data, so numpy's pool mixing and
-    `generate_state` run here as uint32 array operations over all rows at
-    once. A one-word seed mixes like its two-word form with a zero high word
-    (a short entropy pool is filled by hashing zeros), and a spawned sequence
-    pads its seed words to the 4-word pool with zeros, so every row mixes the
-    words [lo, hi, 0, 0, *path words].
-    """
-    return _path_words(_seed_pool(seeds), path)
-
-
-# The hash constant the path words start from: the seed words take sixteen
-# steps of the pool mixing (four hashed in, twelve mixed across).
-_INIT_PATH = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
-
-
-def _seed_pool(seeds) -> list[np.ndarray]:
-    """The four pool words of each seed after the seed words are mixed in, before any path word.
-
-    They depend on the seeds alone, so a plan derives them once for its
-    seeds and `_path_words` finishes each path from them.
+    It depends on the seeds alone, so a plan derives it once for its seeds
+    and `_path_words` finishes each path from it. A one-word seed mixes like
+    its two-word form with a zero high word (a short entropy pool is filled by
+    hashing zeros), and a spawned sequence pads its seed words to the 4-word
+    pool with zeros, so every seed mixes the words [lo, hi, 0, 0].
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(1, np.uint32)
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hash(w, steps) for w in (lo, hi, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
-    return pool
+    words = np.zeros((4, len(seeds)), np.uint32)
+    words[0] = seeds  # the cast keeps the low 32 bits
+    words[1] = seeds >> 32
+    pool = _hash(words, *_SEED_STEPS)
+    for src, others, xor, mult in _CROSS:
+        pool[others] = _mix(pool[others], _hash(pool[src], xor, mult))
+    return pool.T.copy()
 
 
-def _path_words(pool: list[np.ndarray], path: tuple) -> np.ndarray:
-    """`_seed_words` at `path`, from the seeds' `_seed_pool`, which it leaves as it is."""
-    extra: list[np.ndarray] = []
+def _path_words(pool: np.ndarray, path: tuple) -> np.ndarray:
+    """PCG64 seeding words at the spawn-key `path` of the seeds whose `_seed_pool` is `pool`,
+    which it leaves as it is. Row i equals `SeedSequence(seeds[i],
+    spawn_key=path).generate_state(4, np.uint64)`.
+
+    A path element may instead be a uint32 array, which broadcasts against
+    the seeds' shape: with a (count,) array over one seed's pool, row i is
+    path word i, and with a (count, 1) array over n seeds the result is a
+    (count, n, 4) table of count paths. The hash constants do not depend on
+    the data, so the mixing runs as uint32 array operations over all rows.
+    """
+    words: list = []
     for p in path:
         if isinstance(p, np.ndarray):
-            extra.append(p.astype(np.uint32, copy=False))
+            words.append(p.astype(np.uint32, copy=False)[..., None])
         else:
-            extra.extend(np.array([w], np.uint32) for w in _uint32_words(int(p)))
-    steps = _hash_steps(_INIT_PATH, _MULT_A)
-    pool = list(pool)
-    for word in extra:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, steps))
-    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
-    # paired little-endian into four uint64 words.
-    steps = _hash_steps(_INIT_B, _MULT_B)
-    state = np.empty(pool[0].shape + (8,), np.uint32)
-    for i in range(8):
-        state[:, i] = _hash(pool[i % 4], steps)
-    return state.view("<u8").astype(np.uint64)
+            words.extend(_uint32_words(int(p)))
+    for word, (xor, mult) in zip(words, _path_steps(len(words))):
+        pool = _mix(pool, _hash(word, xor, mult))
+    # generate_state(4, np.uint64): eight uint32 words, paired little-endian into four uint64 words.
+    state = _hash(np.concatenate((pool, pool), axis=-1), *_STATE_STEPS)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 class _Words(tuple, ISeedSequence):
@@ -255,23 +243,29 @@ class _Words(tuple, ISeedSequence):
 class SeedPlan:
     """The stream seeding words of the seeds in a range, derived in bulk.
 
-    `stream(seed, *path)` is `spawn_stream(seed, *path)` for any seed. For a
-    plain int seed the plan covers, the PCG64 words come from a table of all
-    its seeds at `path`, derived on the path's first request from the seeds'
-    `_seed_pool`, which the plan derives once: about 2-3 µs per stream
-    instead of about 25. A plan holds 32 bytes per seed and derived path, so
-    its caller sizes it.
+    `stream(seed, *path)` is `spawn_stream(seed, *path)` for any seed, and
+    `streams(seed, head, count)` is the list of `stream(seed, head, i)` for i
+    in range(count). For a plain int seed the plan covers, the PCG64 words
+    come from a table of all its seeds at each path, derived from the seeds'
+    `_seed_pool`, which the plan derives once: a path on its first `stream`
+    request, and a head's `count` paths together, in one `_path_words` pass,
+    on the first `streams` request for that head and count. A stream then
+    takes about 2-3 µs to set up instead of about 25. A plan holds 32 bytes
+    per seed and derived path, so its caller sizes it.
     """
 
-    __slots__ = ("start", "stop", "pool", "rows")
+    __slots__ = ("start", "stop", "pool", "rows", "tables")
 
     def __init__(self, seeds: range) -> None:
         self.stop = min(seeds.stop, 1 << 64)
         # In [0, stop]: a range at or above 2**64 covers nothing and falls back.
         self.start = min(max(seeds.start, 0), self.stop)
         self.pool = _seed_pool(np.arange(self.start, self.stop, dtype=np.uint64))
-        # Row `seed - start` of rows[path] holds the words of `seed` at `path`.
+        # Row `seed - start` of rows[path] holds the words of `seed` at `path`, and of
+        # tables[head, count][i] its words at (head, i): one row array per path, which a
+        # stream indexes once.
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
+        self.tables: dict[tuple[int, int], list[np.ndarray]] = {}
 
     def stream(self, seed: int, *path: int) -> np.random.Generator:
         if type(seed) is int and self.start <= seed < self.stop:
@@ -280,6 +274,19 @@ class SeedPlan:
                 rows = self.rows[path] = _path_words(self.pool, path)
             return _Generator(_PCG64(_Words((rows[seed - self.start],))))
         return spawn_stream(seed, *path)
+
+    def streams(self, seed: int, head: int, count: int) -> list[np.random.Generator]:
+        if not (type(seed) is int and self.start <= seed < self.stop):
+            return [spawn_stream(seed, head, i) for i in range(count)]
+        table = self.tables.get((head, count))
+        if table is None:
+            links = np.arange(count, dtype=np.uint32)[:, None]
+            table = self.tables[head, count] = list(_path_words(self.pool, (head, links)))
+        # A loop, not a comprehension, which would add a frame to every run.
+        i, streams = seed - self.start, []
+        for rows in table:
+            streams.append(_Generator(_PCG64(_Words((rows[i],)))))
+        return streams
 
 
 # The two constructors every stream goes through, bound once.

@@ -1,14 +1,15 @@
 """Time-slotted execution of the uplink protocols over sampled Rayleigh links.
 
 One run owns its event log and RNG streams (split per link from the master
-seed), so identical seeds replay bit-identical traces. Each link's stream is
-set up with the link: inside `estimate_pfail` from the plan of the run's chunk
-of runs, the one scope that runs share (it also holds their set-up memo);
-outside, by `spawn_stream` or, for many links under one path head (1: sensors,
-2: relays), by one `spawn_streams` pass. All three give equal streams. A stream
-is read in blocks sized by the packets its link carries; a block holds the
-same values, in the same order, as the same number of draws taken one at a
-time, so the block size never changes a trace. Time advances in
+seed), so identical seeds replay bit-identical traces. Every stream comes from
+a seed plan, set up with its link: inside `estimate_pfail` from the plan of the
+run's chunk of runs, the one scope that runs share (it also holds their set-up
+memo); outside, from a plan of the run's one seed. A path head's links (1:
+sensors, 2: relays) are derived in one pass. Either way a stream depends only
+on the run's seed and the link's path, not on the plan. A stream is read in
+blocks sized by the packets its link carries; a block holds the same values,
+in the same order, as the same number of draws taken one at a time, so the
+block size never changes a trace. Time advances in
 packet-airtime slots per link rate; C-M control messages are error-free and
 instantaneous, and relay queuing plus feedback latency are zero.
 """
@@ -23,13 +24,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._checks import integer, real
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
-from .channel import ChannelParams, SeedPlan, derive_seed, spawn_stream, spawn_streams
+from .channel import ChannelParams, SeedPlan, derive_seed
 from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
@@ -231,28 +232,23 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
 
 
 # Block sources for _Run.draws and _Run.link_draws: take(rng, n) returns the
-# next n draws. `_SCALAR` names the Generator method that draws one value of a
-# source with its defaults: a reader of one-draw blocks, which a run of one
-# packet per link reads on every stream, calls it without numpy's array path.
-_Take = Callable[[np.random.Generator, int], list[float]]
+# next n draws of the stream rng. `_SCALAR` names the stream method that draws one
+# value of a source with its defaults: a reader of one-draw blocks, which a run of
+# one packet per link reads on every stream, calls it without numpy's array path.
+_Take = Callable[[Any, int], list[float]]
 
 
-def _fades(rng: np.random.Generator, n: int) -> list[float]:
+def _fades(rng, n: int) -> list[float]:
     """n unit-mean exponential fade powers (Rayleigh |h|^2)."""
     return rng.exponential(1.0, size=n).tolist()
 
 
-def _uniforms(rng: np.random.Generator, n: int) -> list[float]:
+def _uniforms(rng, n: int) -> list[float]:
     """n uniform [0, 1) draws, for timeouts and rescues."""
     return rng.random(size=n).tolist()
 
 
 _SCALAR = {_fades: "exponential", _uniforms: "random"}
-# Links from which a run sets up a path head's streams as one `spawn_streams` table. Timed
-# on a 2-core KVM guest (numpy 2.4.6, best of 9 repeats), a table cost about 0.3-0.4 ms,
-# almost all of it the fixed cost of its ~200 small array operations, plus about 3 us per
-# stream; a stream set up alone cost 17-27 us. The two met between 12 and 20 paths.
-_TABLE_MIN = 16
 
 
 class _SetUp(NamedTuple):
@@ -314,8 +310,9 @@ def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _S
 
 
 class _Plan(SeedPlan):
-    """One chunk of an estimate's runs: their seeds' stream words, and the set-up of the
-    last run, which the next run reuses when it has the same protocol, topology and flows."""
+    """One chunk of an estimate's runs, or the one seed of a run outside an estimate: their
+    seeds' stream words, and the set-up of the last run, which the next run in an estimate
+    reuses when it has the same protocol, topology and flows."""
 
     setup: _SetUp | None = None
 
@@ -340,7 +337,7 @@ class _Run:
     """
 
     __slots__ = (
-        "protocol", "record", "seed", "stream", "tables", "held", "events", "flows", "outcomes", "now", "slot",
+        "protocol", "record", "seed", "plan", "held", "events", "flows", "outcomes", "now", "slot",
         "layout", "carried", "latest", "relay_layout", "schedules", "nodes",
     )
 
@@ -358,12 +355,10 @@ class _Run:
         self.events: list[TraceEvent] = []
         self.now = 0.0
         self.slot = 0
-        # Inside an estimate every stream comes from its plan, which falls back to
-        # `spawn_stream` for a seed it does not cover; outside one, from `spawn_stream`, or
-        # from one `spawn_streams` table for `_TABLE_MIN` links or more under one path head.
-        plan = _PLAN.get()
-        self.stream = spawn_stream if plan is None else plan.stream
-        self.tables = plan is None
+        # Every stream comes from a plan: the estimate's, or outside one a plan of this seed
+        # alone, which is dropped with the run. For a seed that is not a plain int in
+        # [0, 2**64) the plan sets each stream up alone.
+        self.plan = plan = _PLAN.get() or _Plan(range(seed, seed + 1))
         # Held before the set-up, whose tuples would otherwise start collections.
         self.held = record and gc.isenabled()
         if self.held:
@@ -372,14 +367,12 @@ class _Run:
             # Inside an estimate a run reuses the last run's set-up when it has the same protocol,
             # the very same topology object and a flows list of the very same FlowSpec objects,
             # which are frozen; each run still builds its own outcomes, streams and readers.
-            setup = None if plan is None else plan.setup
+            setup = plan.setup
             if not (
                 setup is not None and setup.topology is topology and setup.protocol is protocol
                 and len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
             ):
-                setup = _set_up(protocol, flows, topology)
-                if plan is not None:
-                    plan.setup = setup
+                setup = plan.setup = _set_up(protocol, flows, topology)
         except BaseException:
             self.close()
             raise
@@ -395,21 +388,18 @@ class _Run:
 
     def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
         """The draws of the stream at `path`, set up now, in blocks of n."""
-        rng, scalar = self.stream(self.seed, *path), _SCALAR.get(take)
+        rng, scalar = self.plan.stream(self.seed, *path), _SCALAR.get(take)
         if n == 1 and scalar:
             return iter(getattr(rng, scalar), None)
         return chain.from_iterable(map(take, repeat(rng), repeat(n)))
 
     def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
         """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node], all
-        set up now: outside an estimate from `_TABLE_MIN` nodes up in one `spawn_streams` pass,
-        otherwise one by one. Each reader is a C iterator, with no Python frame per draw but
-        take's; a run's last block may be left half read."""
-        seed, stream, scalar = self.seed, self.stream, _SCALAR.get(take)
-        table = spawn_streams(seed, head, len(nodes)) if self.tables and len(nodes) >= _TABLE_MIN else None
+        set up now by one `streams` request. Each reader is a C iterator, with no Python frame per
+        draw but take's; a run's last block may be left half read."""
+        scalar = _SCALAR.get(take)
         readers = {}
-        for i, v in enumerate(nodes):
-            rng = stream(seed, head, i) if table is None else table[i]
+        for v, rng in zip(nodes, self.plan.streams(self.seed, head, len(nodes))):
             n = sizes[v]
             if n == 1 and scalar:
                 readers[v] = iter(getattr(rng, scalar), None)
@@ -832,9 +822,9 @@ def measure_cec(
     )
 
 
-# Runs per `_Plan` of an estimate. Deriving a plan for 1024 seeds takes about 0.55 ms,
-# most of it fixed per-call cost, and it holds 32 bytes per seed and path, so memory stays
-# at one plan's rows however many runs the estimate makes.
+# Runs per `_Plan` of an estimate. On a 2-core guest (numpy 2.4.6) a plan's seed pool for
+# 1024 seeds takes about 0.09 ms and each path about 0.07-0.1 ms more, and it holds 32 bytes
+# per seed and path, so memory stays at one plan's rows however many runs the estimate makes.
 _PLAN_RUNS = 1024
 
 

@@ -6,7 +6,8 @@ import pytest
 from cecbench.channel import (
     ChannelParams,
     SeedPlan,
-    _seed_words,
+    _path_words,
+    _seed_pool,
     _Words,
     db_to_linear,
     derive_seed,
@@ -14,7 +15,6 @@ from cecbench.channel import (
     outage_probability,
     sample_fades,
     spawn_stream,
-    spawn_streams,
 )
 
 TABLE = dict(bandwidth_hz=20e6, rate_bps=200e3)
@@ -160,6 +160,10 @@ def _unplanned(seed, path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
+def _seed_words(seeds, path):
+    return _path_words(_seed_pool(seeds), path)
+
+
 @pytest.mark.parametrize("path", PATHS)
 def test_seed_words_equal_seed_sequence(path):
     words = _seed_words(SEEDS, path)
@@ -251,38 +255,47 @@ def test_seed_words_vary_the_last_path_word(seed):
                 assert row.tolist() == expected.tolist(), (head, count, i)
 
 
-def _assert_streams_equal(seed, head, count, table):
-    streams = spawn_streams(seed, head, count)
+def _assert_streams_equal(plan, seed, head, count, table):
+    streams = plan.streams(seed, head, count)
     assert len(streams) == count
     for i, stream in enumerate(streams):
         assert isinstance(stream.bit_generator.seed_seq, _Words) == table, i
         assert stream.bit_generator.state == spawn_stream(seed, head, i).bit_generator.state, i
 
 
+# A plan's `streams`: a head's paths for every seed the plan covers, in one pass.
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1])
 def test_spawn_streams_equal_spawn_stream(seed):
-    plan = SeedPlan(range(max(seed - 2, 0), seed + 3))
-    for head in (1, 2):
-        # One table per call, whatever the count.
-        for count in (1, 15, 16, 49):
-            _assert_streams_equal(seed, head, count, table=True)
-        # A plan that covers the seed derives every path from its own rows.
-        for count in (1, 32):
-            for i in range(count):
-                planned = plan.stream(seed, head, i)
-                assert isinstance(planned.bit_generator.seed_seq, _Words)
-                assert planned.bit_generator.state == spawn_stream(seed, head, i).bit_generator.state, i
-            assert {(head, i) for i in range(count)} <= set(plan.rows)
+    for seeds in (range(seed, seed + 1), range(max(seed - 2, 0), seed + 3)):
+        for head in (1, 2, 3, 4):
+            for count in (1, 15, 16, 49, 400):
+                plan = SeedPlan(seeds)
+                _assert_streams_equal(plan, seed, head, count, table=True)
+                # One row array per path, one table per head and count, kept.
+                assert list(plan.tables) == [(head, count)] and not plan.rows
+                table = plan.tables[head, count]
+                assert len(table) == count and all(rows.shape == (plan.stop - plan.start, 4) for rows in table)
+                _assert_streams_equal(plan, seed, head, count, table=True)
+                assert plan.tables[head, count] is table
+    # Other counts under a head, and single paths, beside a head's table.
+    plan = SeedPlan(range(seed, seed + 1))
+    for count in (16, 1, 49):
+        _assert_streams_equal(plan, seed, 1, count, table=True)
+    assert plan.stream(seed, 1, 48).bit_generator.state == spawn_stream(seed, 1, 48).bit_generator.state
+    assert set(plan.tables) == {(1, 16), (1, 1), (1, 49)} and set(plan.rows) == {(1, 48)}
 
 
 @pytest.mark.parametrize("seed", [np.int64(12), 2**64, 2**70])
 def test_spawn_streams_fall_back_for_other_seeds(seed):
-    # Seeds that are not plain ints in [0, 2**64) take SeedSequence itself.
-    for count in (1, 32):
-        _assert_streams_equal(seed, 1, count, table=False)
+    # Seeds that are not plain ints in the plan's range take SeedSequence itself.
+    for seeds in (range(10, 20), range(seed, seed + 1)):
+        plan = SeedPlan(seeds)
+        for count in (1, 32):
+            _assert_streams_equal(plan, seed, 1, count, table=False)
 
 
 def test_spawn_streams_rejects_negative_seed():
-    for count in (1, 32):
-        with pytest.raises(ValueError):
-            spawn_streams(-1, 1, count)
+    for seeds in (range(-1, 0), range(0, 10)):
+        for count in (1, 32):
+            with pytest.raises(ValueError):
+                SeedPlan(seeds).streams(-1, 1, count)

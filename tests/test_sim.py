@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from cecbench import channel, sim
 from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
-from cecbench.channel import ChannelParams, link_capacity_bps, outage_probability, spawn_stream, spawn_streams
+from cecbench.channel import ChannelParams, link_capacity_bps, outage_probability, spawn_stream
 from cecbench.protocols import (
     HarqParams,
     MonteCarloEstimate,
@@ -355,11 +355,17 @@ def test_only_recording_runs_hold_the_collector(monkeypatch):
     # set-up (a repeated task id) or after it (two Occupy CoW flows from one node).
     seen = []
 
-    def spawn(*args):
-        seen.append(gc.isenabled())
-        return spawn_stream(*args)
+    def observed(name):
+        method = getattr(sim._Plan, name)
 
-    monkeypatch.setattr(sim, "spawn_stream", spawn)
+        def set_up(*args):
+            seen.append(gc.isenabled())
+            return method(*args)
+
+        monkeypatch.setattr(sim._Plan, name, set_up)
+
+    observed("stream")
+    observed("streams")
     topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=1)
     for record in (True, False):
         seen.clear()
@@ -638,11 +644,12 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 # 42000; counted as now SR 22000, HARQ 19000, Occupy CoW 48000 / 63937 and
 # ReFlexUp 44180 / 44000. While the runners' caches were keyed on CecConfig and
 # ChannelParams, whose generated __hash__ ran on every hit, Occupy CoW read
-# 40000 / 55315 and ReFlexUp 35180 / 35000.
+# 40000 / 55315 and ReFlexUp 35180 / 35000. While Occupy CoW set up each node's
+# stream with its own plan request, it read 40000 / 54693.
 FRAME_BUDGETS = {
     (SR, 10.0): 19000, (SR, 40.0): 19000,
     (HQ, 10.0): 17000, (HQ, 40.0): 17000,
-    (OC, 10.0): 40000, (OC, 40.0): 54693,
+    (OC, 10.0): 35000, (OC, 40.0): 49693,
     (Protocol.REFLEXUP, 10.0): 34180, (Protocol.REFLEXUP, 40.0): 34000,
 }
 
@@ -779,6 +786,27 @@ def test_spawn_stream_reads_no_plan_inside_an_estimate():
 
     estimate_pfail(1000, scenario, seed=0)
     assert all(seen) and len(seen) == 1000
+
+
+def test_a_run_outside_an_estimate_derives_its_seed_pool_once(monkeypatch):
+    # Outside an estimate a run's plan covers its one seed: ReFlexUp's sensor
+    # table, relay table and timeout stream all finish from one seed pool, and
+    # the plan goes with the run.
+    pools, runs = [], []
+    seed_pool = channel._seed_pool
+    monkeypatch.setattr(channel, "_seed_pool", lambda seeds: pools.append(seeds.tolist()) or seed_pool(seeds))
+
+    class Recorded(_Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(sim, "_Run", Recorded)
+    topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=1)
+    run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
+    assert pools == [[7]]
+    assert set(runs[0].plan.tables) == {(1, 4), (2, 2)} and set(runs[0].plan.rows) == {(3,)}
+    assert sim._PLAN.get() is None
 
 
 def test_lossy_points_match_analytic():
@@ -1059,9 +1087,9 @@ GOLDEN_CASES = {
     "occupycow-3": lambda **kw: _golden_occupy_cow(3, 5, _chan(10, 60e6), **kw),
     "occupycow-t1t2": lambda **kw: _golden_occupy_cow(11, 6, _chan(-20, 1e6), oc_t1=6e-3, oc_t2=3e-3, **kw),
     "occupycow-void": lambda **kw: _golden_occupy_cow(8, 3, _chan(-20), **kw),
-    # Above the per-run stream table's break-even: these runs derive their
-    # sensor streams in one pass (ReFlexUp's 8 relays stay below it); the
-    # digests were taken when every stream was set up one at a time.
+    # Many links under one path head (40 and 24 sensors, 8 relays), derived in
+    # one pass like every run's; the digests were taken when every stream was
+    # set up one at a time.
     "reflexup-table": lambda **kw: _golden_reflexup(12, 40, 8, 3, _chan(0, 10e6), p_timeout=0.01, **kw),
     "sr-table": lambda **kw: _golden_star(SR, 12, 24, 2, _chan(0, 10e6), p_timeout=0.01, **kw),
     "harq-7-2-table": lambda **kw: _golden_star(HQ, 12, 24, 2, _chan(0), harq=HarqParams(7, 2), **kw),
@@ -1165,16 +1193,6 @@ def test_events_are_trace_events_and_export_as_the_field_rendering(tmp_path):
         assert (tmp_path / "trace.csv").read_bytes() == reference.encode("utf-8"), name
 
 
-def test_golden_traces_through_stream_tables(tmp_path, monkeypatch):
-    # Every sensor and relay table, however small, from one derivation pass.
-    monkeypatch.setattr(sim, "_TABLE_MIN", 1)
-    tables = []
-    monkeypatch.setattr(sim, "spawn_streams", lambda *a: tables.append(a) or spawn_streams(*a))
-    for name, case in sorted(GOLDEN_CASES.items()):
-        assert _trace_digest(case(), tmp_path / "trace.csv") == GOLDEN_DIGESTS[name], name
-    assert {head for _, head, _ in tables} == {1, 2}
-
-
 def test_golden_traces_dispatch_at_the_epsilon_ack(monkeypatch):
     # A dispatched task logs one fdd-dispatch, right after the ack that first
     # brings delivered / required to its epsilon and in that ack's slot.
@@ -1262,6 +1280,13 @@ def test_only_the_simulator_creates_a_context_variable():
         )
     assert {name: n for name, n in found.items() if n} == {"sim.py": 1}
     assert "contextmanager" not in Path(channel.__file__).read_text(encoding="utf-8")
+
+
+def test_the_simulator_sets_up_no_stream_itself():
+    # Every stream a run reads comes from a seed plan, the estimate's or the
+    # run's own: `sim` names no stream constructor and no lone stream set-up.
+    text = Path(sim.__file__).read_text(encoding="utf-8")
+    assert [name for name in ("spawn_stream", "SeedSequence", "PCG64", "Generator") if name in text] == []
 
 
 def test_every_faded_hop_goes_through_one_test():
