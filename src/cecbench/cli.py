@@ -7,6 +7,7 @@ error while building figures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import FIGURE_TAGS, ConfigError, apply_override, validate_config
@@ -15,7 +16,10 @@ from .figures import run_experiment, summarize
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged, so every
+    `main` call in a process reuses it."""
     parser = argparse.ArgumentParser(
         prog="cec-bench",
         description="Reproduce the loop-efficiency, latency, and reliability sweeps as CSV datasets.",
@@ -34,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     flags = {"out_dir": args.out, "seed": args.seed, "trials": args.trials, "figures": args.figure}
     try:
         cfg = validate_config(args.config)

@@ -109,6 +109,11 @@ class Topology:
     def relays(self) -> tuple[str, ...]:
         return tuple(self.members)
 
+    def __reduce__(self):
+        # The read-only member map does not pickle; a copy or an unpickled topology is
+        # rebuilt from a plain dict through the checks above.
+        return Topology, (dict(self.members), self.sensors)
+
 
 def star_topology(n_sensors: int) -> Topology:
     """Sensors talk to the controller directly (model II)."""
@@ -349,6 +354,8 @@ class _Run:
             raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
         if not flows:
             raise ValueError("need at least one flow")
+        # A numpy integer seed runs as its plain int, the only seed type a plan serves.
+        seed = operator.index(seed)
         self.protocol = protocol
         self.record = record
         self.seed = seed
@@ -356,8 +363,8 @@ class _Run:
         self.now = 0.0
         self.slot = 0
         # Every stream comes from a plan: the estimate's, or outside one a plan of this seed
-        # alone, which is dropped with the run. For a seed that is not a plain int in
-        # [0, 2**64) the plan sets each stream up alone.
+        # alone, which is dropped with the run. For a seed outside [0, 2**64) the plan sets
+        # each stream up alone.
         self.plan = plan = _PLAN.get() or _Plan(range(seed, seed + 1))
         # Held before the set-up, whose tuples would otherwise start collections.
         self.held = record and gc.isenabled()

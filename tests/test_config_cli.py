@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import cecbench
 
+from cecbench import cli
 from cecbench.cli import main
 from cecbench.config import (
     ConfigError,
@@ -168,6 +170,25 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert main(["run", config, "--out", str(out_b)]) == 0
     for name in os.listdir(out_a):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    # Parsing leaves the parser unchanged, so every main call reuses the first one's.
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(self) or real(self, *a, **k)
+    )
+    cli._parser.cache_clear()
+    config = _write(tmp_path, MINIMAL)
+    for out in ("a", "b", "c"):
+        assert main(["run", config, "--out", str(tmp_path / out)]) == 0
+    # The parser and its `run` subparser.
+    assert len(built) == 2
+    with pytest.raises(SystemExit):
+        main(["run"])
+    assert main(["run", config, "--out", str(tmp_path / "d"), "--seed", "4"]) == 0
+    assert len(built) == 2
 
 
 def test_cli_seed_and_trials_override(tmp_path, capsys):

@@ -35,15 +35,82 @@ def harq_calls(monkeypatch):
     return calls
 
 
-def test_default_run_estimates_harq_rounds_once_per_figure(tmp_path, harq_calls):
+def test_default_run_estimates_harq_rounds_once_per_run(tmp_path, harq_calls):
     config = tmp_path / "default.ini"
     config.write_text("")
     assert main(["run", str(config), "--out", str(tmp_path / "a")]) == 0
-    # fig9, fig10 and fig11 each make one estimate.
-    assert len(harq_calls) == 3
-    # A second run makes its estimates again: nothing is cached across runs.
+    # fig9, fig10 and fig11 share the run's one estimate.
+    assert len(harq_calls) == 1
+    # A second run makes its estimate again: nothing is kept across runs.
     assert main(["run", str(config), "--out", str(tmp_path / "b")]) == 0
-    assert len(harq_calls) == 6
+    assert len(harq_calls) == 2
+
+
+def test_default_run_evaluates_each_sweep_quantity_once(tmp_path, monkeypatch):
+    calls = {"uplink_time": 0, "split_nodes": 0, "reflexup_pfail": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(config.ExperimentConfig, "uplink_time")
+    counting(config, "split_nodes")
+    counting(figures, "reflexup_pfail")
+    path = tmp_path / "default.ini"
+    path.write_text("")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {
+        # The config check charges the 3 baselines at the largest size; the run charges
+        # each baseline once per size, shared by fig9-fig11, and ReFlexUp once per size
+        # in fig11: 3 + 10 * 3 + 10.
+        "uplink_time": 43,
+        # The config check splits its 15 sizes; the run splits the 10 of n_g_grid, which
+        # holds fig12's and fig13's sizes too.
+        "split_nodes": 25,
+        # One curve of 6 SNRs per size of fig12 and fig13 (100, 250 and 500): fig12's
+        # 250 is fig13's.
+        "reflexup_pfail": 18,
+    }
+
+
+def test_a_failing_estimate_fails_only_the_figures_that_read_it(tmp_path, monkeypatch, capsys):
+    def failing(chan, params, trials):
+        raise RuntimeError("d_hat unavailable")
+
+    monkeypatch.setattr(figures, "harq_expected_rounds", failing)
+    path = tmp_path / "default.ini"
+    path.write_text("")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for tag in ("fig9_ucc", "fig10_ucc", "fig11_tcm"):
+        assert f"{tag}: d_hat unavailable" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fig12_ucc_snr_tasks.csv",
+        "fig13_pfail.csv",
+        "fig7_surface.csv",
+    ]
+
+
+def test_a_figure_alone_evaluates_only_what_it_reads(harq_calls, monkeypatch):
+    curves = []
+    real = figures.reflexup_pfail
+    monkeypatch.setattr(
+        figures, "reflexup_pfail", lambda shape, *a, **k: curves.append(shape) or real(shape, *a, **k)
+    )
+    cfg = default_config()
+    for tag in ("fig7_surface", "fig12_ucc_snr_tasks", "fig13_pfail"):
+        build_figure(cfg, tag)
+    assert harq_calls == []
+    # fig12's curve at 250 nodes and fig13's at 100, 250 and 500, six SNRs each.
+    assert len(curves) == 4 * len(cfg.snr_grid_db)
+    build_figure(cfg, "fig11_tcm")
+    assert len(harq_calls) == 1
 
 
 def test_no_harq_estimate_without_harq(harq_calls):
@@ -128,6 +195,29 @@ def test_infeasible_config_csv_digests(tmp_path, seed):
     assert main(["run", str(config), "--out", str(out), "--seed", str(seed)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == INFEASIBLE_CSV_SHA256
+
+
+# sha256 of each CSV under `[channel] snr_db = 20`, taken before fig9-fig11 shared
+# one estimate per run. At 20 dB d_hat does not certify and comes from the lattice
+# bracket, so fig9-fig11's HARQ rows and fig11's ci99 read its value and half-width.
+BRACKET_CONFIG = "[channel]\nsnr_db = 20\n"
+BRACKET_CSV_SHA256 = {
+    "fig7_surface.csv": "0ac14da13942df444024629c6e41f75af36c6de982e78476ee8862302f816283",
+    "fig9_ucc.csv": "2305538c1a2191df296c359bffd7124e5ffd9f9a8928729a016b8a25055c66e6",
+    "fig10_ucc.csv": "52da037a05e8c0b147ceac8cb5ca8579dde2cee7b4b25d43df50af2f412502a5",
+    "fig11_tcm.csv": "f85bcfcda658a9b7461f2c3dbfcf28b273e5aa005cf31b02635d299d90a8990c",
+    "fig12_ucc_snr_tasks.csv": "8d9d38b914cf4ad3ffebdd7d653f7791cc887a2a2a9bc2c6df63dfac059bec7b",
+    "fig13_pfail.csv": "003077d2cc248d016ed0142a1ecf1a64edac9076a27aa38797030daf2b333f56",
+}
+
+
+def test_bracket_config_csv_digests(tmp_path):
+    config = tmp_path / "bracket.ini"
+    config.write_text(BRACKET_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == BRACKET_CSV_SHA256
 
 
 def test_reflexup_is_charged_its_optimum_where_the_transfer_overruns_it():

@@ -1,9 +1,11 @@
 import ast
+import copy
 import dataclasses
 import gc
 import hashlib
 import math
 import operator
+import pickle
 import weakref
 from functools import partial
 from pathlib import Path
@@ -899,6 +901,43 @@ def test_topology_is_read_only():
     a = run_reflexup(relay, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
     b = run_reflexup(plain, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
     assert a.events and a.events == b.events and a.flows == b.flows
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+def test_topology_pickles_and_copies(clone):
+    # Both raised TypeError: the read-only member map does not pickle.
+    relay = relay_topology(10, 3)
+    twin = clone(relay)
+    assert twin == relay and twin.sensors == relay.sensors and dict(twin.members) == dict(relay.members)
+    with pytest.raises(TypeError):
+        twin.members["s1"] = ("v1",)
+    flows = build_flows(relay, 2, deadline=1e-3)
+    a = run_reflexup(relay, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
+    b = run_reflexup(twin, flows, LOSSY, CEC_SMALL, seed=7, p_timeout=0.01)
+    assert a.events and a.events == b.events and a.flows == b.flows
+    star = star_topology(4)
+    assert clone(star) == star and clone(star).members == {}
+
+
+def test_a_numpy_integer_seed_runs_from_its_plan(monkeypatch):
+    # A numpy integer seed built a one-seed plan that served none of its
+    # streams, and each stream was set up alone by spawn_stream.
+    topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=2)
+    star = star_topology(3)
+    star_flows = build_flows(star, 2, deadline=1e-3)
+    runs = {
+        "reflexup": lambda seed: run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=seed, p_timeout=0.01),
+        "sr": lambda seed: run_baseline(Protocol.SELECTIVE_REPEAT_ARQ, star, star_flows, LOSSY, seed=seed),
+    }
+    plain = {name: run(5) for name, run in runs.items()}
+    spawned = []
+    real = channel.spawn_stream
+    monkeypatch.setattr(channel, "spawn_stream", lambda *a: spawned.append(a) or real(*a))
+    for name, run in runs.items():
+        for seed in (np.int64(5), np.uint32(5)):
+            trace = run(seed)
+            assert trace.events and trace.events == plain[name].events and trace.flows == plain[name].flows
+    assert spawned == []
 
 
 def test_flow_validation():
