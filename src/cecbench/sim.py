@@ -3,9 +3,9 @@
 One run owns its event log and RNG streams (split per link from the master
 seed), so identical seeds replay bit-identical traces. Every stream comes from
 a seed plan, set up with its link: inside `estimate_pfail` from the plan of the
-run's chunk of runs, the one scope that runs share (it also holds their set-up
-memo); outside, from a plan of the run's one seed. A path head's links (1:
-sensors, 2: relays) are derived in one pass. Either way a stream depends only
+run's chunk of runs, the one scope that runs share (it also holds the last
+run's set-up); outside, from a plan of the run's one seed. A path head's links
+(1: sensors, 2: relays) are derived in one pass. Either way a stream depends only
 on the run's seed and the link's path, not on the plan. A stream is read in
 blocks sized by the packets its link carries; a block holds the same values,
 in the same order, as the same number of draws taken one at a time, so the
@@ -15,7 +15,6 @@ instantaneous, and relay queuing plus feedback latency are zero.
 """
 from __future__ import annotations
 
-import functools
 import gc
 import math
 import operator
@@ -24,9 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from ._checks import integer, real
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
@@ -257,25 +254,45 @@ _SCALAR = {_fades: "exponential", _uniforms: "random"}
 
 
 class _SetUp(NamedTuple):
-    """What a run derives from its protocol, topology and flows alone (see `_Run.__init__`)."""
+    """What a run derives from its arguments but the seed, each checked once (see `_set_up`)."""
 
+    key: tuple  # those arguments: a run whose arguments are these very objects reuses the set-up
     protocol: Protocol
-    topology: Topology
-    flows: tuple[FlowSpec, ...]
     specs: dict[int, FlowSpec]  # each flow by task id, in flow order
-    layout: tuple[tuple[int, int, str], ...]  # each (task, packet, sensor)
-    carried: dict[str, int]  # the packets each sensor carries: its streams' block size
+    layout: tuple[tuple[int, int, str], ...]  # each (task, packet, sensor); Selective Repeat's in (task, packet) order
+    # The packets each sensor carries, its streams' block size; Occupy CoW's nodes alone, in flow order.
+    carried: dict[str, int]
     latest: float  # the latest deadline
-    # ReFlexUp only: the layout as (task, packet, sensor, relay), and each relay's share of it.
-    relay_layout: tuple[tuple[int, int, str, str], ...]
-    schedules: dict[str, tuple[tuple[int, int, str, str], ...]]
-    nodes: tuple[str, ...]  # Occupy CoW only: each flow's one node, in flow order
+    slot: float  # a packet's airtime on the uplink to the controller
+    # HARQ only: the rate a packet's accumulated information must pass, in bits/s/Hz, and the linear SNR.
+    r_norm: float = 0.0
+    snr: float = 0.0
+    # ReFlexUp only: the local hop's channel and slot, the padded slot, the layout as (task, packet,
+    # sensor, relay), each relay's share of it, and each relay's packet count: its stream's block size.
+    local: ChannelParams | None = None
+    slot_local: float = 0.0
+    t_p: float | None = None
+    relay_layout: tuple[tuple[int, int, str, str], ...] = ()
+    schedules: Mapping[str, tuple[tuple[int, int, str, str], ...]] = MappingProxyType({})
+    uploads: Mapping[str, int] = MappingProxyType({})
+    # Occupy CoW only: the two windows, phase 1's session rate and the conditional rescue failure p12.
+    t1: float = 0.0
+    t2: float = 0.0
+    phase1_rate: float = 0.0
+    p12: float = 0.0
 
 
-def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _SetUp:
-    """A run's set-up, from one pass over the flows: each (task, packet) goes to a source
-    sensor, round-robin over its flow's sources. Occupy CoW's flows are checked here too:
-    one single-packet flow from each of two or more distinct nodes."""
+def _set_up(key: tuple) -> _SetUp:
+    """A run's set-up from `key`, its arguments but the seed: (protocol, topology, chan, chan_local,
+    packet_bits, p_timeout, cec, t_cp, oc_t1, oc_t2, *flows), None for another protocol's options.
+    Every argument is checked here. One pass over the flows lays each (task, packet) on a source
+    sensor, round-robin over its flow's sources. Occupy CoW's flows must be one single-packet
+    flow from each of two or more distinct nodes."""
+    protocol, topology, chan, chan_local, packet_bits, p_timeout, cec, t_cp, t1, t2, *flows = key
+    integer("packet_bits", packet_bits, 1)
+    real("p_timeout", p_timeout, "[0, 1]")
+    if not flows:
+        raise ValueError("need at least one flow")
     specs: dict[int, FlowSpec] = {}
     layout: list[tuple[int, int, str]] = []
     carried = dict.fromkeys(topology.sensors, 0)
@@ -292,32 +309,57 @@ def _set_up(protocol: Protocol, flows: list[FlowSpec], topology: Topology) -> _S
                 raise ValueError(f"flow source {sensor!r} is not a sensor of the topology")
             carried[sensor] += 1
             layout.append((task, p, sensor))
-    relay_layout: list[tuple[int, int, str, str]] = []
-    shares: dict[str, list[tuple[int, int, str, str]]] = {}
+    slot = packet_bits / chan.rate_bps
+    own: dict[str, Any] = {}  # the protocol's own fields
     if protocol is Protocol.REFLEXUP:
+        if not topology.members:
+            raise ValueError("the two-phase protocol needs a relay topology")
+        local = chan if chan_local is None else chan_local
+        slot_local = packet_bits / local.rate_bps
+        if not (slot_local and slot):  # an infinite rate: a lost packet would be re-sent forever in no time
+            raise ValueError(f"rate_bps must be finite, got {local.rate_bps} (local) and {chan.rate_bps} (uplink)")
         relay_of = {s: r for r, group in topology.members.items() for s in group}
-        shares = {r: [] for r in topology.members}
+        shares: dict[str, list[tuple[int, int, str, str]]] = {r: [] for r in topology.members}
+        relay_layout = []
         for task, p, sensor in layout:
             entry = (task, p, sensor, relay_of[sensor])
             relay_layout.append(entry)
             shares[entry[3]].append(entry)
-    schedules = {r: tuple(share) for r, share in shares.items()}
-    nodes: tuple[str, ...] = ()
-    if protocol is Protocol.OCCUPY_COW:
+        # Parameter calculation at the edge: reports in, window/slot out. The per-flow
+        # deadlines carry the slot budget; t_p is kept on the trace.
+        _, t_p = reflexup_plan(cec, t_cp)
+        own = dict(
+            local=local, slot_local=slot_local, t_p=t_p, relay_layout=tuple(relay_layout),
+            schedules={r: tuple(share) for r, share in shares.items()}, uploads={r: len(share) for r, share in shares.items()},
+        )
+    elif protocol is Protocol.SELECTIVE_REPEAT_ARQ:
+        if not slot:  # an infinite rate: a lost packet would be re-sent forever in no time
+            raise ValueError(f"rate_bps must be finite for Selective Repeat, got {chan.rate_bps}")
+        layout.sort()
+    elif protocol is Protocol.HARQ:
+        own = dict(r_norm=chan.spectral_efficiency, snr=chan.snr_linear)
+    else:
         if any(f.packets_required != 1 or len(f.sources) != 1 for f in flows):
             raise ValueError("the cooperative baseline expects one single-packet flow per node")
         if len(flows) < 2:
             raise ValueError("need n >= 2 cooperating nodes")
-        nodes = tuple(sensor for _, _, sensor in layout)
+        nodes = [sensor for _, _, sensor in layout]
         if len(set(nodes)) < len(nodes):
             raise ValueError(f"node {max(carried, key=carried.get)} sends more than one flow; each cooperating node sends one")
-    return _SetUp(protocol, topology, tuple(flows), specs, tuple(layout), carried, latest, tuple(relay_layout), schedules, nodes)
+        carried, n = dict.fromkeys(nodes, 1), len(nodes)
+        bits = n * (packet_bits + 1)  # the whole shape's bits, which each phase moves in its window
+        t1 = t1 if t1 is not None else 2.0 * bits / chan.rate_bps
+        t2 = t2 if t2 is not None else bits / chan.rate_bps
+        shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
+        p12 = occupycow_phase_probs(shape, chan, t1, t2).p12  # which checks both windows
+        own = dict(t1=t1, t2=t2, phase1_rate=bits / t1, p12=p12)
+    return _SetUp(key, protocol, specs, tuple(layout), carried, latest, slot, **own)
 
 
 class _Plan(SeedPlan):
     """One chunk of an estimate's runs, or the one seed of a run outside an estimate: their
     seeds' stream words, and the set-up of the last run, which the next run in an estimate
-    reuses when it has the same protocol, topology and flows."""
+    reuses when each of its arguments but the seed is the very object the last run had."""
 
     setup: _SetUp | None = None
 
@@ -330,6 +372,7 @@ _PLAN: ContextVar[_Plan | None] = ContextVar("cecbench_plan", default=None)
 class _Run:
     """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes.
 
+    Its runner reads all that `key`, the run's arguments but the seed, fixes from `setup`.
     A run that records holds the cyclic garbage collector from construction
     until `close`, which its entry point calls in a `finally`; one that does not
     record leaves the collector alone. A run makes no reference cycles, but
@@ -341,22 +384,11 @@ class _Run:
     collector's previous state.
     """
 
-    __slots__ = (
-        "protocol", "record", "seed", "plan", "held", "events", "flows", "outcomes", "now", "slot",
-        "layout", "carried", "latest", "relay_layout", "schedules", "nodes",
-    )
+    __slots__ = ("record", "seed", "plan", "held", "setup", "events", "flows", "outcomes", "now", "slot")
 
-    def __init__(self, protocol: Protocol, flows: list[FlowSpec], record: bool, seed: int, topology: Topology,
-                 packet_bits: int = 176, p_timeout: float = 0.0):
-        # `integer("packet_bits", packet_bits, 1)` and `real("p_timeout", p_timeout, "[0, 1]")`, written
-        # out: their two frames per run would count against the runners' frame budgets.
-        if not ((type(packet_bits) is int or isinstance(packet_bits, np.integer)) and packet_bits >= 1 and 0.0 <= p_timeout <= 1.0):
-            raise ValueError(f"need an integer packet_bits >= 1 and p_timeout in [0, 1], got {packet_bits!r}, {p_timeout!r}")
-        if not flows:
-            raise ValueError("need at least one flow")
+    def __init__(self, key: tuple, record: bool, seed: int):
         # A numpy integer seed runs as its plain int, the only seed type a plan serves.
         seed = operator.index(seed)
-        self.protocol = protocol
         self.record = record
         self.seed = seed
         self.events: list[TraceEvent] = []
@@ -371,19 +403,17 @@ class _Run:
         if self.held:
             gc.disable()
         try:
-            # Inside an estimate a run reuses the last run's set-up when it has the same protocol,
-            # the very same topology object and a flows list of the very same FlowSpec objects,
-            # which are frozen; each run still builds its own outcomes, streams and readers.
+            # Inside an estimate a run reuses the last run's set-up when each of its arguments is
+            # the very object the last run had: the flows are frozen FlowSpecs, the topology and
+            # channels frozen too. Each run still builds its own outcomes, streams and readers.
             setup = plan.setup
-            if not (
-                setup is not None and setup.topology is topology and setup.protocol is protocol
-                and len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
-            ):
-                setup = plan.setup = _set_up(protocol, flows, topology)
+            if setup is None or len(setup.key) != len(key) or not all(map(operator.is_, setup.key, key)):
+                setup = plan.setup = _set_up(key)
         except BaseException:
             self.close()
             raise
-        _, _, _, self.flows, self.layout, self.carried, self.latest, self.relay_layout, self.schedules, self.nodes = setup
+        self.setup = setup
+        self.flows = setup.specs
         self.outcomes = outcomes = {}
         for task, f in self.flows.items():
             outcomes[task] = FlowOutcome(task, f.packets_required)
@@ -400,14 +430,13 @@ class _Run:
             return iter(getattr(rng, scalar), None)
         return chain.from_iterable(map(take, repeat(rng), repeat(n)))
 
-    def link_draws(self, take: _Take, head: int, nodes: Sequence[str], sizes: Mapping[str, int]) -> dict:
-        """Each node's draws on path (head, i), i its index in `nodes`, in blocks of sizes[node], all
+    def link_draws(self, take: _Take, head: int, sizes: Mapping[str, int]) -> dict:
+        """Each node's draws on path (head, i), i its index in `sizes`, in blocks of sizes[node], all
         set up now by one `streams` request. Each reader is a C iterator, with no Python frame per
         draw but take's; a run's last block may be left half read."""
         scalar = _SCALAR.get(take)
         readers = {}
-        for v, rng in zip(nodes, self.plan.streams(self.seed, head, len(nodes))):
-            n = sizes[v]
+        for (v, n), rng in zip(sizes.items(), self.plan.streams(self.seed, head, len(sizes))):
             if n == 1 and scalar:
                 readers[v] = iter(getattr(rng, scalar), None)
             else:
@@ -472,7 +501,8 @@ class _Run:
         for out in self.outcomes.values():
             out.void_round = void
             out.communication_failure = not (void or out.dispatched)
-        return SimTrace(self.protocol, self.events, self.outcomes, self.now, self.slot, self.latest if t_p is None else t_p)
+        setup = self.setup
+        return SimTrace(setup.protocol, self.events, self.outcomes, self.now, self.slot, setup.latest if t_p is None else t_p)
 
 
 def _attempt_test(
@@ -496,29 +526,18 @@ def _attempt_test(
     return attempt_ok
 
 
-# Both caches are keyed on plain fields, not on the frozen dataclasses, whose generated
-# __hash__ and __eq__ would each add a Python frame to every hit.
-@functools.lru_cache(maxsize=64)
-def _padded_slot(
-    n_tasks: int, k_rbs: int, c: float, c0: float, t_cp: float
-) -> tuple[float, float, tuple[warnings.WarningMessage, ...]]:
-    """`reflexup_plan`'s window and slot, computed once per (cec, t_cp), with the warnings raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        target = optimal_tcm_case3(t_cp, CecConfig(n_tasks, k_rbs, c, c0))
-    return target, n_tasks * c0 + target, tuple(caught)
-
-
 def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
     """Edge-side parameter calculation: target window and padded slot length.
 
-    Computed once per (cec, t_cp); every call re-issues the warnings of the
-    computation (`DegenerateScheduleWarning` when N*c0 == t_cp) at its caller.
+    Issues the warnings of the computation (`DegenerateScheduleWarning` when
+    N*c0 == t_cp) at its caller.
     """
-    target, t_p, caught = _padded_slot(cec.n_tasks, cec.k_rbs, cec.c, cec.c0, t_cp)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        target = optimal_tcm_case3(t_cp, cec)
     for w in caught:
         warnings.warn(w.message, w.category, stacklevel=2)
-    return target, t_p
+    return target, cec.n_tasks * cec.c0 + target
 
 
 def run_reflexup(
@@ -546,31 +565,26 @@ def run_reflexup(
     bundled with the previously cached one (double airtime). Flows dispatch
     as soon as the fraction reaches epsilon; a flow whose deadline passes
     first is marked as a communication failure without disturbing the rest.
+    `max_rounds`, when given, bounds the repair rounds.
     """
-    if not topology.members:
-        raise ValueError("the two-phase protocol needs a relay topology")
-    run = _Run(Protocol.REFLEXUP, flows, record_events, seed, topology, packet_bits, p_timeout)
+    if max_rounds is not None:
+        integer("max_rounds", max_rounds, 0)
+    run = _Run((Protocol.REFLEXUP, topology, chan, chan_local, packet_bits, p_timeout, cec, t_cp, None, None, *flows),
+               record_events, seed)
     try:
-        local = chan_local if chan_local is not None else chan
-        slot_local = packet_bits / local.rate_bps
-        slot_up = packet_bits / chan.rate_bps
-        if not (slot_local and slot_up):  # an infinite rate: a lost packet would be re-sent forever in no time
-            raise ValueError(f"rate_bps must be finite, got {local.rate_bps} (local) and {chan.rate_bps} (uplink)")
-        # Parameter calculation at the edge: reports in, window/slot out. The
-        # per-flow deadlines carry the slot budget; t_p is kept on the trace.
-        _, t_p = reflexup_plan(cec, t_cp)
-        relays = topology.relays
-        for r in relays:
-            run.log("transmit", r, EDGE, -1, -1, "report")
-        for r in relays:
-            run.log("transmit", EDGE, r, -1, -1, "inform")
-
+        setup = run.setup
+        local, slot_local, slot_up = setup.local, setup.slot_local, setup.slot
         # Each relay's schedule of the layout entries (task, packet, sensor, relay), and the
         # entries not yet acked, in layout order.
-        schedules, missing = run.schedules, run.relay_layout
-        local_fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-        up_fades = run.link_draws(_fades, 2, relays, dict(zip(relays, map(len, schedules.values()))))
-        timeouts = run.draws(_uniforms, 2 * len(run.layout), 3) if p_timeout > 0 else None
+        schedules, missing = setup.schedules, setup.relay_layout
+        # The edge server's parameter calculation, made in the set-up: reports in, window/slot out.
+        for r in schedules:
+            run.log("transmit", r, EDGE, -1, -1, "report")
+        for r in schedules:
+            run.log("transmit", EDGE, r, -1, -1, "inform")
+        local_fades = run.link_draws(_fades, 1, setup.carried)
+        up_fades = run.link_draws(_fades, 2, setup.uploads)
+        timeouts = run.draws(_uniforms, 2 * len(setup.layout), 3) if p_timeout > 0 else None
         local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
         up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
         # Entries the relay holds, and those the controller acked.
@@ -578,7 +592,7 @@ def run_reflexup(
         acked: set[tuple[int, int, str, str]] = set()
 
         # Phase 1: relays run parallel sessions; one wave = one local slot.
-        for wave in range(max(map(len, schedules.values()))):
+        for wave in range(max(setup.uploads.values())):
             for sched in schedules.values():
                 if wave >= len(sched):
                     continue
@@ -636,7 +650,7 @@ def run_reflexup(
             if not progressed:
                 break
 
-        return run.finalize(t_p)
+        return run.finalize(setup.t_p)
     finally:
         run.close()
 
@@ -664,26 +678,26 @@ def run_baseline(
     """
     if protocol_tag not in (Protocol.SELECTIVE_REPEAT_ARQ, Protocol.HARQ, Protocol.OCCUPY_COW):
         raise ValueError(f"run_baseline does not handle {protocol_tag}")
-    run = _Run(protocol_tag, flows, record_events, seed, topology, packet_bits, p_timeout)
+    run = _Run((protocol_tag, topology, chan, None, packet_bits, p_timeout, None, None, oc_t1, oc_t2, *flows),
+               record_events, seed)
     try:
         if protocol_tag is Protocol.SELECTIVE_REPEAT_ARQ:
-            return _run_selective_repeat(run, topology, chan, packet_bits, p_timeout)
+            return _run_selective_repeat(run, chan, p_timeout)
         if protocol_tag is Protocol.HARQ:
-            return _run_harq(run, topology, chan, packet_bits, harq or HarqParams(7, 2))
-        return _run_occupy_cow(run, chan, packet_bits, oc_t1, oc_t2)
+            return _run_harq(run, harq or HarqParams(7, 2))
+        return _run_occupy_cow(run, chan)
     finally:
         run.close()
 
 
-def _run_selective_repeat(run: _Run, topology, chan, packet_bits, p_timeout):
-    slot = packet_bits / chan.rate_bps
-    if not slot:  # an infinite rate: a lost packet would be re-sent forever in no time
-        raise ValueError(f"rate_bps must be finite for Selective Repeat, got {chan.rate_bps}")
-    fades = run.link_draws(_fades, 1, topology.sensors, run.carried)
-    timeouts = run.draws(_uniforms, len(run.layout), 3) if p_timeout > 0 else None
-    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+def _run_selective_repeat(run: _Run, chan, p_timeout):
+    setup = run.setup
+    slot = setup.slot
+    fades = run.link_draws(_fades, 1, setup.carried)
     # The packets not yet delivered, in (task, packet) order.
-    pending = sorted(run.layout)
+    pending = setup.layout
+    timeouts = run.draws(_uniforms, len(pending), 3) if p_timeout > 0 else None
+    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
 
     for round_no in count(1):
         event = "transmit" if round_no == 1 else "retransmit"
@@ -713,17 +727,16 @@ def _run_selective_repeat(run: _Run, topology, chan, packet_bits, p_timeout):
     return run.finalize()
 
 
-def _run_harq(run: _Run, topology, chan, packet_bits, harq: HarqParams):
-    slot = packet_bits / chan.rate_bps
-    r_norm = chan.spectral_efficiency
-    snr = chan.snr_linear
+def _run_harq(run: _Run, harq: HarqParams):
+    setup = run.setup
+    slot, r_norm, snr = setup.slot, setup.r_norm, setup.snr
     max_rounds, order = harq.max_rounds, harq.diversity_order
 
     # A block holds one round per packet the sensor carries; packets that
     # need more rounds read on into the next block.
-    information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, topology.sensors, run.carried)
+    information = run.link_draws(lambda rng, n: _round_information(rng, snr, (n, order)).tolist(), 1, setup.carried)
 
-    for task, packet, sensor in run.layout:
+    for task, packet, sensor in setup.layout:
         if run.outcomes[task].dispatched:
             continue
         accumulated = 0.0
@@ -740,16 +753,7 @@ def _run_harq(run: _Run, topology, chan, packet_bits, harq: HarqParams):
     return run.finalize()
 
 
-@functools.lru_cache(maxsize=64)
-def _rescue_failure(
-    n: int, packet_bits: int, snr_db: float, bandwidth_hz: float, rate_bps: float, t1: float, t2: float
-) -> float:
-    """Occupy CoW's conditional phase-2 failure p12, computed once per channel and windows."""
-    shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
-    return occupycow_phase_probs(shape, ChannelParams(snr_db, bandwidth_hz, rate_bps), t1, t2).p12
-
-
-def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
+def _run_occupy_cow(run: _Run, chan):
     """Two fixed phases; every participant carries exactly one packet (its set-up checks that).
 
     Phase-1 losses are sampled fades at the phase-1 session rate; the rescue
@@ -758,34 +762,28 @@ def _run_occupy_cow(run: _Run, chan, packet_bits, t1, t2):
     fails phase 1 leaves no relays and is treated as a void round, matching
     the fixed-schedule failure form and its enumeration oracle.
     """
-    n = len(run.nodes)
-    t1 = t1 if t1 is not None else 2.0 * n * (packet_bits + 1) / chan.rate_bps
-    t2 = t2 if t2 is not None else n * (packet_bits + 1) / chan.rate_bps
-    # `real` on each window, written out: it runs once per run, like `_Run.__init__`'s check.
-    if not (0 < t1 < math.inf and 0 < t2 < math.inf):
-        raise ValueError(f"Occupy CoW's windows t1 and t2 must lie in (0, inf), got {t1!r} and {t2!r}")
+    setup = run.setup
     # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
-    phase1_ok = _attempt_test(chan, n * (packet_bits + 1) / t1)
-    fades = run.link_draws(_fades, 1, run.nodes, run.carried)
+    phase1_ok = _attempt_test(chan, setup.phase1_rate)
+    fades = run.link_draws(_fades, 1, setup.carried)
 
     # Each layout entry is one node's flow: (task, 0, node).
     survivors: list[tuple[int, int, str]] = []
     stragglers: list[tuple[int, int, str]] = []
-    for entry in run.layout:
+    for entry in setup.layout:
         task, _, node = entry
         ok = run.attempt("transmit", node, CONTROLLER, task, 0, phase1_ok(fades[node]), 1)
         (survivors if ok else stragglers).append(entry)
-    run.wait(t1)
+    run.wait(setup.t1)
     for task, _, node in survivors:
         run.deliver(task, 0, node)
 
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
-    run.wait(t2)
+    run.wait(setup.t2)
     if survivors and stragglers:
-        p12 = _rescue_failure(n, packet_bits, chan.snr_db, chan.bandwidth_hz, chan.rate_bps, t1, t2)
         rescues = run.draws(_uniforms, len(stragglers), 4)
         for task, _, node in stragglers:
-            if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, next(rescues) >= p12, 1):
+            if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, next(rescues) >= setup.p12, 1):
                 run.deliver(task, 0, node)
 
     # Void round: no node survived phase 1, so no relay exists; the
@@ -842,8 +840,9 @@ def estimate_pfail(runs: int, scenario: Callable[[int], SimTrace], seed: int) ->
     seed; runs are independent streams and may be distributed freely. The
     runs' stream seeding words are derived in bulk, one plan per 1024 runs,
     which leaves every stream as it would be outside a plan. A run whose
-    protocol, topology object and flow objects are those of the run before
-    it in the same plan reuses that run's set-up. `runs` is an integer of at
+    arguments but the seed are the very objects of the run before it in the
+    same plan reuses that run's checked set-up (so a degenerate ReFlexUp plan
+    warns once per set-up, not once per run). `runs` is an integer of at
     least 1000. The 99% half-width is the larger distance from p to the ends
     of the Wilson score interval, so it stays positive when no run fails or
     every run does.

@@ -1,8 +1,8 @@
 """Criterion 4's four simulator shapes, written once for every test that replays them.
 
 `channel_at(protocol, snr)` is a shape's channel and `scenario(protocol, chan)` its
-`run(seed)`; `cecbench_frames` counts the frames of the frame census and of criterion
-8's counted work.
+`run(seed)`, whose runs share one set-up per plan; `cecbench_frames` counts the frames
+of the frame census and of criterion 8's counted work.
 """
 import sys
 from pathlib import Path
@@ -37,7 +37,9 @@ def channel_at(protocol: Protocol, snr: float) -> ChannelParams:
 
 def scenario(protocol: Protocol, chan: ChannelParams, record_events: bool = False):
     """`run(seed)` of the protocol's shape on `chan`. Its topology and flows are built here,
-    once, so that an estimate's runs reuse one set-up: the memo matches them by identity."""
+    once, and its other arguments are `chan` and module constants, so that every run passes
+    the very objects of the run before it and an estimate builds one set-up per plan: the
+    memo matches each argument by identity."""
     slot = M_BITS / chan.rate_bps
     if protocol is Protocol.REFLEXUP:
         topo = relay_topology(1, 1)

@@ -209,7 +209,8 @@ def test_case3_degenerate_flagged():
 
 
 def test_reflexup_plan_warns_on_every_degenerate_call():
-    # The plan is computed once per (cec, t_cp); each call still warns, at its caller.
+    # Each call computes the plan and warns at its caller; a simulator run calls it
+    # once per set-up, so a degenerate estimate warns once per set-up, not once per run.
     cfg = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.4)
     for _ in range(3):
         with pytest.warns(DegenerateScheduleWarning) as caught:

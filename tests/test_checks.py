@@ -49,13 +49,14 @@ OC_PARAMS = OccupyCowParams(0.1, 0.1, 0.5, 1e-3, 1e-3)
 HARQ = HarqParams(7, 2)
 TRAINING = generate_synthetic_te(100, 0, None, seed=1, n_vars=4)[0]
 STAR = star_topology(2)
-TRACE = run_reflexup(relay_topology(2, 1), build_flows(relay_topology(2, 1), 1, deadline=1.0), CHAN, CFG, seed=0)
+RELAY = relay_topology(2, 1)
+TRACE = run_reflexup(RELAY, build_flows(RELAY, 1, deadline=1.0), CHAN, CFG, seed=0)
 
 # Each numeric argument that goes through a rule, by test id: (the name its error starts
 # with, a call that passes the value to that argument alone). Among them are the calls
 # that once took NaN, +inf or a bool without an error, or named the wrong argument:
 # CecConfig's c0, OccupyCowParams' t1, NetworkShape's relay_fanout, harq_latency's d_hat,
-# ucc_case3's t_cp, reflexup_pfail's t_vs and HarqParams' max_rounds.
+# ucc_case3's t_cp, reflexup_pfail's t_vs, HarqParams' max_rounds and run_reflexup's max_rounds.
 REALS = {
     "data_bits": ("data_bits", lambda v: TaskProfile(0, v, 0.1, 0.1)),
     "t_cp": ("t_cp", lambda v: TaskProfile(0, 1.0, v, 0.1)),
@@ -113,6 +114,7 @@ COUNTS = {
     "packet_bits": ("packet_bits", lambda v: NetworkShape(3, 2, 1, 2.0, v)),
     "split_nodes n_total": ("n_total", lambda v: split_nodes(v, 0.2, 176)),
     "max_rounds": ("max_rounds", lambda v: HarqParams(v, 2)),
+    "run_reflexup max_rounds": ("max_rounds", lambda v: run_reflexup(RELAY, build_flows(RELAY, 1, 1.0), CHAN, CFG, 0, max_rounds=v)),
     "diversity_order": ("diversity_order", lambda v: HarqParams(7, v)),
     "harq_pfail trials": ("trials", lambda v: harq_pfail(CHAN, HARQ, v)),
     "harq_expected_rounds trials": ("trials", lambda v: harq_expected_rounds(CHAN, HARQ, v)),
@@ -188,7 +190,7 @@ def test_config_keys_go_through_the_same_rules(section, key, text):
         apply_override(default_config(), section, key, text)
 
 
-# Values that probe each end of every interval the inline checks use.
+# Values that probe each end of every interval the checks below use.
 PROBES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.5, 1.0, 1.5, 1e308, -1.0,
           0, 1, 2, 176, -3, True, False, 2.5, np.int64(176), np.float64(176.0), np.uint8(1)]
 
@@ -203,7 +205,8 @@ def _accepts(call, value) -> bool:
 OC_FLOWS = [FlowSpec(i, (f"v{i + 1}",), 1, 1.0, 1.0) for i in range(2)]
 PERFECT = ChannelParams(600, 20e6, 200e3)
 OC = Protocol.OCCUPY_COW
-# The inline checks, each against the rule it writes out.
+# The channel's inline checks, each against the rule it writes out, and the simulator's
+# run arguments, each against the rule its set-up calls.
 INLINE = {
     "ChannelParams snr_db": (lambda v: ChannelParams(v, 20e6, 200e3), lambda v: _checks.real("", v, "(-inf, inf)")),
     "ChannelParams bandwidth_hz": (lambda v: ChannelParams(40.0, v, 200e3), lambda v: _checks.real("", v, "(0, inf)")),

@@ -6,8 +6,10 @@ import hashlib
 import math
 import operator
 import pickle
+import warnings
 import weakref
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cecbench import channel, sim
-from cecbench.cec import CecConfig, ucc_case1_bound, ucc_case3_at_optimum
+from cecbench.cec import CecConfig, DegenerateScheduleWarning, ucc_case1_bound, ucc_case3_at_optimum
 from cecbench.channel import ChannelParams, link_capacity_bps, outage_probability, spawn_stream
 from cecbench.protocols import (
     HarqParams,
@@ -184,6 +186,18 @@ def test_reflexup_repair_round_without_an_attempt_ends_the_run():
     assert not any(e.event_type == "retransmit" for e in trace.events)
     assert trace.slots == 12
     assert [(o.delivered, o.skipped) for o in trace.flows.values()] == [(2, 2), (3, 1)]
+
+
+def test_reflexup_max_rounds_is_a_count():
+    # 1.5 and NaN ran unbounded repair rounds, -3 none and True one; a count of at
+    # least 0 bounds them, and None leaves them unbounded.
+    topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=2)
+    rounds = partial(run_reflexup, topo, flows, LOSSY, CEC_SMALL, seed=4, p_timeout=0.05)
+    for bad in (1.5, math.nan, -3, True):
+        with pytest.raises(ValueError, match="^max_rounds must be an integer >= 0, got "):
+            rounds(max_rounds=bad)
+    nacks = [sum(e.event_type == "nack" for e in rounds(max_rounds=n).events) for n in (0, np.int64(1), None)]
+    assert nacks[0] == 0 < nacks[1] < nacks[2]
 
 
 # -------------------------------------------------------------- conservation
@@ -354,7 +368,7 @@ def test_runs_restore_the_collector_state():
 def test_only_recording_runs_hold_the_collector(monkeypatch):
     # Seen from inside a run (its stream set-up): held when the run records,
     # left alone when it does not, and restored when a run raises in its
-    # set-up (a repeated task id) or after it (two Occupy CoW flows from one node).
+    # set-up (a repeated task id, two Occupy CoW flows from one node).
     seen = []
 
     def observed(name):
@@ -612,8 +626,8 @@ PLAN_PATH_DIGESTS = {
 
 @pytest.mark.parametrize("protocol", sorted(PLAN_PATH_SNRS, key=lambda p: p.value), ids=lambda p: p.value)
 def test_unrecorded_plan_runs_keep_their_digests(protocol):
-    # Every SNR, and the first again, run in one process: anything a runner
-    # keeps between runs (Occupy CoW's rescue probability) must follow the channel.
+    # Every SNR, and the first again, run in one process: a set-up that one estimate
+    # kept (Occupy CoW's rescue probability) must not reach the next one's runs.
     seed_base = {SR: 0, HQ: 100, OC: 200, Protocol.REFLEXUP: 300}[protocol]
     snrs = PLAN_PATH_SNRS[protocol]
     for snr in snrs + snrs[:1]:
@@ -647,12 +661,14 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 # ReFlexUp 44180 / 44000. While the runners' caches were keyed on CecConfig and
 # ChannelParams, whose generated __hash__ ran on every hit, Occupy CoW read
 # 40000 / 55315 and ReFlexUp 35180 / 35000. While Occupy CoW set up each node's
-# stream with its own plan request, it read 40000 / 54693.
+# stream with its own plan request, it read 40000 / 54693. While HARQ read its
+# spectral efficiency per run, and ReFlexUp its padded slot and relay list, HARQ
+# read 17000 / 17000 and ReFlexUp 34180 / 34000.
 FRAME_BUDGETS = {
     (SR, 10.0): 19000, (SR, 40.0): 19000,
-    (HQ, 10.0): 17000, (HQ, 40.0): 17000,
+    (HQ, 10.0): 16000, (HQ, 40.0): 16000,
     (OC, 10.0): 35000, (OC, 40.0): 49693,
-    (Protocol.REFLEXUP, 10.0): 34180, (Protocol.REFLEXUP, 40.0): 34000,
+    (Protocol.REFLEXUP, 10.0): 32180, (Protocol.REFLEXUP, 40.0): 32000,
 }
 
 
@@ -664,54 +680,142 @@ def test_frames_per_run_stay_within_budget(shape):
 
     token = sim._PLAN.set(sim._Plan(seeds))
     try:
-        list(map(scenario, seeds))  # warm: the plan's rows, the set-up memo and the runners' caches
+        list(map(scenario, seeds))  # warm: the plan's rows and its set-up
         _, frames = scenarios.cecbench_frames(lambda: list(map(scenario, seeds)))
     finally:
         sim._PLAN.reset(token)
     assert frames <= FRAME_BUDGETS[shape]
 
 
-@pytest.mark.parametrize("case", ["appended_flow", "equal_spec", "two_topologies", "two_protocols"])
-def test_runs_that_share_a_set_up_equal_plain_runs(case):
-    # Inside an estimate a run reuses the last run's set-up only for the same
-    # protocol, the same topology object and the same FlowSpec objects. Each
-    # case changes one of them between runs; every run must still replay, event
-    # for event and outcome for outcome, as a plain run of what it was given.
+# Each case changes one argument of a run on every third run, on one topology and one
+# flow list; the two flow cases change the list as the test describes.
+SHARED_SET_UP_CASES = [
+    "appended_flow", "equal_spec", "two_topologies", "two_protocols", "two_channels", "packet_bits", "p_timeout",
+    "chan_local", "cec_t_cp", "oc_window",
+]
+
+
+@pytest.mark.parametrize("case", SHARED_SET_UP_CASES)
+def test_runs_that_share_a_set_up_equal_plain_runs(case, monkeypatch):
+    # Inside an estimate a run reuses the last run's set-up only when each of its
+    # arguments but the seed is the very object the last run had. Each case
+    # changes one of them between runs; every run must still replay, event for
+    # event and outcome for outcome, as a plain run of what it was given, and a
+    # set-up is built for exactly the runs whose arguments changed.
     topo_a, topo_b = relay_topology(4, 2), relay_topology(4, 1)
     _, deadline = reflexup_plan(CEC_SMALL, 0.005)
     flows = build_flows(topo_a, 2, deadline=deadline)
-    base, seen = channel.derive_seed(3), []
+    local = ChannelParams(snr_db=14, bandwidth_hz=20e6, rate_bps=33.8e6)
+    cec_b = CecConfig(n_tasks=4, k_rbs=20, c=1.5, c0=0.04)
+    star, oc_flows, oc_chan = star_topology(3), _oc_flows(3), scenarios.channel_at(OC, 25.0)
+    base, seen, set_ups = channel.derive_seed(3), [], []
+    set_up = sim._set_up
+    monkeypatch.setattr(sim, "_set_up", lambda key: set_ups.append(len(seen)) or set_up(key))
 
     def scenario(s):
         i = s - base
+        other = i % 3 == 1
         if case == "appended_flow" and i == 300:
             flows.append(FlowSpec(2, topo_a.sensors[:2], 3, 1.0, deadline))
         if case == "equal_spec" and i % 2:
-            flows[0] = dataclasses.replace(flows[0])
-            assert flows[0] == seen[-1][2][0] and flows[0] is not seen[-1][2][0]
-        topo = topo_b if case == "two_topologies" and i % 3 == 1 else topo_a
-        protocol = SR if case == "two_protocols" and i % 3 == 1 else Protocol.REFLEXUP
-        if protocol == SR:
-            trace = run_baseline(SR, topo, flows, LOSSY, seed=s)
+            old = flows[0]
+            flows[0] = dataclasses.replace(old)
+            assert flows[0] == old and flows[0] is not old
+        if case == "oc_window":
+            runner, args, kw = run_baseline, (OC, star, oc_flows, oc_chan), {"oc_t1": 1e-5 if other else 5e-6, "oc_t2": 2.5e-6}
+        elif case == "two_protocols" and other:
+            runner, args, kw = run_baseline, (SR, topo_a, flows, LOSSY), {}
         else:
-            trace = run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=s, p_timeout=0.05)
-        setup = sim._PLAN.get().setup
-        assert setup.topology is topo and setup.protocol is protocol
-        assert len(setup.flows) == len(flows) and all(map(operator.is_, setup.flows, flows))
-        seen.append((s, topo, list(flows), protocol, trace))
+            topo = topo_b if case == "two_topologies" and other else topo_a
+            chan = local if case == "two_channels" and other else LOSSY
+            cec, t_cp = (cec_b, 0.004) if case == "cec_t_cp" and other else (CEC_SMALL, 0.005)
+            runner, args, kw = run_reflexup, (topo, flows, chan, cec), {"t_cp": t_cp}
+            kw["p_timeout"] = 0.2 if case == "p_timeout" and other else 0.05
+            if case == "packet_bits" and other:
+                kw["packet_bits"] = 88
+            if case == "chan_local" and other:
+                kw["chan_local"] = local
+        # Every object the run was given, the flows' specs one by one.
+        given = tuple(chain([runner], *(a if isinstance(a, list) else [a] for a in args), *kw.items()))
+        trace = runner(*args, seed=s, **kw)
+        seen.append((s, runner, tuple(list(a) if isinstance(a, list) else a for a in args), kw, given, trace))
         return trace
 
     estimate_pfail(1000, scenario, seed=3)
     assert sim._PLAN.get() is None
-    assert len({(id(t), *map(id, f), p) for _, t, f, p, _ in seen}) > 1
-    for s, topo, flows_then, protocol, trace in seen:
-        if protocol == SR:
-            plain = run_baseline(SR, topo, flows_then, LOSSY, seed=s)
-        else:
-            plain = run_reflexup(topo, flows_then, LOSSY, CEC_SMALL, seed=s, p_timeout=0.05)
+    given = [run[4] for run in seen]
+    changed = [
+        i for i, objects in enumerate(given)
+        if i == 0 or len(objects) != len(given[i - 1]) or not all(map(operator.is_, objects, given[i - 1]))
+    ]
+    assert set_ups == changed and 1 < len(changed) < len(seen)
+    losses = 0
+    for s, runner, args, kw, _, trace in seen:
+        plain = runner(*args, seed=s, **kw)
         assert trace.events == plain.events, (case, s)
         assert trace.flows == plain.flows, (case, s)
         assert (trace.duration, trace.slots, trace.t_p) == (plain.duration, plain.slots, plain.t_p)
+        losses += sum(out.losses for out in trace.flows.values())
+    assert losses
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [("packet_bits", "^packet_bits must be an integer >= 1, got 176.0$"), ("p_timeout", r"^p_timeout must lie in \[0, 1\], got nan$"),
+     ("rate", "^rate_bps must be finite"), ("window", r"^t1 must lie in \(0, inf\), got 0.0$")],
+)
+def test_a_faulty_run_after_valid_runs_in_one_estimate_still_raises(fault, match):
+    # The faulty run's arguments differ from the valid runs' only in the fault, so it
+    # must not take their checked set-up.
+    star, oc_flows = star_topology(3), _oc_flows(3)
+    topo, flows = _reflexup_setup(n_sensors=4, n_relays=2, n_tasks=1)
+    infinite = ChannelParams(snr_db=10, bandwidth_hz=20e6, rate_bps=math.inf)
+    base = channel.derive_seed(0)
+
+    def scenario(s):
+        faulty = s - base == 10
+        if fault == "packet_bits":
+            return run_baseline(SR, topo, flows, LOSSY, seed=s, packet_bits=176.0 if faulty else 176)
+        if fault == "p_timeout":
+            return run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=s, p_timeout=math.nan if faulty else 0.05)
+        if fault == "rate":
+            return run_reflexup(topo, flows, LOSSY, CEC_SMALL, seed=s, chan_local=infinite if faulty else None)
+        return run_baseline(OC, star, oc_flows, PERFECT, seed=s, oc_t1=0.0 if faulty else 1e-3, oc_t2=1e-3)
+
+    with pytest.raises(ValueError, match=match):
+        estimate_pfail(1000, scenario, seed=0)
+
+
+# Criterion 4's shapes, and the HARQ shape as a scenario that builds its HarqParams
+# on every run, as the benchmark's does.
+def _harq_per_run_params(chan):
+    topo = star_topology(1)
+    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=10.0)]
+    return lambda s: run_baseline(HQ, topo, flows, chan, seed=s, harq=HarqParams(7, 2), record_events=False)
+
+
+@pytest.mark.parametrize("shape", [SR, HQ, OC, Protocol.REFLEXUP, "harq_per_run_params"], ids=str)
+def test_an_estimate_sets_up_once_per_plan(shape, monkeypatch):
+    calls = []
+    set_up = sim._set_up
+    monkeypatch.setattr(sim, "_set_up", lambda key: calls.append(sim._PLAN.get()) or set_up(key))
+    if shape == "harq_per_run_params":
+        scenario = _harq_per_run_params(scenarios.channel_at(HQ, 10.0))
+    else:
+        scenario = scenarios.scenario(shape, scenarios.channel_at(shape, 10.0))
+    estimate_pfail(2100, scenario, seed=0)
+    assert len(calls) == 3 and len(set(map(id, calls))) == 3
+
+
+def test_a_degenerate_reflexup_estimate_warns_once_per_set_up():
+    # N*c0 == t_cp: the plan's warning comes with each set-up, one per plan, not one per run.
+    cfg = CecConfig(n_tasks=1, k_rbs=4, c=1.0, c0=0.4)
+    topo = relay_topology(1, 1)
+    flows = build_flows(topo, 1, deadline=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_pfail(2100, lambda s: run_reflexup(topo, flows, PERFECT, cfg, seed=s, t_cp=0.4, record_events=False), seed=0)
+    assert [w.category for w in caught] == [DegenerateScheduleWarning] * 3
 
 
 def test_estimate_pfail_keeps_no_set_up():
@@ -722,7 +826,7 @@ def test_estimate_pfail_keeps_no_set_up():
 
     def scenario(s):
         trace = run_reflexup(topo, flows, PERFECT, CEC_SMALL, seed=s, record_events=False)
-        shared.append(sim._PLAN.get().setup.flows[0] is flows[0])
+        shared.append(sim._PLAN.get().setup.specs[0] is flows[0])
         return trace
 
     estimate_pfail(1000, scenario, seed=0)
@@ -1328,6 +1432,21 @@ def test_the_simulator_sets_up_no_stream_itself():
     assert [name for name in ("spawn_stream", "SeedSequence", "PCG64", "Generator") if name in text] == []
 
 
+def test_the_simulator_keeps_no_cache_and_writes_out_no_rule():
+    # What runs share is the plan's set-up alone, and every range or count check in
+    # `sim` calls a rule of `_checks`: no memoizing decorator, no chained comparison
+    # (a written-out interval) and no type test (a written-out count rule).
+    tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    decorators = {ast.unparse(d) for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef)) for d in n.decorator_list}
+    assert not imported & {"functools", "lru_cache", "cache"} and not any("cache" in d for d in decorators)
+    assert [ast.unparse(n) for n in nodes if isinstance(n, ast.Compare) and len(n.ops) > 1] == []
+    calls = {ast.unparse(n.func) for n in nodes if isinstance(n, ast.Call)}
+    assert not calls & {"isinstance", "type"} and not any(isinstance(n, ast.Attribute) and n.attr == "integer" for n in nodes)
+    assert {"integer", "real"} <= calls
+
+
 def test_every_faded_hop_goes_through_one_test():
     # Every faded hop is decided by `_attempt_test`'s math.log2, and HARQ's
     # round information comes from `protocols`: no other log2 in the simulator.
@@ -1374,7 +1493,8 @@ def test_block_draws_equal_scalar_draws():
             assert take(a, n) == [scalar(b) for _ in range(n)]
             assert a.bit_generator.state == b.bit_generator.state
             # Through the run's draw source, across two block refills.
-            draws = _Run(SR, one_flow, False, seed, star_topology(1)).draws(take, n, 1, 3)
+            key = (SR, star_topology(1), PERFECT, None, 176, 0.0, None, None, None, None, *one_flow)
+            draws = _Run(key, False, seed).draws(take, n, 1, 3)
             ref = spawn_stream(seed, 1, 3)
             assert [next(draws) for _ in range(3 * n)] == [scalar(ref) for _ in range(3 * n)]
 
