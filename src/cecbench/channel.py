@@ -9,8 +9,10 @@ and a `SeedPlan` derives the seeding words of many seeds and paths at once.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -24,6 +26,7 @@ __all__ = [
     "SeedPlan",
     "sample_fades",
     "link_capacity_bps",
+    "fade_threshold",
 ]
 
 
@@ -302,3 +305,43 @@ def sample_fades(rng: np.random.Generator, size) -> np.ndarray:
 def link_capacity_bps(params: ChannelParams, fade_power: float) -> float:
     """Instantaneous capacity W * log2(1 + snr * |h|^2) in bits/second."""
     return params.bandwidth_hz * math.log2(1.0 + params.snr_linear * fade_power)
+
+
+def fade_threshold(params: ChannelParams, rate_bps: float) -> float:
+    """The least fade power h >= 0 with `link_capacity_bps(params, h) >= rate_bps`, or inf when
+    no finite fade reaches the rate: a fade carries the rate exactly when it is at least this.
+
+    Capacity does not fall as the fade grows, and the non-negative doubles order as their bit
+    patterns do, so the threshold is found by bisection over those patterns. It is kept per
+    (W, snr, rate) for the most recent 1024 of them, so a caller that asks once per run pays
+    the bisection once per channel. A linear SNR of 0 reaches no rate. Above a linear SNR
+    of 1, snr * h overflows at a finite fade, whose capacity is inf, so a rate that no
+    representable 2^(R/W) reaches still has a finite threshold there.
+    """
+    return _fade_threshold(params.with_rate(rate_bps))
+
+
+# The bit pattern of the largest finite double; 0 is the pattern of 0.0.
+_MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+
+
+def _double(bits: int) -> float:
+    """The double whose bit pattern is `bits`."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@lru_cache(maxsize=1024)
+def _fade_threshold(link: ChannelParams) -> float:
+    """`fade_threshold` of a link at its own rate."""
+    rate = link.rate_bps
+    if not link_capacity_bps(link, sys.float_info.max) >= rate:
+        return math.inf
+    # h = 0 carries no rate > 0, and the largest double carries this one.
+    low, high = 0, _MAX_BITS
+    while high - low > 1:
+        mid = (low + high) // 2
+        if link_capacity_bps(link, _double(mid)) >= rate:
+            high = mid
+        else:
+            low = mid
+    return _double(high)

@@ -9,25 +9,27 @@ run's set-up); outside, from a plan of the run's one seed. A path head's links
 on the run's seed and the link's path, not on the plan. A stream is read in
 blocks sized by the packets its link carries; a block holds the same values,
 in the same order, as the same number of draws taken one at a time, so the
-block size never changes a trace. Time advances in
-packet-airtime slots per link rate; C-M control messages are error-free and
-instantaneous, and relay queuing plus feedback latency are zero.
+block size never changes a trace. A faded hop passes when no timeout fired
+and its fade is at least the hop's `channel.fade_threshold`, which the run's
+set-up holds: the least fade whose capacity carries the hop's rate. Time
+advances in packet-airtime slots per link rate; C-M control messages are
+error-free and instantaneous, and relay queuing plus feedback latency are zero.
 """
 from __future__ import annotations
 
 import gc
-import math
 import operator
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, count, repeat
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from ._checks import integer, real
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
-from .channel import ChannelParams, SeedPlan, derive_seed
+from .channel import ChannelParams, SeedPlan, derive_seed, fade_threshold
 from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
 
 __all__ = [
@@ -234,9 +236,12 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
 
 
 # Block sources for _Run.draws and _Run.link_draws: take(rng, n) returns the
-# next n draws of the stream rng. `_SCALAR` names the stream method that draws one
+# next n draws of the stream rng. `_SOURCES` names the stream method that draws one
 # value of a source with its defaults: a reader of one-draw blocks, which a run of
 # one packet per link reads on every stream, calls it without numpy's array path.
+# It also names the test that turns a draw x into a flag against a threshold t,
+# called as test(t, x): a fade passes its hop when x >= t, and a uniform fires,
+# as a timeout or a failed rescue, when x < t.
 _Take = Callable[[Any, int], list[float]]
 
 
@@ -250,7 +255,7 @@ def _uniforms(rng, n: int) -> list[float]:
     return rng.random(size=n).tolist()
 
 
-_SCALAR = {_fades: "exponential", _uniforms: "random"}
+_SOURCES = {_fades: ("exponential", operator.le), _uniforms: ("random", operator.gt)}
 
 
 class _SetUp(NamedTuple):
@@ -267,18 +272,20 @@ class _SetUp(NamedTuple):
     # HARQ only: the rate a packet's accumulated information must pass, in bits/s/Hz, and the linear SNR.
     r_norm: float = 0.0
     snr: float = 0.0
-    # ReFlexUp only: the local hop's channel and slot, the padded slot, the layout as (task, packet,
-    # sensor, relay), each relay's share of it, and each relay's packet count: its stream's block size.
-    local: ChannelParams | None = None
+    # The `fade_threshold` of the hop to the controller (Occupy CoW's phase 1, at its session rate)
+    # and of ReFlexUp's sensor-to-relay hop.
+    h_up: float = 0.0
+    h_local: float = 0.0
+    # ReFlexUp only: the local hop's slot, the padded slot, the layout as (task, packet, sensor,
+    # relay), each relay's share of it, and each relay's packet count: its stream's block size.
     slot_local: float = 0.0
     t_p: float | None = None
     relay_layout: tuple[tuple[int, int, str, str], ...] = ()
     schedules: Mapping[str, tuple[tuple[int, int, str, str], ...]] = MappingProxyType({})
     uploads: Mapping[str, int] = MappingProxyType({})
-    # Occupy CoW only: the two windows, phase 1's session rate and the conditional rescue failure p12.
+    # Occupy CoW only: the two windows and the conditional rescue failure p12.
     t1: float = 0.0
     t2: float = 0.0
-    phase1_rate: float = 0.0
     p12: float = 0.0
 
 
@@ -291,6 +298,11 @@ def _set_up(key: tuple) -> _SetUp:
     protocol, topology, chan, chan_local, packet_bits, p_timeout, cec, t_cp, t1, t2, *flows = key
     integer("packet_bits", packet_bits, 1)
     real("p_timeout", p_timeout, "[0, 1]")
+    for link in filter(None, (chan, chan_local)):
+        try:
+            link.snr_linear
+        except OverflowError:
+            raise ValueError(f"snr_db must give a finite linear SNR, got {link.snr_db!r}") from None
     if not flows:
         raise ValueError("need at least one flow")
     specs: dict[int, FlowSpec] = {}
@@ -329,13 +341,15 @@ def _set_up(key: tuple) -> _SetUp:
         # deadlines carry the slot budget; t_p is kept on the trace.
         _, t_p = reflexup_plan(cec, t_cp)
         own = dict(
-            local=local, slot_local=slot_local, t_p=t_p, relay_layout=tuple(relay_layout),
+            h_up=fade_threshold(chan, chan.rate_bps), h_local=fade_threshold(local, local.rate_bps),
+            slot_local=slot_local, t_p=t_p, relay_layout=tuple(relay_layout),
             schedules={r: tuple(share) for r, share in shares.items()}, uploads={r: len(share) for r, share in shares.items()},
         )
     elif protocol is Protocol.SELECTIVE_REPEAT_ARQ:
         if not slot:  # an infinite rate: a lost packet would be re-sent forever in no time
             raise ValueError(f"rate_bps must be finite for Selective Repeat, got {chan.rate_bps}")
         layout.sort()
+        own = dict(h_up=fade_threshold(chan, chan.rate_bps))
     elif protocol is Protocol.HARQ:
         own = dict(r_norm=chan.spectral_efficiency, snr=chan.snr_linear)
     else:
@@ -352,7 +366,7 @@ def _set_up(key: tuple) -> _SetUp:
         t2 = t2 if t2 is not None else bits / chan.rate_bps
         shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
         p12 = occupycow_phase_probs(shape, chan, t1, t2).p12  # which checks both windows
-        own = dict(t1=t1, t2=t2, phase1_rate=bits / t1, p12=p12)
+        own = dict(t1=t1, t2=t2, h_up=fade_threshold(chan, bits / t1), p12=p12)
     return _SetUp(key, protocol, specs, tuple(layout), carried, latest, slot, **own)
 
 
@@ -423,24 +437,27 @@ class _Run:
         if self.held:
             gc.enable()
 
-    def draws(self, take: _Take, n: int, *path: int) -> Iterator[float]:
-        """The draws of the stream at `path`, set up now, in blocks of n."""
-        rng, scalar = self.plan.stream(self.seed, *path), _SCALAR.get(take)
-        if n == 1 and scalar:
-            return iter(getattr(rng, scalar), None)
-        return chain.from_iterable(map(take, repeat(rng), repeat(n)))
+    def draws(self, take: _Take, n: int, threshold: float, *path: int) -> Iterator[bool]:
+        """The flags against `threshold` (see `_SOURCES`) of the draws of the stream at `path`, set
+        up now, in blocks of n."""
+        rng, (scalar, test) = self.plan.stream(self.seed, *path), _SOURCES[take]
+        values = iter(getattr(rng, scalar), None) if n == 1 else chain.from_iterable(map(take, repeat(rng), repeat(n)))
+        return map(partial(test, threshold), values)
 
-    def link_draws(self, take: _Take, head: int, sizes: Mapping[str, int]) -> dict:
+    def link_draws(self, take: _Take, head: int, sizes: Mapping[str, int], threshold: float | None = None) -> dict:
         """Each node's draws on path (head, i), i its index in `sizes`, in blocks of sizes[node], all
-        set up now by one `streams` request. Each reader is a C iterator, with no Python frame per
-        draw but take's; a run's last block may be left half read."""
-        scalar = _SCALAR.get(take)
+        set up now by one `streams` request; with a `threshold`, their flags against it (see
+        `_SOURCES`). Each reader is a C iterator, with no Python frame per draw but take's; a run's
+        last block may be left half read."""
+        scalar, test = _SOURCES.get(take, (None, None))
         readers = {}
         for (v, n), rng in zip(sizes.items(), self.plan.streams(self.seed, head, len(sizes))):
             if n == 1 and scalar:
                 readers[v] = iter(getattr(rng, scalar), None)
             else:
                 readers[v] = chain.from_iterable(map(take, repeat(rng), repeat(n)))
+            if threshold is not None:
+                readers[v] = map(partial(test, threshold), readers[v])
         return readers
 
     def fits(self, task: int, duration: float) -> bool:
@@ -505,27 +522,6 @@ class _Run:
         return SimTrace(setup.protocol, self.events, self.outcomes, self.now, self.slot, setup.latest if t_p is None else t_p)
 
 
-def _attempt_test(
-    chan: ChannelParams, rate: float, p_timeout: float = 0.0, timeouts: Iterator[float] | None = None
-) -> Callable[[Iterator[float]], bool]:
-    """Success test of one hop, for every runner: no timeout fired, and the faded capacity carries `rate`.
-
-    The fade is drawn only when no timeout fired. A fade h passes exactly
-    when `link_capacity_bps(chan, h) >= rate`: the same arithmetic, with W
-    and snr read once (a property test holds the two equal near the threshold).
-    """
-    w, snr = chan.bandwidth_hz, chan.snr_linear
-
-    def attempt_ok(fades: Iterator[float]) -> bool:
-        if p_timeout > 0 and next(timeouts) < p_timeout:
-            return False
-        # math.log2, not np.log2: they differ in the last bit on a few
-        # inputs, and a borderline fade would flip its outcome.
-        return w * math.log2(1.0 + snr * next(fades)) >= rate
-
-    return attempt_ok
-
-
 def reflexup_plan(cec: CecConfig, t_cp: float) -> tuple[float, float]:
     """Edge-side parameter calculation: target window and padded slot length.
 
@@ -573,7 +569,7 @@ def run_reflexup(
                record_events, seed)
     try:
         setup = run.setup
-        local, slot_local, slot_up = setup.local, setup.slot_local, setup.slot
+        slot_local, slot_up = setup.slot_local, setup.slot
         # Each relay's schedule of the layout entries (task, packet, sensor, relay), and the
         # entries not yet acked, in layout order.
         schedules, missing = setup.schedules, setup.relay_layout
@@ -582,11 +578,10 @@ def run_reflexup(
             run.log("transmit", r, EDGE, -1, -1, "report")
         for r in schedules:
             run.log("transmit", EDGE, r, -1, -1, "inform")
-        local_fades = run.link_draws(_fades, 1, setup.carried)
-        up_fades = run.link_draws(_fades, 2, setup.uploads)
-        timeouts = run.draws(_uniforms, 2 * len(setup.layout), 3) if p_timeout > 0 else None
-        local_ok = _attempt_test(local, local.rate_bps, p_timeout, timeouts)
-        up_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+        # A hop's fade is drawn only when no timeout fired.
+        local_passes = run.link_draws(_fades, 1, setup.carried, setup.h_local)
+        up_passes = run.link_draws(_fades, 2, setup.uploads, setup.h_up)
+        timed_out = run.draws(_uniforms, 2 * len(setup.layout), p_timeout, 3) if p_timeout > 0 else repeat(False)
         # Entries the relay holds, and those the controller acked.
         cached: set[tuple[int, int, str, str]] = set()
         acked: set[tuple[int, int, str, str]] = set()
@@ -600,7 +595,8 @@ def run_reflexup(
                 task, packet, sensor, relay = entry
                 if not run.fits(task, slot_local):
                     continue
-                if run.attempt("transmit", sensor, relay, task, packet, local_ok(local_fades[sensor])):
+                ok = not next(timed_out) and next(local_passes[sensor])
+                if run.attempt("transmit", sensor, relay, task, packet, ok):
                     cached.add(entry)
                     run.log("relay-cache", relay, relay, task, packet, "ok")
             run.wait(slot_local, slots=1)
@@ -611,7 +607,8 @@ def run_reflexup(
                 task, packet, _, relay = entry
                 if entry not in cached or not run.fits(task, slot_up):
                     continue
-                if run.attempt("transmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 1, slot_up):
+                ok = not next(timed_out) and next(up_passes[relay])
+                if run.attempt("transmit", relay, CONTROLLER, task, packet, ok, 1, slot_up):
                     acked.add(entry)
                     run.deliver(task, packet, relay)
 
@@ -634,7 +631,7 @@ def run_reflexup(
                     if not run.fits(task, slot_local):
                         continue
                     progressed = True
-                    ok = local_ok(local_fades[sensor])
+                    ok = not next(timed_out) and next(local_passes[sensor])
                     if not run.attempt("retransmit", sensor, relay, task, packet, ok, 1, slot_local):
                         continue
                     cached.add(entry)
@@ -644,7 +641,8 @@ def run_reflexup(
                     continue
                 progressed = True
                 # Two slots: the missing packet plus its cached predecessor.
-                if run.attempt("retransmit", relay, CONTROLLER, task, packet, up_ok(up_fades[relay]), 2, bundle_time):
+                ok = not next(timed_out) and next(up_passes[relay])
+                if run.attempt("retransmit", relay, CONTROLLER, task, packet, ok, 2, bundle_time):
                     acked.add(entry)
                     run.deliver(task, packet, relay)
             if not progressed:
@@ -682,22 +680,21 @@ def run_baseline(
                record_events, seed)
     try:
         if protocol_tag is Protocol.SELECTIVE_REPEAT_ARQ:
-            return _run_selective_repeat(run, chan, p_timeout)
+            return _run_selective_repeat(run, p_timeout)
         if protocol_tag is Protocol.HARQ:
             return _run_harq(run, harq or HarqParams(7, 2))
-        return _run_occupy_cow(run, chan)
+        return _run_occupy_cow(run)
     finally:
         run.close()
 
 
-def _run_selective_repeat(run: _Run, chan, p_timeout):
+def _run_selective_repeat(run: _Run, p_timeout):
     setup = run.setup
     slot = setup.slot
-    fades = run.link_draws(_fades, 1, setup.carried)
+    passes = run.link_draws(_fades, 1, setup.carried, setup.h_up)
     # The packets not yet delivered, in (task, packet) order.
     pending = setup.layout
-    timeouts = run.draws(_uniforms, len(pending), 3) if p_timeout > 0 else None
-    attempt_ok = _attempt_test(chan, chan.rate_bps, p_timeout, timeouts)
+    timed_out = run.draws(_uniforms, len(pending), p_timeout, 3) if p_timeout > 0 else repeat(False)
 
     for round_no in count(1):
         event = "transmit" if round_no == 1 else "retransmit"
@@ -710,7 +707,7 @@ def _run_selective_repeat(run: _Run, chan, p_timeout):
                 continue
             if round_no > 1:
                 run.log("nack", CONTROLLER, sensor, task, packet, "missing")
-            ok = attempt_ok(fades[sensor])
+            ok = not next(timed_out) and next(passes[sensor])
             # A delivered packet occupies three airtimes (data, ack, turnaround);
             # a lost one burns only its own slot before the timeout fires.
             cost = 3 if ok else 1
@@ -753,7 +750,7 @@ def _run_harq(run: _Run, harq: HarqParams):
     return run.finalize()
 
 
-def _run_occupy_cow(run: _Run, chan):
+def _run_occupy_cow(run: _Run):
     """Two fixed phases; every participant carries exactly one packet (its set-up checks that).
 
     Phase-1 losses are sampled fades at the phase-1 session rate; the rescue
@@ -763,16 +760,14 @@ def _run_occupy_cow(run: _Run, chan):
     the fixed-schedule failure form and its enumeration oracle.
     """
     setup = run.setup
-    # Phase 1 moves the whole shape's bits in t1: its session rate on this link.
-    phase1_ok = _attempt_test(chan, setup.phase1_rate)
-    fades = run.link_draws(_fades, 1, setup.carried)
+    passes = run.link_draws(_fades, 1, setup.carried, setup.h_up)
 
     # Each layout entry is one node's flow: (task, 0, node).
     survivors: list[tuple[int, int, str]] = []
     stragglers: list[tuple[int, int, str]] = []
     for entry in setup.layout:
         task, _, node = entry
-        ok = run.attempt("transmit", node, CONTROLLER, task, 0, phase1_ok(fades[node]), 1)
+        ok = run.attempt("transmit", node, CONTROLLER, task, 0, next(passes[node]), 1)
         (survivors if ok else stragglers).append(entry)
     run.wait(setup.t1)
     for task, _, node in survivors:
@@ -781,9 +776,9 @@ def _run_occupy_cow(run: _Run, chan):
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
     run.wait(setup.t2)
     if survivors and stragglers:
-        rescues = run.draws(_uniforms, len(stragglers), 4)
+        fails = run.draws(_uniforms, len(stragglers), setup.p12, 4)
         for task, _, node in stragglers:
-            if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, next(rescues) >= setup.p12, 1):
+            if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, not next(fails), 1):
                 run.deliver(task, 0, node)
 
     # Void round: no node survived phase 1, so no relay exists; the

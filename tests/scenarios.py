@@ -14,6 +14,7 @@ from cecbench.protocols import HarqParams, NetworkShape, Protocol
 from cecbench.sim import FlowSpec, relay_topology, run_baseline, run_reflexup, star_topology
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+SNR_POINTS = (10.0, 20.0, 30.0, 40.0, 60.0)  # criterion 4's SNRs, in dB: 20 channels over the four shapes
 M_BITS = 176
 TABLE_CHAN = ChannelParams(snr_db=40, bandwidth_hz=20e6, rate_bps=200e3)
 P_TIMEOUT = 1e-4

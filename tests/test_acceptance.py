@@ -34,10 +34,8 @@ from cecbench.protocols import (
     srarq_pfail,
 )
 from cecbench.sim import build_flows, estimate_pfail, relay_topology, run_reflexup
-from scenarios import HARQ, M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, TABLE_CHAN, Z99
+from scenarios import HARQ, M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, SNR_POINTS, TABLE_CHAN, Z99
 from scenarios import cecbench_frames, channel_at, scenario
-
-SNR_POINTS = (10.0, 20.0, 30.0, 40.0, 60.0)
 
 
 def _ci_check(p_hat: float, p_analytic: float, runs: int) -> bool:

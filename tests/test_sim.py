@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from cecbench import channel, sim
 from cecbench.cec import CecConfig, DegenerateScheduleWarning, ucc_case1_bound, ucc_case3_at_optimum
-from cecbench.channel import ChannelParams, link_capacity_bps, outage_probability, spawn_stream
+from cecbench.channel import ChannelParams, fade_threshold, outage_probability, spawn_stream
 from cecbench.protocols import (
     HarqParams,
     MonteCarloEstimate,
@@ -30,6 +30,7 @@ from cecbench.protocols import (
     harq_pfail,
     occupycow_pfail,
     occupycow_phase_probs,
+    srarq_pfail,
 )
 from cecbench.sim import (
     FlowOutcome,
@@ -38,7 +39,6 @@ from cecbench.sim import (
     TRACE_HEADER,
     TraceEvent,
     _Run,
-    _attempt_test,
     _fades,
     _uniforms,
     build_flows,
@@ -448,6 +448,27 @@ def test_runs_reject_an_infinite_rate(runner, channel_arg):
         _entry_points()[runner](**{channel_arg: ChannelParams(snr_db=10, bandwidth_hz=20e6, rate_bps=math.inf)})
 
 
+@pytest.mark.parametrize(
+    "runner, channel_arg",
+    [("selective_repeat_arq", "chan"), ("harq", "chan"), ("occupy_cow", "chan"), ("reflexup", "chan"), ("reflexup", "chan_local")],
+)
+def test_runs_reject_an_snr_whose_linear_value_overflows(runner, channel_arg, monkeypatch):
+    # Every entry point raised a bare OverflowError here, Selective Repeat and
+    # ReFlexUp only after their streams were set up. The set-up now names snr_db
+    # before any stream is set up.
+    set_up = []
+    monkeypatch.setattr(sim._Plan, "stream", lambda *args: set_up.append(args))
+    monkeypatch.setattr(sim._Plan, "streams", lambda *args: set_up.append(args))
+    runners = _entry_points()
+    nodes = star_topology(2)
+    runners["occupy_cow"] = partial(
+        run_baseline, OC, nodes, [FlowSpec(i, (v,), 1, 1.0, 1.0) for i, v in enumerate(nodes.sensors)], chan=PERFECT, seed=0
+    )
+    with pytest.raises(ValueError, match="snr_db"):
+        runners[runner](**{channel_arg: ChannelParams(4000, 20e6, 200e3)})
+    assert set_up == []
+
+
 # -------------------------------------------------------------- measure_cec
 
 
@@ -663,12 +684,14 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 # 40000 / 55315 and ReFlexUp 35180 / 35000. While Occupy CoW set up each node's
 # stream with its own plan request, it read 40000 / 54693. While HARQ read its
 # spectral efficiency per run, and ReFlexUp its padded slot and relay list, HARQ
-# read 17000 / 17000 and ReFlexUp 34180 / 34000.
+# read 17000 / 17000 and ReFlexUp 34180 / 34000. While every faded hop went through
+# a per-run test closure, one frame per attempt, SR read 19000 / 19000, Occupy CoW
+# 35000 / 49693 and ReFlexUp 32180 / 32000.
 FRAME_BUDGETS = {
-    (SR, 10.0): 19000, (SR, 40.0): 19000,
+    (SR, 10.0): 17000, (SR, 40.0): 17000,
     (HQ, 10.0): 16000, (HQ, 40.0): 16000,
-    (OC, 10.0): 35000, (OC, 40.0): 49693,
-    (Protocol.REFLEXUP, 10.0): 32180, (Protocol.REFLEXUP, 40.0): 32000,
+    (OC, 10.0): 28000, (OC, 40.0): 42693,
+    (Protocol.REFLEXUP, 10.0): 28180, (Protocol.REFLEXUP, 40.0): 28000,
 }
 
 
@@ -1448,16 +1471,58 @@ def test_the_simulator_keeps_no_cache_and_writes_out_no_rule():
 
 
 def test_every_faded_hop_goes_through_one_test():
-    # Every faded hop is decided by `_attempt_test`'s math.log2, and HARQ's
-    # round information comes from `protocols`: no other log2 in the simulator.
+    # Every faded hop compares its fade with a threshold of the run's set-up, and every
+    # such threshold is `channel.fade_threshold`'s: the simulator computes no capacity
+    # and takes no log2 of its own (HARQ's round information comes from `protocols`).
     tree = ast.parse(Path(sim.__file__).read_text(encoding="utf-8"))
-    hop_test = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_attempt_test")
-    logs = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and "log2" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
-    ]
-    assert len(logs) == 1 and ast.unparse(logs[0].func) == "math.log2"
-    assert logs[0] in list(ast.walk(hop_test))
+    nodes = list(ast.walk(tree))
+    assert [ast.unparse(n) for n in nodes if isinstance(n, (ast.Name, ast.Attribute)) and "log2" in ast.unparse(n)] == []
+    thresholds = {f for f in sim._SetUp._fields if f.startswith("h_")}
+    assert thresholds == {"h_up", "h_local"}
+    values = [kw.value for n in nodes if isinstance(n, ast.Call) for kw in n.keywords if kw.arg in thresholds]
+    assert len(values) == 4 and all(ast.unparse(v.func) == "fade_threshold" for v in values)
+    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert thresholds <= read
+
+
+def _hop_failure(chan, rate, p_timeout):
+    """One hop's failure probability under the runner's rule: a timeout, or else a fade below h*."""
+    return p_timeout + (1.0 - p_timeout) * -math.expm1(-fade_threshold(chan, rate))
+
+
+def _set_up_of(protocol, chan):
+    """The set-up that a run of criterion 4's shape on `chan` builds."""
+    plan = sim._Plan(range(1))
+    token = sim._PLAN.set(plan)
+    try:
+        scenarios.scenario(protocol, chan)(0)
+    finally:
+        sim._PLAN.reset(token)
+    return plan.setup
+
+
+@pytest.mark.parametrize("snr", scenarios.SNR_POINTS)
+def test_a_hop_fails_with_the_closed_form_probability_at_criterion_4s_channels(snr):
+    # On each of criterion 4's 20 channels, the Selective Repeat hop (at the channel's
+    # rate) and ReFlexUp's session-rate hop fail, under the runner's rule, with the
+    # closed forms' per-attempt failure, and Occupy CoW's phase 1 with its p1; each
+    # shape's set-up holds the thresholds its runner compares fades with.
+    bits = scenarios.OC_NODES * (scenarios.M_BITS + 1)
+    for protocol in Protocol:
+        chan = scenarios.channel_at(protocol, snr)
+        for rate in (chan.rate_bps, scenarios.SESSION_RATE):
+            closed = srarq_pfail(scenarios.P_TIMEOUT, outage_probability(chan.with_rate(rate)))
+            assert _hop_failure(chan, rate, scenarios.P_TIMEOUT) == pytest.approx(closed, rel=1e-12, abs=0.0)
+        p1 = occupycow_phase_probs(scenarios.OC_SHAPE, chan, scenarios.OC_T1, scenarios.OC_T2).p1
+        assert _hop_failure(chan, bits / scenarios.OC_T1, 0.0) == pytest.approx(p1, rel=1e-12, abs=0.0)
+        setup = _set_up_of(protocol, chan)
+        expected = {
+            SR: (fade_threshold(chan, chan.rate_bps), 0.0),
+            HQ: (0.0, 0.0),
+            OC: (fade_threshold(chan, bits / scenarios.OC_T1), 0.0),
+            Protocol.REFLEXUP: (fade_threshold(chan, scenarios.SESSION_RATE),) * 2,
+        }[protocol]
+        assert (setup.h_up, setup.h_local) == expected, protocol
 
 
 @settings(max_examples=300, deadline=None)
@@ -1465,38 +1530,49 @@ def test_every_faded_hop_goes_through_one_test():
     log_w=st.floats(3.0, 8.0),
     snr_db=st.floats(-40.0, 60.0),
     log_ratio=st.floats(-3.0, math.log10(30.0)),
-    fade=st.floats(0.0, 100.0),
-    ulps=st.integers(-50, 50),
+    p_timeout=st.sampled_from([0.0, 1e-4, 0.3]),
 )
-def test_hop_test_is_the_capacity_test(log_w, snr_db, log_ratio, fade, ulps):
-    # W in 1e3-1e8 Hz, snr in -40-60 dB and R/W in 1e-3-30; fades drawn at
-    # random and within 50 ulps of the outage threshold (2^(R/W) - 1)/snr.
+def test_a_hop_fails_with_the_closed_form_probability(log_w, snr_db, log_ratio, p_timeout):
+    # On random channels, W in 1e3-1e8 Hz, snr in -40-60 dB and R/W in 1e-3-30:
+    # the Selective Repeat and ReFlexUp hop, and Occupy CoW's phase 1 at its rate.
     w = 10.0**log_w
     chan = ChannelParams(snr_db, w, 10.0**log_ratio * w)
-    near = math.expm1(chan.spectral_efficiency * math.log(2.0)) / chan.snr_linear
-    for _ in range(abs(ulps)):
-        near = math.nextafter(near, math.copysign(math.inf, ulps))
-    hop_ok = _attempt_test(chan, chan.rate_bps)
-    for h in (fade, near):
-        assert hop_ok(iter([h])) == (link_capacity_bps(chan, h) >= chan.rate_bps)
+    hop = _hop_failure(chan, chan.rate_bps, p_timeout)
+    assert hop == pytest.approx(srarq_pfail(p_timeout, outage_probability(chan)), rel=1e-12, abs=0.0)
+    bits = scenarios.OC_NODES * (scenarios.M_BITS + 1)
+    t1 = bits / chan.rate_bps
+    p1 = occupycow_phase_probs(scenarios.OC_SHAPE, chan, t1, t1 / 2).p1
+    assert -math.expm1(-fade_threshold(chan, bits / t1)) == pytest.approx(p1, rel=1e-12, abs=0.0)
 
 
 def test_block_draws_equal_scalar_draws():
     # The simulator reads each stream in blocks; values, order and the
-    # generator state after them match the same draws taken one at a time.
-    draw_kinds = ((_fades, lambda g: g.exponential(1.0)), (_uniforms, lambda g: g.random()))
+    # generator state after them match the same draws taken one at a time,
+    # and so do a run's readers: the values, and their flags against a
+    # threshold (a fade passes at or above it, a uniform fires below it).
+    draw_kinds = (
+        (_fades, lambda g: g.exponential(1.0), lambda x, t: x >= t, math.log(2.0)),
+        (_uniforms, lambda g: g.random(), lambda x, t: x < t, 0.5),
+    )
     one_flow = [FlowSpec(task_id=0, sources=("v1",), packets_required=1, epsilon=1.0, deadline=1.0)]
+    key = (SR, star_topology(1), PERFECT, None, 176, 0.0, None, None, None, None, *one_flow)
     for seed in range(200):
         n = 1 + seed % 17
-        for take, scalar in draw_kinds:
+        for take, scalar, flag, threshold in draw_kinds:
             a, b = spawn_stream(seed, 1, 3), spawn_stream(seed, 1, 3)
             assert take(a, n) == [scalar(b) for _ in range(n)]
             assert a.bit_generator.state == b.bit_generator.state
-            # Through the run's draw source, across two block refills.
-            key = (SR, star_topology(1), PERFECT, None, 176, 0.0, None, None, None, None, *one_flow)
-            draws = _Run(key, False, seed).draws(take, n, 1, 3)
-            ref = spawn_stream(seed, 1, 3)
-            assert [next(draws) for _ in range(3 * n)] == [scalar(ref) for _ in range(3 * n)]
+            # Through the run's readers, across two block refills.
+            run = _Run(key, False, seed)
+            readers = (
+                (run.draws(take, n, threshold, 1, 3), spawn_stream(seed, 1, 3), True),
+                (run.link_draws(take, 1, {"v1": n}, threshold)["v1"], spawn_stream(seed, 1, 0), True),
+                (run.link_draws(take, 1, {"v1": n})["v1"], spawn_stream(seed, 1, 0), False),
+            )
+            for reader, ref, flags in readers:
+                values = [scalar(ref) for _ in range(3 * n)]
+                expected = [flag(x, threshold) for x in values] if flags else values
+                assert [next(reader) for _ in range(3 * n)] == expected
 
 
 @pytest.mark.parametrize("diversity", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
