@@ -70,8 +70,11 @@ class ChannelParams:
     @cached_property
     def snr_linear(self) -> float:
         """The SNR in linear scale. One that overflows a double is not kept at construction,
-        so the channel still constructs, and this read raises OverflowError."""
-        return db_to_linear(self.snr_db)
+        so the channel still constructs, and this read raises a ValueError naming snr_db."""
+        try:
+            return db_to_linear(self.snr_db)
+        except OverflowError:
+            raise ValueError(f"snr_db must give a finite linear SNR, got {self.snr_db!r}") from None
 
     @property
     def spectral_efficiency(self) -> float:
@@ -89,20 +92,23 @@ class ChannelParams:
 def outage_probability(params: ChannelParams) -> float:
     """Probability that the instantaneous capacity falls below the target rate.
 
-    For a unit-mean exponential channel power gain this is
-    1 - exp(-(2^(R/W) - 1) / snr), with snr in linear scale. The result lies
-    in [0, 1], decreases with SNR and increases with R. It is 1.0, the exact
-    limit, when 2^(R/W) overflows a double or the linear SNR underflows to 0.
+    For a unit-mean exponential channel power gain this is 1 - exp(-g), with
+    g = (2^(R/W) - 1) / snr (`_outage_exponent`) and snr in linear scale. The
+    result lies in [0, 1], decreases with SNR and increases with R. It is 1.0, the
+    exact limit, when 2^(R/W) overflows a double or the linear SNR underflows to 0.
     """
+    # -expm1 keeps precision for the deep-outage (tiny probability) regime.
+    return -math.expm1(-_outage_exponent(params))
+
+
+def _outage_exponent(params: ChannelParams) -> float:
+    """g = (2^(R/W) - 1) / snr: the link survives with probability exp(-g). inf when 2^(R/W) overflows or snr is 0."""
     try:
         threshold = math.pow(2.0, params.spectral_efficiency) - 1.0
     except OverflowError:
-        return 1.0
+        return math.inf
     snr = params.snr_linear
-    if snr == 0.0:
-        return 1.0
-    # -expm1 keeps precision for the deep-outage (tiny probability) regime.
-    return -math.expm1(-threshold / snr)
+    return threshold / snr if snr else math.inf
 
 
 def derive_seed(seed: int, *path: int) -> int:

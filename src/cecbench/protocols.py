@@ -12,14 +12,14 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ._checks import integer, real
 from .cec import CecConfig, optimal_tcm_case3
-from .channel import ChannelParams, outage_probability
+from .channel import ChannelParams, _outage_exponent, outage_probability
 
 __all__ = [
     "Protocol",
@@ -116,7 +116,8 @@ class OccupyCowParams:
     """Two-phase relaying failure parameters.
 
     p12 is the conditional phase-2 failure min(p1/p2, 1) (1 when p2 == 0),
-    matching the fixed-schedule failure model this feeds.
+    matching the fixed-schedule failure model this feeds. q1 is phase 1's
+    survival: 1 - p1 when built by hand, exp(-g1) from `occupycow_phase_probs`.
     """
 
     p1: float
@@ -124,6 +125,7 @@ class OccupyCowParams:
     p12: float
     t1: float
     t2: float
+    q1: float = field(init=False)
 
     def __post_init__(self) -> None:
         real("p1", self.p1, "[0, 1]")
@@ -131,6 +133,7 @@ class OccupyCowParams:
         real("p12", self.p12, "[0, 1]")
         real("t1", self.t1, "(0, inf)")
         real("t2", self.t2, "(0, inf)")
+        object.__setattr__(self, "q1", 1.0 - self.p1)
 
 
 @dataclass(frozen=True)
@@ -359,15 +362,18 @@ def occupycow_phase_probs(
 
     Phase k moves n_v * (m + 1) bits in its window t_k, so its outage is the
     Rayleigh outage at rate n_v*(m+1)/t_k (bandwidth-normalized, like every
-    other rate term here).
+    other rate term here). q1 = exp(-g1) stays exact as p1 = 1 - exp(-g1) nears 1.
     """
     real("t1", t1, "(0, inf)")
     real("t2", t2, "(0, inf)")
     bits = shape.n_sensors * (shape.packet_bits + 1)
-    p1 = outage_probability(chan.with_rate(bits / t1))
+    g1 = _outage_exponent(chan.with_rate(bits / t1))
+    p1 = -math.expm1(-g1)
     p2 = outage_probability(chan.with_rate(bits / t2))
     p12 = min(p1 / p2, 1.0) if p2 > 0 else 1.0
-    return OccupyCowParams(p1=p1, p2=p2, p12=p12, t1=t1, t2=t2)
+    params = OccupyCowParams(p1=p1, p2=p2, p12=p12, t1=t1, t2=t2)
+    object.__setattr__(params, "q1", math.exp(-g1))
+    return params
 
 
 def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
@@ -380,19 +386,15 @@ def occupycow_pfail(n: int, params: OccupyCowParams) -> float:
 
     The all-fail stratum (a = 0) carries no relays and contributes no failure
     mass under this form; the simulator and the enumeration oracle share that
-    convention. Binomial masses are computed in the log domain.
+    convention. Binomial masses are computed in the log domain from log q1 and
+    log p1 (-inf at 0, which leaves a stratum no mass), exact as p1 nears 1.
     """
     integer("n", n, 2)
-    if params.p1 in (0.0, 1.0):
-        # All nodes fail phase 1 (the void stratum a = 0) or all succeed
-        # (a = n, no stragglers): no stratum in the sum carries mass.
-        return 0.0
     a = np.arange(1, n)
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])  # log k!
-    mass = np.exp(
-        log_fact[n] - log_fact[a] - log_fact[n - a]
-        + a * math.log1p(-params.p1) + (n - a) * math.log(params.p1)
-    )
+    log_q1 = math.log(params.q1) if params.q1 > 0.0 else -math.inf
+    log_p1 = math.log(params.p1) if params.p1 > 0.0 else -math.inf
+    mass = np.exp(log_fact[n] - log_fact[a] - log_fact[n - a] + a * log_q1 + (n - a) * log_p1)
     rescue_fail = 1.0 - (1.0 - params.p12) ** (n - a)
     total = float(np.dot(mass, rescue_fail))
     return min(max(total, 0.0), 1.0)

@@ -9,15 +9,19 @@ run's set-up); outside, from a plan of the run's one seed. A path head's links
 on the run's seed and the link's path, not on the plan. A stream is read in
 blocks sized by the packets its link carries; a block holds the same values,
 in the same order, as the same number of draws taken one at a time, so the
-block size never changes a trace. A faded hop passes when no timeout fired
-and its fade is at least the hop's `channel.fade_threshold`, which the run's
-set-up holds: the least fade whose capacity carries the hop's rate. Time
-advances in packet-airtime slots per link rate; C-M control messages are
-error-free and instantaneous, and relay queuing plus feedback latency are zero.
+block size never changes a trace. Every decision but HARQ's running sum is a
+flag from `_Run.passes` (a fade at least the hop's `channel.fade_threshold`
+h*, which the set-up holds) or `_Run.fires` (a uniform below p: a timeout, or
+a failed Occupy CoW rescue, whose p12 = min(p1/p2, 1), p_k = 1 - exp(-h_k*),
+comes from the set-up's own phase thresholds). A faded hop passes when no
+timeout fired and its fade passes. Time advances in packet-airtime slots per
+link rate; C-M control messages are error-free and instantaneous, and relay
+queuing plus feedback latency are zero.
 """
 from __future__ import annotations
 
 import gc
+import math
 import operator
 import warnings
 from contextvars import ContextVar
@@ -30,7 +34,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple
 from ._checks import integer, real
 from .cec import CecConfig, PerTaskUtilization, ScheduleResult, compute_uc, compute_ucc, optimal_tcm_case3
 from .channel import ChannelParams, SeedPlan, derive_seed, fade_threshold
-from .protocols import HarqParams, MonteCarloEstimate, NetworkShape, Protocol, _round_information, occupycow_phase_probs
+from .protocols import HarqParams, MonteCarloEstimate, Protocol, _round_information
 
 __all__ = [
     "CONTROLLER",
@@ -63,6 +67,7 @@ _ROW = "%s,%s,%s,%s,%s,%s,%s\n"  # one exported event; %s writes any field as an
 # `_new_tuple(TraceEvent, fields)` builds an event in C, at about half the cost of the
 # NamedTuple's Python-level __new__; it checks no arity.
 _new_tuple = tuple.__new__
+_TOLIST = operator.methodcaller("tolist")  # a block of draws as Python floats, called in C
 
 
 class TraceEvent(NamedTuple):
@@ -235,29 +240,6 @@ def _meets_epsilon(delivered: int, required: int, epsilon: float) -> bool:
     return delivered / required >= epsilon
 
 
-# Block sources for _Run.draws and _Run.link_draws: take(rng, n) returns the
-# next n draws of the stream rng. `_SOURCES` names the stream method that draws one
-# value of a source with its defaults: a reader of one-draw blocks, which a run of
-# one packet per link reads on every stream, calls it without numpy's array path.
-# It also names the test that turns a draw x into a flag against a threshold t,
-# called as test(t, x): a fade passes its hop when x >= t, and a uniform fires,
-# as a timeout or a failed rescue, when x < t.
-_Take = Callable[[Any, int], list[float]]
-
-
-def _fades(rng, n: int) -> list[float]:
-    """n unit-mean exponential fade powers (Rayleigh |h|^2)."""
-    return rng.exponential(1.0, size=n).tolist()
-
-
-def _uniforms(rng, n: int) -> list[float]:
-    """n uniform [0, 1) draws, for timeouts and rescues."""
-    return rng.random(size=n).tolist()
-
-
-_SOURCES = {_fades: ("exponential", operator.le), _uniforms: ("random", operator.gt)}
-
-
 class _SetUp(NamedTuple):
     """What a run derives from its arguments but the seed, each checked once (see `_set_up`)."""
 
@@ -299,10 +281,7 @@ def _set_up(key: tuple) -> _SetUp:
     integer("packet_bits", packet_bits, 1)
     real("p_timeout", p_timeout, "[0, 1]")
     for link in filter(None, (chan, chan_local)):
-        try:
-            link.snr_linear
-        except OverflowError:
-            raise ValueError(f"snr_db must give a finite linear SNR, got {link.snr_db!r}") from None
+        link.snr_linear  # a ValueError naming snr_db when the linear SNR overflows
     if not flows:
         raise ValueError("need at least one flow")
     specs: dict[int, FlowSpec] = {}
@@ -362,11 +341,12 @@ def _set_up(key: tuple) -> _SetUp:
             raise ValueError(f"node {max(carried, key=carried.get)} sends more than one flow; each cooperating node sends one")
         carried, n = dict.fromkeys(nodes, 1), len(nodes)
         bits = n * (packet_bits + 1)  # the whole shape's bits, which each phase moves in its window
-        t1 = t1 if t1 is not None else 2.0 * bits / chan.rate_bps
-        t2 = t2 if t2 is not None else bits / chan.rate_bps
-        shape = NetworkShape(n_total=n + 1, n_sensors=n, n_relays=1, relay_fanout=float(n), packet_bits=packet_bits)
-        p12 = occupycow_phase_probs(shape, chan, t1, t2).p12  # which checks both windows
-        own = dict(t1=t1, t2=t2, h_up=fade_threshold(chan, bits / t1), p12=p12)
+        t1 = real("t1", t1 if t1 is not None else 2.0 * bits / chan.rate_bps, "(0, inf)")
+        t2 = real("t2", t2 if t2 is not None else bits / chan.rate_bps, "(0, inf)")
+        # A phase fails with p_k = 1 - exp(-h_k*); a straggler's rescue fails with min(p1/p2, 1).
+        h1, h2 = fade_threshold(chan, bits / t1), fade_threshold(chan, bits / t2)
+        p1, p2 = -math.expm1(-h1), -math.expm1(-h2)
+        own = dict(t1=t1, t2=t2, h_up=h1, p12=min(p1 / p2, 1.0) if p2 > 0 else 1.0)
     return _SetUp(key, protocol, specs, tuple(layout), carried, latest, slot, **own)
 
 
@@ -384,7 +364,7 @@ _PLAN: ContextVar[_Plan | None] = ContextVar("cecbench_plan", default=None)
 
 
 class _Run:
-    """One run's per-link draws, and the one writer of its counts, event log, clock and outcomes.
+    """One run's flag and value readers, and the one writer of its counts, event log, clock and outcomes.
 
     Its runner reads all that `key`, the run's arguments but the seed, fixes from `setup`.
     A run that records holds the cyclic garbage collector from construction
@@ -437,27 +417,36 @@ class _Run:
         if self.held:
             gc.enable()
 
-    def draws(self, take: _Take, n: int, threshold: float, *path: int) -> Iterator[bool]:
-        """The flags against `threshold` (see `_SOURCES`) of the draws of the stream at `path`, set
-        up now, in blocks of n."""
-        rng, (scalar, test) = self.plan.stream(self.seed, *path), _SOURCES[take]
-        values = iter(getattr(rng, scalar), None) if n == 1 else chain.from_iterable(map(take, repeat(rng), repeat(n)))
-        return map(partial(test, threshold), values)
+    # The readers set their streams up now and read them in blocks of n; a run's last block may
+    # be left half read. A flag reader is a C iterator with no Python frame per draw or block,
+    # and reads a one-draw block as the scalar draw, which skips numpy's array path.
 
-    def link_draws(self, take: _Take, head: int, sizes: Mapping[str, int], threshold: float | None = None) -> dict:
-        """Each node's draws on path (head, i), i its index in `sizes`, in blocks of sizes[node], all
-        set up now by one `streams` request; with a `threshold`, their flags against it (see
-        `_SOURCES`). Each reader is a C iterator, with no Python frame per draw but take's; a run's
-        last block may be left half read."""
-        scalar, test = _SOURCES.get(take, (None, None))
+    def passes(self, head: int, sizes: Mapping[str, int], h_star: float) -> dict[str, Iterator[bool]]:
+        """Each node's hop flags from its stream on path (head, i), i its index in `sizes`, in blocks of
+        sizes[node]: a unit-mean exponential fade passes when it is at least `h_star`, which it is
+        with probability exp(-h_star)."""
         readers = {}
         for (v, n), rng in zip(sizes.items(), self.plan.streams(self.seed, head, len(sizes))):
-            if n == 1 and scalar:
-                readers[v] = iter(getattr(rng, scalar), None)
-            else:
-                readers[v] = chain.from_iterable(map(take, repeat(rng), repeat(n)))
-            if threshold is not None:
-                readers[v] = map(partial(test, threshold), readers[v])
+            fades = iter(rng.exponential, None) if n == 1 else chain.from_iterable(
+                map(_TOLIST, map(rng.exponential, repeat(1.0), repeat(n))))
+            readers[v] = map(partial(operator.le, h_star), fades)
+        return readers
+
+    def fires(self, p: float, n: int, *path: int) -> Iterator[bool]:
+        """The flags of the uniform stream at `path`, in blocks of n: a draw fires when it is below
+        `p`. At p = 0 nothing fires and no stream is set up."""
+        if not p:
+            return repeat(False)
+        rng = self.plan.stream(self.seed, *path)
+        draws = iter(rng.random, None) if n == 1 else chain.from_iterable(map(_TOLIST, map(rng.random, repeat(n))))
+        return map(partial(operator.gt, p), draws)
+
+    def link_draws(self, take: Callable[[Any, int], list[float]], head: int, sizes: Mapping[str, int]) -> dict:
+        """HARQ's value reader: each node's values on path (head, i), in blocks of sizes[node], where
+        take(rng, n), called once per block, returns the next n values of the stream rng."""
+        readers = {}
+        for (v, n), rng in zip(sizes.items(), self.plan.streams(self.seed, head, len(sizes))):
+            readers[v] = chain.from_iterable(map(take, repeat(rng), repeat(n)))
         return readers
 
     def fits(self, task: int, duration: float) -> bool:
@@ -579,9 +568,9 @@ def run_reflexup(
         for r in schedules:
             run.log("transmit", EDGE, r, -1, -1, "inform")
         # A hop's fade is drawn only when no timeout fired.
-        local_passes = run.link_draws(_fades, 1, setup.carried, setup.h_local)
-        up_passes = run.link_draws(_fades, 2, setup.uploads, setup.h_up)
-        timed_out = run.draws(_uniforms, 2 * len(setup.layout), p_timeout, 3) if p_timeout > 0 else repeat(False)
+        local_passes = run.passes(1, setup.carried, setup.h_local)
+        up_passes = run.passes(2, setup.uploads, setup.h_up)
+        timed_out = run.fires(p_timeout, 2 * len(setup.layout), 3)
         # Entries the relay holds, and those the controller acked.
         cached: set[tuple[int, int, str, str]] = set()
         acked: set[tuple[int, int, str, str]] = set()
@@ -691,10 +680,10 @@ def run_baseline(
 def _run_selective_repeat(run: _Run, p_timeout):
     setup = run.setup
     slot = setup.slot
-    passes = run.link_draws(_fades, 1, setup.carried, setup.h_up)
+    passes = run.passes(1, setup.carried, setup.h_up)
     # The packets not yet delivered, in (task, packet) order.
     pending = setup.layout
-    timed_out = run.draws(_uniforms, len(pending), p_timeout, 3) if p_timeout > 0 else repeat(False)
+    timed_out = run.fires(p_timeout, len(pending), 3)
 
     for round_no in count(1):
         event = "transmit" if round_no == 1 else "retransmit"
@@ -755,12 +744,13 @@ def _run_occupy_cow(run: _Run):
 
     Phase-1 losses are sampled fades at the phase-1 session rate; the rescue
     draw uses the conditional failure p12 directly (it is a ratio of the two
-    phase outages, not an independent fade). The stratum where every node
+    phase outages, not an independent fade), which the set-up derives from its
+    own phase thresholds. The stratum where every node
     fails phase 1 leaves no relays and is treated as a void round, matching
     the fixed-schedule failure form and its enumeration oracle.
     """
     setup = run.setup
-    passes = run.link_draws(_fades, 1, setup.carried, setup.h_up)
+    passes = run.passes(1, setup.carried, setup.h_up)
 
     # Each layout entry is one node's flow: (task, 0, node).
     survivors: list[tuple[int, int, str]] = []
@@ -776,7 +766,7 @@ def _run_occupy_cow(run: _Run):
     # Rescued stragglers arrive, and dispatch, at the end of phase 2.
     run.wait(setup.t2)
     if survivors and stragglers:
-        fails = run.draws(_uniforms, len(stragglers), setup.p12, 4)
+        fails = run.fires(setup.p12, len(stragglers), 4)
         for task, _, node in stragglers:
             if run.attempt("retransmit", FLOOD, CONTROLLER, task, 0, not next(fails), 1):
                 run.deliver(task, 0, node)

@@ -78,10 +78,11 @@ def test_linear_snr_is_kept_and_leaves_equality_alone():
     assert vars(chan)["snr_linear"] == chan.snr_linear == db_to_linear(10.0)
     assert chan == ChannelParams(snr_db=10.0, **TABLE) and hash(chan) == hash(ChannelParams(snr_db=10.0, **TABLE))
     assert chan.with_snr(20.0).snr_linear == db_to_linear(20.0)
-    # A channel whose linear SNR overflows still constructs; each read raises.
+    # A channel whose linear SNR overflows still constructs; each read raises a
+    # ValueError that names snr_db.
     huge = ChannelParams(snr_db=4000.0, **TABLE)
     for _ in range(2):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="snr_db"):
             huge.snr_linear
 
 

@@ -508,6 +508,21 @@ def _oc_enumeration_oracle(n, p1, p12):
     return total
 
 
+def test_occupycow_phase_probs_keeps_phase_one_survival():
+    # q1 = exp(-g1) stays exact where p1 = 1 - exp(-g1) rounds toward 1. At 10 dB on
+    # criterion 4's shape p1 is 1.0, yet a round with one phase-1 survivor still fails
+    # (p12 = 1), with probability about n * q1. Built by hand, the survival is 1 - p1.
+    for snr in (10.0, 20.0, 40.0):
+        chan = TABLE_CHAN.with_snr(snr)
+        params = occupycow_phase_probs(OC_SHAPE, chan, OC_T1, OC_T2)
+        g1 = (2.0 ** (OC_NODES * (M_BITS + 1) / OC_T1 / chan.bandwidth_hz) - 1.0) / chan.snr_linear
+        assert params.q1 == pytest.approx(math.exp(-g1), rel=1e-12)
+    at_10 = occupycow_phase_probs(OC_SHAPE, TABLE_CHAN.with_snr(10.0), OC_T1, OC_T2)
+    assert at_10.p1 == 1.0 and 0.0 < at_10.q1 < 1e-60
+    assert occupycow_pfail(OC_NODES, at_10) == pytest.approx(OC_NODES * at_10.q1, rel=1e-9)
+    assert _oc_params(0.25, 0.5).q1 == 0.75
+
+
 def test_occupycow_pfail_zero_edges():
     assert occupycow_pfail(5, _oc_params(0.0, 0.5)) == 0.0
     assert occupycow_pfail(5, _oc_params(0.3, 0.0)) == 0.0
@@ -671,3 +686,19 @@ def test_reflexup_latency_rejects_bad_rates():
     shape = split_nodes(120, 0.2, M_BITS)
     with pytest.raises(ValueError):
         reflexup_latency(shape, TABLE_CHAN, CEC, t_cp=0.5, rate_phase1=0.0)
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        outage_probability,
+        lambda chan: reflexup_pfail(NetworkShape(2, 1, 1, 1.0, M_BITS), chan, 1e-5),
+        lambda chan: harq_pfail(chan, HarqParams(7, 2), 10_000),
+    ],
+    ids=["outage_probability", "reflexup_pfail", "harq_pfail"],
+)
+def test_closed_forms_name_an_snr_whose_linear_value_overflows(closed_form):
+    # 4000 dB is 1e400 in linear scale: each closed form raises the channel's ValueError
+    # naming snr_db, not a bare OverflowError.
+    with pytest.raises(ValueError, match="snr_db"):
+        closed_form(ChannelParams(4000.0, 20e6, 200e3))
