@@ -20,7 +20,7 @@ import numpy as np
 
 from ._checks import integer, real
 from .cec import CecConfig, ucc_case3
-from .channel import ChannelParams, db_to_linear
+from .channel import ChannelParams
 from .protocols import (
     _MIN_TRIALS,
     NetworkShape,
@@ -309,8 +309,8 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     return [
         *_rejected("[cec] n_tasks", (cfg.n_tasks,), cfg.cec),
         *_rejected("[sweep] task_grid", cfg.task_grid, cfg.cec),
-        *_rejected("[channel] snr_db", (cfg.snr_db,), _check_snr),
-        *_rejected("[sweep] snr_grid_db", cfg.snr_grid_db, _check_snr),
+        *_rejected("[channel] snr_db", (cfg.snr_db,), lambda snr: _check_snr(cfg.channel(snr))),
+        *_rejected("[sweep] snr_grid_db", cfg.snr_grid_db, lambda snr: _check_snr(cfg.channel(snr))),
         *_rejected("[sweep] n_g_grid", cfg.n_g_grid, lambda n_g: cfg.oc_windows(cfg.shape(n_g).n_sensors)),
         *_rejected("[sweep] fig12_n_g", (cfg.fig12_n_g,), cfg.shape),
         *_rejected("[sweep] fig13_n_g", cfg.fig13_n_g, cfg.shape),
@@ -382,14 +382,11 @@ def _check_efficiencies(cfg: ExperimentConfig, times: list[tuple[Protocol, int, 
             raise ValueError(f"{protocol.value}'s efficiency at n_g = {n_g} is {u!r} (uplink time {t_cm!r} s)")
 
 
-def _check_snr(snr_db: float) -> None:
-    """Reject an SNR whose linear value, which the sweeps divide by, is 0 or overflows."""
-    try:
-        linear = db_to_linear(snr_db)
-    except OverflowError:
-        linear = math.inf
-    if not 0.0 < linear < math.inf:
-        raise ValueError("its linear SNR is not a finite number > 0")
+def _check_snr(chan: ChannelParams) -> None:
+    """Reject a channel whose linear SNR, which the sweeps divide by, is 0; reading one that
+    overflows raises `ChannelParams.snr_linear`'s ValueError, which names snr_db."""
+    if not chan.snr_linear:
+        raise ValueError("its linear SNR is 0")
 
 
 def _rejected(key: str, values, build) -> list[str]:

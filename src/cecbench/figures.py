@@ -161,7 +161,9 @@ def build_fig7(sweep: Sweep) -> FigureDataset:
     cec = cfg.cec()
     t_cm_grid, t_cp_grid = cfg.fig7_grids()
     t_cms = t_cm_grid.tolist()
-    step = t_cms[1] - t_cms[0]
+    # The grid's first point is one step; `t_cms[1] - t_cms[0]` can round an ulp below it, and
+    # then a ridge on the first point, with the optimum below it, reads as off the grid.
+    step = t_cms[0]
     rows = []
     for t_cp in t_cp_grid.tolist():
         values = ucc_case3(t_cm_grid, t_cp, cec)

@@ -68,6 +68,9 @@ _ROW = "%s,%s,%s,%s,%s,%s,%s\n"  # one exported event; %s writes any field as an
 # NamedTuple's Python-level __new__; it checks no arity.
 _new_tuple = tuple.__new__
 _TOLIST = operator.methodcaller("tolist")  # a block of draws as Python floats, called in C
+# The largest fade numpy's `exponential` returns: its ziggurat's tail, r - log1p(-u), at the
+# largest uniform u = 1 - 2**-53, with r = 7.69711747013104972 (Marsaglia & Tsang, 2000).
+_FADE_MAX = 44.43391803980815
 
 
 class TraceEvent(NamedTuple):
@@ -424,7 +427,9 @@ class _Run:
     def passes(self, head: int, sizes: Mapping[str, int], h_star: float) -> dict[str, Iterator[bool]]:
         """Each node's hop flags from its stream on path (head, i), i its index in `sizes`, in blocks of
         sizes[node]: a unit-mean exponential fade passes when it is at least `h_star`, which it is
-        with probability exp(-h_star)."""
+        with probability exp(-h_star). Above `_FADE_MAX` no fade passes and no stream is set up."""
+        if h_star > _FADE_MAX:
+            return dict.fromkeys(sizes, repeat(False))
         readers = {}
         for (v, n), rng in zip(sizes.items(), self.plan.streams(self.seed, head, len(sizes))):
             fades = iter(rng.exponential, None) if n == 1 else chain.from_iterable(
@@ -434,9 +439,11 @@ class _Run:
 
     def fires(self, p: float, n: int, *path: int) -> Iterator[bool]:
         """The flags of the uniform stream at `path`, in blocks of n: a draw fires when it is below
-        `p`. At p = 0 nothing fires and no stream is set up."""
+        `p`. At p = 0 nothing fires, at p >= 1 every draw does, and neither sets up a stream."""
         if not p:
             return repeat(False)
+        if p >= 1:
+            return repeat(True)
         rng = self.plan.stream(self.seed, *path)
         draws = iter(rng.random, None) if n == 1 else chain.from_iterable(map(_TOLIST, map(rng.random, repeat(n))))
         return map(partial(operator.gt, p), draws)

@@ -47,6 +47,21 @@ MUTANTS = (
     ),
     # The rescue of n - a stragglers fails as if there were one more.
     Mutant("src/cecbench/protocols.py", "(1.0 - params.p12) ** (n - a)", "(1.0 - params.p12) ** (n - a + 1)", EXACT_LAW),
+    # The largest fade falls below Selective Repeat's h* at -20 dB (ln 2), so hops a fade
+    # can pass are skipped as certain losses.
+    Mutant(
+        "src/cecbench/sim.py",
+        "_FADE_MAX = 44.43391803980815",
+        "_FADE_MAX = 0.5",
+        "tests/test_sim.py::test_skipped_fades_equal_drawn_fades",
+    ),
+    # A uniform that fires with probability in [0.5, 1) is taken to fire always.
+    Mutant(
+        "src/cecbench/sim.py",
+        "if p >= 1:",
+        "if p >= 0.5:",
+        "tests/test_sim.py::test_a_certain_timeout_loses_every_attempt_and_sets_up_no_stream",
+    ),
 )
 
 

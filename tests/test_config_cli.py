@@ -341,6 +341,8 @@ def _configs(draw):
 # Near the ends of the float range: fig7's surface underflows, fig9's Occupy CoW efficiency overflows.
 @example(text="[experiment]\ntrials = 10000\n[cec]\nc = 5e-324\n")
 @example(text="[experiment]\ntrials = 10000\n[channel]\nrate_bps = 1e-300\n[sweep]\nt_cp_fig9 = 1000\n")
+# fig7's ridge on its first grid point, whose step `t[1] - t[0]` rounds an ulp short of it.
+@example(text="[experiment]\ntrials = 10000\n[sweep]\nfig7_t_cm_max = 1.280624702927617e+109\n")
 def test_every_config_exits_1_or_builds_every_figure(tmp_path_factory, text):
     # Exit 2 is for runtime faults only: a config the sweeps cannot run must
     # fail validation, and one that validates must build all six figures.

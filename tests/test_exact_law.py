@@ -3,7 +3,9 @@
 The law enumerates every flag of a run, so it carries no sampling noise: it
 must equal each closed form within 1e-12 relative, on criterion 4's shapes.
 The simulator derives Occupy CoW's rescue from its own phase thresholds, so
-a wrong p12 in `protocols` shows here.
+a wrong p12 in `protocols` shows here. Selective Repeat is also held to its
+closed form across retransmission rounds; ReFlexUp's repair rounds have no
+closed form.
 """
 import math
 
@@ -19,8 +21,9 @@ from cecbench.protocols import (
     reflexup_pfail,
     srarq_pfail,
 )
+from cecbench.sim import FlowSpec, run_baseline, star_topology
 from exact import exact_law
-from scenarios import OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, SNR_POINTS, channel_at, scenario
+from scenarios import M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, SNR_POINTS, channel_at, scenario
 
 SR, OC, RFU = Protocol.SELECTIVE_REPEAT_ARQ, Protocol.OCCUPY_COW, Protocol.REFLEXUP
 
@@ -58,3 +61,17 @@ def test_exact_law_refuses_a_tree_beyond_its_leaf_cap():
         exact_law(run, max_leaves=100)
     assert (sim._Run.passes, sim._Run.fires) == readers
     assert exact_law(scenario(SR, channel_at(SR, 40.0))).leaves == 3
+
+
+@pytest.mark.parametrize("attempts", [2, 3, 4])
+@pytest.mark.parametrize("snr", [-20.0, 0.0, 10.0], ids=lambda v: f"{v:g}db")
+def test_selective_repeat_fails_like_its_closed_form_across_rounds(attempts, snr):
+    # A deadline of k + 1/2 slots admits k attempts of the one packet, as each lost
+    # attempt takes one slot, and each is a fresh hop: the run fails when all k fail.
+    chan = channel_at(SR, snr)
+    topo = star_topology(1)
+    flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=(attempts + 0.5) * M_BITS / chan.rate_bps)]
+    law = exact_law(lambda s: run_baseline(SR, topo, flows, chan, seed=s, p_timeout=P_TIMEOUT, record_events=False))
+    closed_form = srarq_pfail(P_TIMEOUT, outage_probability(chan)) ** attempts
+    assert law.failure == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+    assert law.void == 0.0 and law.leaves <= 31

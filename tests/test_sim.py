@@ -708,11 +708,12 @@ def test_unrecorded_plan_runs_keep_their_digests(protocol):
 # a per-run test closure, one frame per attempt, SR read 19000 / 19000, Occupy CoW
 # 35000 / 49693 and ReFlexUp 32180 / 32000. While a block of more than one uniform
 # draw (ReFlexUp's timeouts, Occupy CoW's rescues) cost a frame, Occupy CoW read
-# 28000 / 42693 and ReFlexUp 28180 / 28000.
+# 28000 / 42693 and ReFlexUp 28180 / 28000. While a hop that no fade can pass (Occupy CoW's
+# void rounds at 10 dB) still set up and read its six streams, Occupy CoW read 28000 at 10 dB.
 FRAME_BUDGETS = {
     (SR, 10.0): 17000, (SR, 40.0): 17000,
     (HQ, 10.0): 16000, (HQ, 40.0): 16000,
-    (OC, 10.0): 28000, (OC, 40.0): 42479,
+    (OC, 10.0): 21000, (OC, 40.0): 42479,
     (Protocol.REFLEXUP, 10.0): 27180, (Protocol.REFLEXUP, 40.0): 27000,
 }
 
@@ -1627,3 +1628,121 @@ def test_harq_block_metric_equals_per_round_mean(diversity):
     assert _round_information(spawn_stream(diversity, 1, 0), snr, (rounds, diversity)).tolist() == per_round
     shaped = _round_information(spawn_stream(diversity, 1, 0), snr, (rounds // 5, 5, diversity))
     assert np.array_equal(shaped, info.mean(axis=-1).reshape(rounds // 5, 5))
+
+
+# ------------------------------------------------------------- certain flags
+# A flag that no draw can change sets up no stream: a hop whose h* exceeds the
+# largest fade numpy's exponential sampler returns, and a uniform that fires at p >= 1.
+
+_PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341  # numpy's PCG64 multiplier
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_emitting(first: int, second: int) -> np.random.Generator:
+    """A PCG64 generator whose next two raw 64-bit words are `first` and `second`.
+
+    PCG64 steps its 128-bit state s to s * MULT + inc and outputs the XSL-RR
+    of the new state: its 64-bit halves xored, rotated right by the top 6 bits.
+    Each of the two next states is picked to output its word, the odd `inc`
+    that links them follows, and the start state is the first one stepped back.
+    """
+
+    def state_for(word: int, hi: int) -> int:
+        rot = hi >> 58
+        return (hi << 64) | ((((word << rot) | (word >> (64 - rot))) & _M64 if rot else word) ^ hi)
+
+    s1 = state_for(first, 0)
+    s2 = state_for(second, 0)
+    if not (s2 - s1 * _PCG64_MULT) & 1:
+        s2 = state_for(second, 1)
+    inc = (s2 - s1 * _PCG64_MULT) & _M128
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (s1 - inc) * pow(_PCG64_MULT, -1, 1 << 128) & _M128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+def test_the_fade_bound_is_numpys_largest_exponential():
+    # The ziggurat takes a word's bits 3-10 as its layer and the next 53 bits as its
+    # uniform; layer 0 with the largest uniform goes to the tail, r - log1p(-u), whose
+    # own uniform u is the next word's top 53 bits, here 1 - 2**-53, the largest.
+    first, second = _M64 & ~(0xFF << 3), _M64
+    assert _pcg64_emitting(first, second).bit_generator.random_raw(2).tolist() == [first, second]
+    assert _pcg64_emitting(first, second).exponential() == sim._FADE_MAX
+    assert _pcg64_emitting(first, second).exponential(1.0, 1).tolist() == [sim._FADE_MAX]
+
+
+def _stream_requests(monkeypatch) -> list[tuple]:
+    """Every `SeedPlan.stream` and `SeedPlan.streams` call from now on, as (name, path)."""
+    calls = []
+    stream, streams = channel.SeedPlan.stream, channel.SeedPlan.streams
+    monkeypatch.setattr(
+        channel.SeedPlan, "stream", lambda plan, seed, *path: calls.append(("stream", path)) or stream(plan, seed, *path)
+    )
+    monkeypatch.setattr(
+        channel.SeedPlan, "streams", lambda plan, seed, head, n: calls.append(("streams", (head, n))) or streams(plan, seed, head, n)
+    )
+    return calls
+
+
+def test_a_void_occupy_cow_run_sets_up_no_stream(monkeypatch):
+    # At 10 dB Occupy CoW's phase-1 h* is about 157, far above any fade: every node
+    # fails phase 1, the round is void, and no stream is set up for it.
+    chan = scenarios.channel_at(OC, 10.0)
+    run = scenarios.scenario(OC, chan)
+    bits = scenarios.OC_NODES * (scenarios.M_BITS + 1)
+    assert fade_threshold(chan, bits / scenarios.OC_T1) > sim._FADE_MAX
+    calls = _stream_requests(monkeypatch)
+    traces = [run(seed) for seed in range(20)]
+    assert calls == []
+    assert all(out.void_round and out.attempts == 1 and not out.delivered for t in traces for out in t.flows.values())
+
+
+def _outcomes(trace: SimTrace) -> tuple:
+    return trace.duration, trace.slots, [tuple(getattr(out, f) for f in OUTCOME_FIELDS) for out in trace.flows.values()]
+
+
+@pytest.mark.parametrize("protocol, snr", [(OC, 10.0), (SR, -20.0)], ids=["occupy_cow-10db", "selective_repeat_arq--20db"])
+def test_skipped_fades_equal_drawn_fades(protocol, snr, monkeypatch):
+    # A skipped hop's flags are the flags its draws would have given, and no other
+    # stream moves: 1000 runs match, outcome field for outcome field, the same runs
+    # with the skip disabled. Selective Repeat at -20 dB, whose h* is about ln 2,
+    # draws under either bound; Occupy CoW at 10 dB skips every fade.
+    run = scenarios.scenario(protocol, scenarios.channel_at(protocol, snr))
+    seeds = range(1000)
+
+    def outcomes():
+        token = sim._PLAN.set(sim._Plan(seeds))
+        try:
+            return [_outcomes(run(seed)) for seed in seeds]
+        finally:
+            sim._PLAN.reset(token)
+
+    skipped = outcomes()
+    monkeypatch.setattr(sim, "_FADE_MAX", math.inf)
+    assert skipped == outcomes()
+    if protocol is SR:  # some runs fail and some deliver: the fades were read
+        assert 0 < sum(flows[0][-1] for _, _, flows in skipped) < len(seeds)
+
+
+def test_a_certain_timeout_loses_every_attempt_and_sets_up_no_stream(monkeypatch):
+    # At p_timeout = 1 every attempt times out, as every uniform draw is below 1, so no
+    # timeout stream is set up; at 0.75 the stream is read and some attempts pass.
+    topo = star_topology(2)
+    flows = build_flows(topo, 2, deadline=40 * 176 / PERFECT.rate_bps)
+    rfu_topo, rfu_flows = _reflexup_setup()
+    calls = _stream_requests(monkeypatch)
+    for seed in range(20):
+        for trace in (
+            run_baseline(SR, topo, flows, PERFECT, seed=seed, p_timeout=1.0),
+            run_reflexup(rfu_topo, rfu_flows, PERFECT, CEC_SMALL, seed=seed, p_timeout=1.0),
+        ):
+            assert all(out.attempts and out.losses == out.attempts and not out.delivered for out in trace.flows.values())
+    assert calls and ("stream", (3,)) not in calls
+    traces = [run_baseline(SR, topo, flows, PERFECT, seed=seed, p_timeout=0.75) for seed in range(20)]
+    assert ("stream", (3,)) in calls
+    assert 0 < sum(out.delivered for t in traces for out in t.flows.values())
