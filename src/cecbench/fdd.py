@@ -11,6 +11,8 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -59,17 +61,6 @@ class ProcessSample:
         return self.timestamp == other.timestamp and np.array_equal(self.values, other.values)
 
 
-def _trusted_sample(timestamp: float, values: np.ndarray) -> ProcessSample:
-    """A ProcessSample built without __post_init__'s checks.
-
-    Only for a 1-D float64 row of a matrix already checked to be finite.
-    """
-    sample = object.__new__(ProcessSample)
-    object.__setattr__(sample, "timestamp", timestamp)
-    object.__setattr__(sample, "values", values)
-    return sample
-
-
 @dataclass(frozen=True)
 class PcaModel:
     """Offline-fitted monitoring model: loadings, spectra, and control limits."""
@@ -102,6 +93,23 @@ class DetectionResult:
     spe_limit: float
     t2_limit: float
     fault_flag: bool
+
+
+# The bound __set__ of each row type's slot descriptors, in field order.
+_SETTERS = {cls: [getattr(cls, name).__set__ for name in cls.__slots__] for cls in (ProcessSample, DetectionResult)}
+
+
+def _bulk(cls, n: int, *columns) -> list:
+    """n instances of cls, a row type of _SETTERS, whose fields take the columns' values in order.
+
+    Each slot is set through its descriptor in C, so no __init__, __post_init__
+    or frozen __setattr__ runs: only for values already checked, such as the
+    1-D float64 rows of a matrix checked to be finite.
+    """
+    rows = list(map(object.__new__, repeat(cls, n)))
+    for setter, column in zip(_SETTERS[cls], columns):
+        any(map(setter, rows, column))  # each call returns None, so any() runs them all
+    return rows
 
 
 class CsvParseError(ValueError):
@@ -154,10 +162,11 @@ FaultSpec = MeanShift | Drift | VarianceBump
 def _as_matrix(samples: Sequence[ProcessSample]) -> np.ndarray:
     if not samples:
         raise ValueError("no samples")
-    dims = {s.values.shape[0] for s in samples}
+    rows = list(map(attrgetter("values"), samples))
+    dims = set(map(len, rows))
     if len(dims) != 1:
         raise ValueError(f"inconsistent sample dimensions: {sorted(dims)}")
-    return np.concatenate([s.values for s in samples]).reshape(len(samples), dims.pop())
+    return np.concatenate(rows).reshape(len(samples), dims.pop())
 
 
 def fit_pca(
@@ -255,8 +264,8 @@ def _project(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
     x is a fresh (rows, n_vars) float matrix owned by the caller.
     """
-    if x.shape[1] != model.n_vars:
-        raise ValueError(f"sample dimension {x.shape[1]} != model dimension {model.n_vars}")
+    if x.shape[1] != model.loadings.shape[0]:
+        raise ValueError(f"sample dimension {x.shape[1]} != model dimension {model.loadings.shape[0]}")
     x -= model.mean
     x /= model.scale
     scores = x @ model.loadings
@@ -273,10 +282,10 @@ def _score_block(model: PcaModel, samples: Sequence[ProcessSample]) -> list[Dete
     t2 = (scores / model.eigenvalues).sum(axis=1)
     spe_limit, t2_limit = model.spe_limit, model.t2_limit
     flags = (spe > spe_limit) | (t2 > t2_limit)
-    return [
-        DetectionResult(s.timestamp, q, t, spe_limit, t2_limit, f)
-        for s, q, t, f in zip(samples, spe.tolist(), t2.tolist(), flags.tolist())
-    ]
+    return _bulk(
+        DetectionResult, len(samples), map(attrgetter("timestamp"), samples), spe.tolist(), t2.tolist(),
+        repeat(spe_limit), repeat(t2_limit), flags.tolist(),
+    )
 
 
 def score(model: PcaModel, sample: ProcessSample) -> DetectionResult:
@@ -301,7 +310,7 @@ def residual_contributions(model: PcaModel, sample: ProcessSample) -> list[tuple
     x = sample.values[np.newaxis].copy()
     _project(model, x)
     contrib = x[0] ** 2
-    order = np.argsort(contrib)[::-1]
+    order = contrib.argsort()[::-1]
     return list(zip(order.tolist(), contrib[order].tolist()))
 
 
@@ -371,8 +380,8 @@ def generate_synthetic_te(
         if not np.isfinite(x).all():
             raise ValueError("all readings must be finite")
     # Both matrices are checked; each row is a 1-D float64 view.
-    training = [_trusted_sample(float(t), row) for t, row in enumerate(train)]
-    test_stream = [_trusted_sample(float(n_normal + t), row) for t, row in enumerate(test)]
+    training = _bulk(ProcessSample, len(train), map(float, range(len(train))), train)
+    test_stream = _bulk(ProcessSample, len(test), map(float, range(n_normal, n_normal + len(test))), test)
     return training, test_stream
 
 
@@ -388,7 +397,7 @@ def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> list[ProcessSample]:
     if x is None:
         return _scan_csv(path, schema)
     # _load_matrix has checked the whole matrix; each row is a 1-D float64 view.
-    return [_trusted_sample(float(t), row) for t, row in enumerate(x)]
+    return _bulk(ProcessSample, len(x), map(float, range(len(x))), x)
 
 
 # numpy's reader strips these ASCII separators around a number as whitespace;
@@ -461,18 +470,21 @@ def _scan_csv(path, schema: CsvSchema) -> list[ProcessSample]:
 
 
 def write_detections(results: Sequence[DetectionResult], path) -> None:
-    """Write detection output CSV: timestamp,spe,t2,spe_limit,t2_limit,fault_flag."""
+    """Write detection output CSV: timestamp,spe,t2,spe_limit,t2_limit,fault_flag.
+
+    The body goes out as one string per _BLOCK_ROWS results, so memory stays
+    bounded however long the stream.
+    """
+    # Results scored together share their limit objects, so the limits are
+    # formatted once per run of the same two objects (by identity: -0.0 and
+    # 0.0 format apart). The `or` clause, a non-empty tuple, always holds.
+    spe_limit = t2_limit = limits = None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,spe,t2,spe_limit,t2_limit,fault_flag\n")
-        fh.writelines(_detection_lines(results))
-
-
-def _detection_lines(results: Sequence[DetectionResult]):
-    # Results scored together share their limit objects, so the limits are
-    # formatted once per run of the same two objects.
-    spe_limit = t2_limit = limits = None
-    for r in results:
-        if r.spe_limit is not spe_limit or r.t2_limit is not t2_limit:
-            spe_limit, t2_limit = r.spe_limit, r.t2_limit
-            limits = f"{spe_limit:.10g},{t2_limit:.10g}"
-        yield f"{r.timestamp:.10g},{r.spe:.10g},{r.t2:.10g},{limits},{int(r.fault_flag)}\n"
+        for start in range(0, len(results), _BLOCK_ROWS):
+            fh.write("".join([
+                "%.10g,%.10g,%.10g,%s,%d\n" % (r.timestamp, r.spe, r.t2, limits, r.fault_flag)
+                for r in results[start : start + _BLOCK_ROWS]
+                if r.spe_limit is spe_limit and r.t2_limit is t2_limit
+                or (spe_limit := r.spe_limit, t2_limit := r.t2_limit, limits := "%.10g,%.10g" % (spe_limit, t2_limit))
+            ]))

@@ -62,6 +62,27 @@ MUTANTS = (
         "if p >= 0.5:",
         "tests/test_sim.py::test_a_certain_timeout_loses_every_attempt_and_sets_up_no_stream",
     ),
+    # PCA flags a sample only when both statistics pass their limits, not when either does.
+    Mutant(
+        "src/cecbench/fdd.py",
+        "(spe > spe_limit) | (t2 > t2_limit)",
+        "(spe > spe_limit) & (t2 > t2_limit)",
+        "tests/test_fdd.py::test_score_flags_large_excursion",
+    ),
+    # The T-squared limit loses its (n + 1) / n factor for an estimated mean and covariance.
+    Mutant(
+        "src/cecbench/fdd.py",
+        "k * (n**2 - 1) / (n * (n - k)) * f_isf",
+        "k * (n - 1) / (n - k) * f_isf",
+        "tests/test_fdd.py::test_tiny_alpha_gives_finite_limits",
+    ),
+    # The SPE limit's exponent h0 takes 2 theta2^2 where Jackson-Mudholkar has 3 theta2^2.
+    Mutant(
+        "src/cecbench/fdd.py",
+        "(3.0 * theta2**2)",
+        "(2.0 * theta2**2)",
+        "tests/test_fdd.py::test_spe_limit_is_the_jackson_mudholkar_limit",
+    ),
 )
 
 

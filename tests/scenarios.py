@@ -36,15 +36,16 @@ def channel_at(protocol: Protocol, snr: float) -> ChannelParams:
     return TABLE_CHAN.with_snr(snr)
 
 
-def scenario(protocol: Protocol, chan: ChannelParams, record_events: bool = False):
+def scenario(protocol: Protocol, chan: ChannelParams, record_events: bool = False, deadline_slots: float | None = None):
     """`run(seed)` of the protocol's shape on `chan`. Its topology and flows are built here,
     once, and its other arguments are `chan` and module constants, so that every run passes
     the very objects of the run before it and an estimate builds one set-up per plan: the
-    memo matches each argument by identity."""
+    memo matches each argument by identity. `deadline_slots` sets a Selective Repeat or
+    ReFlexUp deadline in slots of `chan`; criterion 4's are 1.5 and 2.4."""
     slot = M_BITS / chan.rate_bps
     if protocol is Protocol.REFLEXUP:
         topo = relay_topology(1, 1)
-        flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=2.4 * slot)]
+        flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=(deadline_slots or 2.4) * slot)]
         return lambda s: run_reflexup(
             topo, flows, chan, RFU_CEC, seed=s, t_cp=RFU_T_CP, p_timeout=P_TIMEOUT, record_events=record_events
         )
@@ -54,7 +55,7 @@ def scenario(protocol: Protocol, chan: ChannelParams, record_events: bool = Fals
         kw = {"oc_t1": OC_T1, "oc_t2": OC_T2}
     else:
         topo = star_topology(1)
-        deadline = 1.5 * slot if protocol is Protocol.SELECTIVE_REPEAT_ARQ else 10.0
+        deadline = (deadline_slots or 1.5) * slot if protocol is Protocol.SELECTIVE_REPEAT_ARQ else 10.0
         flows = [FlowSpec(0, topo.sensors, 1, 1.0, deadline=deadline)]
         kw = {"p_timeout": P_TIMEOUT} if protocol is Protocol.SELECTIVE_REPEAT_ARQ else {"harq": HARQ}
     return lambda s: run_baseline(protocol, topo, flows, chan, seed=s, record_events=record_events, **kw)

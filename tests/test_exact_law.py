@@ -5,7 +5,7 @@ must equal each closed form within 1e-12 relative, on criterion 4's shapes.
 The simulator derives Occupy CoW's rescue from its own phase thresholds, so
 a wrong p12 in `protocols` shows here. Selective Repeat is also held to its
 closed form across retransmission rounds; ReFlexUp's repair rounds have no
-closed form.
+closed form, so there the sampler, `estimate_pfail`, is held to the law.
 """
 import math
 
@@ -21,7 +21,7 @@ from cecbench.protocols import (
     reflexup_pfail,
     srarq_pfail,
 )
-from cecbench.sim import FlowSpec, run_baseline, star_topology
+from cecbench.sim import FlowSpec, estimate_pfail, run_baseline, star_topology
 from exact import exact_law
 from scenarios import M_BITS, OC_NODES, OC_SHAPE, OC_T1, OC_T2, P_TIMEOUT, RFU_SHAPE, RFU_T_VS, SNR_POINTS, channel_at, scenario
 
@@ -75,3 +75,18 @@ def test_selective_repeat_fails_like_its_closed_form_across_rounds(attempts, snr
     closed_form = srarq_pfail(P_TIMEOUT, outage_probability(chan)) ** attempts
     assert law.failure == pytest.approx(closed_form, rel=1e-12, abs=0.0)
     assert law.void == 0.0 and law.leaves <= 31
+
+
+# Runs and seed fixed before any estimate was looked at; a point outside its interval is a
+# finding to record, not a seed to change.
+SAMPLER_RUNS, SAMPLER_SEED = 2000, 38
+# (protocol, SNR in dB, deadline in slots): Selective Repeat's three attempts at -20 dB,
+# Occupy CoW's criterion-4 shape, and ReFlexUp deadlines that admit repair rounds.
+SAMPLER_POINTS = [(SR, -20.0, 3.5), (OC, 40.0, None)] + [(RFU, snr, slots) for slots in (4.4, 6.4) for snr in (0.0, 5.0, 10.0)]
+
+
+@pytest.mark.parametrize("protocol, snr, slots", SAMPLER_POINTS, ids=lambda v: v.value if isinstance(v, Protocol) else f"{v}")
+def test_the_sampler_lies_within_its_interval_of_the_exact_law(protocol, snr, slots):
+    run = scenario(protocol, channel_at(protocol, snr), deadline_slots=slots)
+    p, ci99 = estimate_pfail(SAMPLER_RUNS, run, seed=SAMPLER_SEED)
+    assert abs(p - exact_law(run).failure) <= ci99

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import inspect
 import math
 import pickle
 import sys
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, betaincc, fdtrc, fdtri, ndtr, ndtri
 
+import scenarios
 from cecbench import _quantiles, fdd
 from cecbench.fdd import (
     CsvParseError,
@@ -570,6 +572,25 @@ def test_write_detections_schema(tmp_path, fitted):
     assert lines[1].split(",")[5] in ("0", "1")
 
 
+def test_write_detections_writes_each_line_as_formatted_alone(tmp_path, fitted, faulted_stream):
+    # Runs of two models' limits cross the 512-row blocks, and equal limits that
+    # are distinct objects (0.0 and -0.0) still format apart.
+    model, train = fitted
+    other, stream = faulted_stream
+    results = [
+        *score_stream(model, train[:600]),
+        DetectionResult(1.5, 0.0, -0.0, 0.0, -0.0, False),
+        DetectionResult(2.5, 1e300, 5e-324, -0.0, 0.0, True),
+        *score_stream(other, stream[:500]),
+    ]
+    path = tmp_path / "out.csv"
+    write_detections(results, path)
+    assert path.read_text().splitlines()[1:] == [
+        f"{r.timestamp:.10g},{r.spe:.10g},{r.t2:.10g},{r.spe_limit:.10g},{r.t2_limit:.10g},{int(r.fault_flag)}"
+        for r in results
+    ]
+
+
 # ------------------------------------------------------------ golden pipeline
 
 
@@ -675,3 +696,86 @@ def test_row_types_behave_as_frozen_dataclasses():
     assert dataclasses.replace(result, fault_flag=True).fault_flag
     with pytest.raises(ValueError):
         dataclasses.replace(sample, values=[float("inf")])
+
+
+def _assert_built_as_constructed(row):
+    """`row` equals, field for field and type for type, the row its class's constructor builds
+    from its field values, and behaves as a frozen slots dataclass."""
+    cls = type(row)
+    fields = [getattr(row, name) for name in cls.__slots__]
+    built = cls(*fields)
+    assert row == built and [type(v) for v in fields] == [type(getattr(built, n)) for n in cls.__slots__]
+    if cls is ProcessSample:
+        assert type(row.timestamp) is float
+        assert row.values.dtype == np.float64 and row.values.ndim == 1
+    else:
+        assert [type(v) for v in fields] == [float] * 5 + [bool]
+    for name in cls.__slots__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, fields[0])
+    assert not hasattr(row, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row), dataclasses.replace(row)):
+        assert copied == row
+
+
+def test_bulk_built_rows_are_the_constructors_rows(tmp_path):
+    train, test = generate_synthetic_te(80, 8, MeanShift((2,), 6.0), seed=37, n_vars=6)
+    path = tmp_path / "plant.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in s.values) + "\n" for s in test))
+    results = score_stream(fit_pca(train, n_components=2), test)
+    assert {r.fault_flag for r in results} == {False, True}
+    for rows in (ingest_csv(path), train, test, results):
+        for row in rows:
+            _assert_built_as_constructed(row)
+    # Only the bulk helper builds a row without running its class's __init__.
+    source = inspect.getsource(fdd)
+    assert source.count("object.__new__") == 1 and "object.__new__" in inspect.getsource(fdd._bulk)
+
+
+def test_spe_limit_is_the_jackson_mudholkar_limit(fitted):
+    # Jackson & Mudholkar (1979) over the residual eigenvalues' first three moments.
+    model, train = fitted
+    for alpha in (0.01, 0.05):
+        fitted_model = model if alpha == model.alpha else fit_pca(train, n_components=8, alpha=alpha)
+        theta1, theta2, theta3 = (math.fsum(fitted_model.residual_eigenvalues**i) for i in (1, 2, 3))
+        h0 = 1.0 - 2.0 * theta1 * theta3 / (3.0 * theta2**2)
+        assert h0 > 0
+        base = ndtri(1 - alpha) * math.sqrt(2.0 * theta2 * h0**2) / theta1 + 1.0 + theta2 * h0 * (h0 - 1.0) / theta1**2
+        assert fitted_model.spe_limit == pytest.approx(theta1 * base ** (1.0 / h0), rel=1e-12, abs=0.0)
+
+
+# ------------------------------------------------------------- frame census
+
+
+@pytest.fixture(scope="module")
+def plant():
+    """The monitor workload's plant: a model fitted on 6000 rows of 52 variables and a
+    7000-row export whose last 1000 rows carry a 4-sigma step on five variables."""
+    train, test = generate_synthetic_te(6000, 1000, MeanShift((0, 5, 10, 20, 30), 4.0), seed=41)
+    return fit_pca(train, n_components=17, alpha=0.01), test
+
+
+# Frames (`scenarios.cecbench_frames`) that one ingest -> score -> write pass enters in cecbench
+# code, by plant rows. Each 512-row block enters five (_score_block, _as_matrix, _project, _bulk
+# and write_detections' line list), and the reader five per MiB of file it screens. Built and
+# written row by row, the pass entered three frames per row: 2125 at 700 rows, 21139 at 7000.
+STREAM_FRAME_BUDGETS = {700: 20, 7000: 110}
+
+
+@pytest.mark.parametrize("rows", sorted(STREAM_FRAME_BUDGETS))
+def test_monitor_pass_enters_frames_per_block_not_per_row(tmp_path, plant, rows):
+    model, test = plant
+    path, out = tmp_path / "plant.csv", tmp_path / "detections.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in s.values) + "\n" for s in test[:rows]))
+    _, frames = scenarios.cecbench_frames(lambda: write_detections(score_stream(model, ingest_csv(path)), out))
+    assert frames <= STREAM_FRAME_BUDGETS[rows]
+    assert len(out.read_text().splitlines()) == rows + 1
+
+
+def test_diagnosis_and_generation_enter_a_fixed_number_of_frames(plant):
+    # residual_contributions enters itself and _project (was 3: the n_vars property too).
+    # generate_synthetic_te entered two frames per row (1409 at 700 rows, 14009 at 7000).
+    model, test = plant
+    assert scenarios.cecbench_frames(lambda: residual_contributions(model, test[-1]))[1] == 2
+    counts = {rows: scenarios.cecbench_frames(lambda: generate_synthetic_te(rows, 0, None, seed=43))[1] for rows in (700, 7000)}
+    assert counts[700] == counts[7000] <= 9
